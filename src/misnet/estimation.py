@@ -7,6 +7,13 @@ covariate support order.  The variance estimator is built from per-agent
 influence terms: each agent's term depends only on that agent's row of the
 adjacency matrix, which is what makes the across-agent covariance a valid
 variance estimate for the moment vector.
+
+Everything that does not depend on theta is computed in one pass per dataset:
+:func:`cell_estimates` yields the cell counts, statistics and observed link
+sums, and :func:`stat_influence_all` the influence terms.  Per-cell sums over
+pairs use one ``bincount`` over the cell labels with the diagonal parked in a
+spare bin J.  Counts, link sums and the influence sums add 0/1 products, so
+they are exact in any summation order.
 """
 
 from dataclasses import dataclass
@@ -64,54 +71,67 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CellEstimates:
-    """Cell frequencies and cell-averaged link statistics.
+    """Cell frequencies, cell-averaged link statistics and link sums.
 
     freq[j]  share of ordered pairs assigned to support point j
     stats[j] cell average of (reciprocal link, in-degree, common in-neighbor
              count, combined in-degree), each inner average scaled by 1/n
     counts[j] raw pair count of the cell
+    link_sums[j] observed links among the cell's pairs
+
+    None of these depends on theta: the moment, the variance and the
+    semiparametric cell summary all read them from here.
     """
 
     freq: np.ndarray  # (J,)
     stats: np.ndarray  # (J, 4)
     counts: np.ndarray  # (J,)
+    link_sums: np.ndarray  # (J,)
 
 
-def _offdiag_mask(n: int) -> np.ndarray:
-    mask = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mask, False)
-    return mask
+def _parked_labels(data: Dataset) -> np.ndarray:
+    """Cell labels with the diagonal moved to the spare bin J, shape (n, n)."""
+    labels = data.covariates.assignment.copy()
+    np.fill_diagonal(labels, data.n_cells)
+    return labels
 
 
-def _pair_stats(adj: np.ndarray) -> np.ndarray:
-    """Per-pair observed 4-vector, shape (n, n, 4)."""
-    g = adj.astype(float)
+def _row_sums_by_cell(labels: np.ndarray, n_cells: int, weights=None) -> np.ndarray:
+    """Sum of ``weights`` (default 1) over each row's pairs in each cell, shape (J, n)."""
+    n = labels.shape[0]
+    keys = labels * n + np.arange(n)[:, None]
+    w = None if weights is None else weights.ravel()
+    sums = np.bincount(keys.ravel(), weights=w, minlength=(n_cells + 1) * n)
+    return sums.reshape(n_cells + 1, n)[:n_cells].astype(float)
+
+
+def _pair_weights(g: np.ndarray):
+    """Observed link, then the four per-pair statistics, one (n, n) array at a time."""
     n = g.shape[0]
     col = g.sum(axis=0)
-    recip = g.T
-    in_deg = np.broadcast_to(col[None, :] / n, (n, n))
-    common = (g.T @ g) / n
-    deg_sum = (col[:, None] + col[None, :]) / n
-    return np.stack([recip, in_deg, common, deg_sum], axis=-1)
+    yield g
+    yield g.T
+    yield np.broadcast_to(col[None, :] / n, (n, n))
+    yield (g.T @ g) / n
+    yield (col[:, None] + col[None, :]) / n
 
 
 def cell_estimates(data: Dataset) -> CellEstimates:
-    """Cell frequencies and cell-averaged statistics; raises on empty cells."""
-    n, J = data.n, data.n_cells
-    labels = data.covariates.assignment
-    off = _offdiag_mask(n)
-    counts = np.bincount(labels[off], minlength=J).astype(float)
+    """Cell frequencies, statistics and link sums; raises on empty cells."""
+    J = data.n_cells
+    flat = _parked_labels(data).ravel()
+    counts = np.bincount(flat, minlength=J + 1)[:J].astype(float)
     for j in range(J):
         if counts[j] == 0:
             raise EmptyCell(j)
-    freq = counts / data.n_pairs
-    pair = _pair_stats(data.network.adj)
-    stats = np.empty((J, 4))
-    flat_labels = labels[off]
-    for comp in range(4):
-        sums = np.bincount(flat_labels, weights=pair[..., comp][off], minlength=J)
-        stats[:, comp] = sums / counts
-    return CellEstimates(freq=freq, stats=stats, counts=counts)
+    sums = [
+        np.bincount(flat, weights=w.ravel(), minlength=J + 1)[:J]
+        for w in _pair_weights(data.network.adj.astype(float))
+    ]
+    stats = np.stack(sums[1:], axis=1) / counts[:, None]
+    return CellEstimates(
+        freq=counts / data.n_pairs, stats=stats, counts=counts, link_sums=sums[0]
+    )
 
 
 def _cell_indices(cells: CellEstimates, support: CovariateSupport, theta: Theta) -> np.ndarray:
@@ -129,16 +149,10 @@ def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> n
     """
     if cells is None:
         cells = cell_estimates(data)
-    n = data.n
-    labels = data.covariates.assignment
-    off = _offdiag_mask(n)
     u = _cell_indices(cells, data.support, theta)
     lam = 1.0 - theta.fp_rate - theta.fn_rate
     fitted = theta.fp_rate + lam * norm_cdf(u)
-    link_sums = np.bincount(
-        labels[off], weights=data.network.adj[off].astype(float), minlength=data.n_cells
-    )
-    return (link_sums - cells.counts * fitted) / data.n_pairs
+    return (cells.link_sums - cells.counts * fitted) / data.n_pairs
 
 
 def stat_influence(data: Dataset, agent: int, cell: int, cells: CellEstimates) -> np.ndarray:
@@ -149,53 +163,36 @@ def stat_influence(data: Dataset, agent: int, cell: int, cells: CellEstimates) -
     are cell averages of the agent's contributions to the inner sums.  By
     construction the agent average of these terms reproduces the cell
     statistics exactly: mean_k stat_influence(k, j) == cells.stats[j].
+    This is one entry of :func:`stat_influence_all`, which computes them all.
     """
     if cells.counts[cell] == 0:
         raise EmptyCell(cell)
-    n = data.n
-    g = data.network.adj.astype(float)
-    labels = data.covariates.assignment
-    mask = (labels == cell) & _offdiag_mask(n)
-    m_count = cells.counts[cell]
-    row = g[agent]
-    col_count = mask.sum(axis=0).astype(float)  # pairs per second index
-    row_count = mask.sum(axis=1).astype(float)  # pairs per first index
-    comp2 = (col_count @ row) / m_count
-    comp3 = (row @ mask @ row) / m_count
-    comp4 = ((row_count + col_count) @ row) / m_count
-    comp1 = n * (mask[:, agent] @ row) / m_count
-    return np.array([comp1, comp2, comp3, comp4])
+    return stat_influence_all(data, cells)[agent, cell]
 
 
 def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
     """Influence terms for every (agent, cell), shape (n, J, 4)."""
     n, J = data.n, data.n_cells
     g = data.network.adj.astype(float)
-    labels = data.covariates.assignment
-    off = _offdiag_mask(n)
+    labels = _parked_labels(data)
+    row_count = _row_sums_by_cell(labels, J)  # pairs per first index
+    col_count = _row_sums_by_cell(labels.T, J)  # pairs per second index
+    links_in = _row_sums_by_cell(labels.T, J, g)  # G_ki over pairs (i, k)
     out = np.empty((n, J, 4))
     for j in range(J):
-        mask = ((labels == j) & off).astype(float)
         m_count = cells.counts[j]
-        col_count = mask.sum(axis=0)
-        row_count = mask.sum(axis=1)
-        out[:, j, 0] = n * (mask.T * g).sum(axis=1) / m_count
-        out[:, j, 1] = (g @ col_count) / m_count
-        out[:, j, 2] = np.einsum("ki,ij,kj->k", g, mask, g) / m_count
-        out[:, j, 3] = (g @ (row_count + col_count)) / m_count
+        out[:, j, 0] = n * links_in[j] / m_count
+        out[:, j, 1] = (g @ col_count[j]) / m_count
+        out[:, j, 2] = ((g @ (labels == j).astype(float)) * g).sum(axis=1) / m_count
+        out[:, j, 3] = (g @ (row_count[j] + col_count[j])) / m_count
     return out
 
 
 def _agent_link_shares(data: Dataset) -> np.ndarray:
     """First influence term: (1/n) sum_{j != i} G_ij per cell, shape (n, J)."""
-    n, J = data.n, data.n_cells
     g = data.network.adj.astype(float)
-    labels = data.covariates.assignment
-    off = _offdiag_mask(n)
-    out = np.empty((n, J))
-    for j in range(J):
-        out[:, j] = (g * ((labels == j) & off)).sum(axis=1) / n
-    return out
+    sums = _row_sums_by_cell(_parked_labels(data), data.n_cells, g)
+    return np.ascontiguousarray(sums.T) / data.n
 
 
 def _psi_matrix(
@@ -274,10 +271,12 @@ def moment_statistic(data: Dataset, theta: Theta, cells: CellEstimates | None = 
 class MomentEvaluator:
     """Caches the parameter-free pieces for repeated evaluation over a grid.
 
-    Cell estimates, per-agent link shares and the statistic influence terms
-    do not depend on the parameter point, so a grid search only pays for the
-    probit index, the influence contraction and a J x J eigendecomposition
-    per point.
+    One pass over the dataset, at construction, computes everything that does
+    not depend on theta: the cell estimates (with the link sums the moment
+    needs), per-agent link shares and the statistic influence terms.  Each
+    grid point then pays only for the probit index, the influence contraction
+    and a J x J eigendecomposition.  The results equal the free functions'
+    exactly, since both run the same arithmetic on the same inputs.
     """
 
     def __init__(self, data: Dataset):
@@ -285,18 +284,9 @@ class MomentEvaluator:
         self.cells = cell_estimates(data)
         self._link_shares = _agent_link_shares(data)
         self._influences = stat_influence_all(data, self.cells)
-        off = _offdiag_mask(data.n)
-        self._link_sums = np.bincount(
-            data.covariates.assignment[off],
-            weights=data.network.adj[off].astype(float),
-            minlength=data.n_cells,
-        )
 
     def moment(self, theta: Theta) -> np.ndarray:
-        u = _cell_indices(self.cells, self.data.support, theta)
-        lam = 1.0 - theta.fp_rate - theta.fn_rate
-        fitted = theta.fp_rate + lam * norm_cdf(u)
-        return (self._link_sums - self.cells.counts * fitted) / self.data.n_pairs
+        return moment(self.data, theta, self.cells)
 
     def variance(self, theta: Theta) -> np.ndarray:
         psi = _psi_matrix(

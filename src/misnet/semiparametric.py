@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Dataset, CellEstimates, cell_estimates, _cell_indices, _offdiag_mask
+from .estimation import Dataset, CellEstimates, cell_estimates, _cell_indices
 from .inference import ThetaGrid, theta_coordinates
 from .model import Theta
 
@@ -55,15 +55,15 @@ class CellSummary:
 
 
 def cell_summary(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> CellSummary:
-    """Sample cell link means plus the corrected index under ``theta``."""
+    """Sample cell link means plus the corrected index under ``theta``.
+
+    The means come from the link sums and counts that :func:`cell_estimates`
+    computes once per dataset, so with ``cells`` given a call does no work of
+    order n; only the index depends on ``theta``.
+    """
     if cells is None:
         cells = cell_estimates(data)
-    off = _offdiag_mask(data.n)
-    labels = data.covariates.assignment
-    link_sums = np.bincount(
-        labels[off], weights=data.network.adj[off].astype(float), minlength=data.n_cells
-    )
-    means = link_sums / cells.counts
+    means = cells.link_sums / cells.counts
     indices = _cell_indices(cells, data.support, theta)
     return CellSummary(means=means, indices=indices)
 

@@ -111,6 +111,25 @@ def brute_extended_stats(p: np.ndarray) -> np.ndarray:
 # estimators, written directly off their definitions
 
 
+def offdiag_mask(n: int) -> np.ndarray:
+    """(n, n) boolean mask of the ordered pairs i != j."""
+    mask = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def pair_stats(adj: np.ndarray) -> np.ndarray:
+    """Per-pair observed 4-vector, shape (n, n, 4)."""
+    g = adj.astype(float)
+    n = g.shape[0]
+    col = g.sum(axis=0)
+    recip = g.T
+    in_deg = np.broadcast_to(col[None, :] / n, (n, n))
+    common = (g.T @ g) / n
+    deg_sum = (col[:, None] + col[None, :]) / n
+    return np.stack([recip, in_deg, common, deg_sum], axis=-1)
+
+
 def brute_cell_estimates(adj: np.ndarray, labels: np.ndarray, n_cells: int):
     """(freq, stats, counts) with explicit pair loops."""
     n = adj.shape[0]

@@ -31,6 +31,8 @@ from oracles import (
     brute_psi_matrix,
     brute_stat_influence,
     brute_variance,
+    offdiag_mask,
+    pair_stats,
 )
 
 
@@ -90,12 +92,10 @@ class TestCellEstimates:
     def test_stats_within_pairwise_hull(self, rng):
         """Cell averages stay inside the componentwise range of the per-pair
         statistic vectors of that cell."""
-        from misnet.estimation import _pair_stats, _offdiag_mask
-
         data = random_dataset(rng, n=10, n_cells=2)
         cells = cell_estimates(data)
-        pair = _pair_stats(data.network.adj)
-        off = _offdiag_mask(data.n)
+        pair = pair_stats(data.network.adj)
+        off = offdiag_mask(data.n)
         labels = data.covariates.assignment
         for j in range(2):
             mask = off & (labels == j)
@@ -103,6 +103,17 @@ class TestCellEstimates:
             hi = pair[mask].max(axis=0)
             assert np.all(cells.stats[j] >= lo - 1e-14)
             assert np.all(cells.stats[j] <= hi + 1e-14)
+
+    def test_link_sums_match_brute_force(self, rng):
+        for n, n_cells in [(5, 2), (9, 3), (23, 4)]:
+            data = random_dataset(rng, n=n, n_cells=n_cells)
+            adj, labels = data.network.adj, data.covariates.assignment
+            expected = np.zeros(n_cells)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        expected[labels[i, j]] += adj[i, j]
+            assert np.array_equal(cell_estimates(data).link_sums, expected)
 
 
 class TestMoment:
@@ -216,6 +227,7 @@ class TestStatInfluence:
             freq=np.array([1.0, 0.0]),
             stats=np.zeros((2, 4)),
             counts=np.array([20.0, 0.0]),
+            link_sums=np.array([0.0, 0.0]),
         )
         with pytest.raises(EmptyCell):
             stat_influence(data, 1, 1, forged)
@@ -251,6 +263,17 @@ class TestStatInfluence:
                 assert np.allclose(
                     table[agent, cell], stat_influence(data, agent, cell, cells), atol=1e-14
                 )
+
+    def test_blocked_size_matches_brute_force(self, rng):
+        """Three cells at a size where the matrix products run blocked."""
+        data = random_dataset(rng, n=41, n_cells=3, density=0.3)
+        cells = cell_estimates(data)
+        table = stat_influence_all(data, cells)
+        adj, labels = data.network.adj, data.covariates.assignment
+        for agent in range(data.n):
+            for cell in range(3):
+                want = brute_stat_influence(adj, labels, agent, cell)
+                assert np.allclose(table[agent, cell], want, atol=1e-13)
 
     def test_agent_average_recovers_cell_stats(self, rng):
         """The influence terms are an exact decomposition of the estimator."""
@@ -402,12 +425,14 @@ class TestStatistic:
             quadratic_form(np.ones(2), S, 10)
 
     def test_evaluator_matches_direct_path(self, rng):
-        data = random_dataset(rng, n=20, n_cells=2)
-        theta = default_theta()
-        ev = MomentEvaluator(data)
-        assert np.allclose(ev.moment(theta), moment(data, theta), atol=1e-15)
-        assert np.allclose(ev.variance(theta), moment_variance(data, theta), atol=1e-15)
-        assert ev.statistic(theta) == pytest.approx(moment_statistic(data, theta), abs=1e-12)
+        """Both paths run the same arithmetic on the same inputs: equal exactly."""
+        for n, n_cells in [(20, 2), (45, 3)]:
+            data = random_dataset(rng, n=n, n_cells=n_cells)
+            theta = default_theta()
+            ev = MomentEvaluator(data)
+            assert np.array_equal(ev.moment(theta), moment(data, theta))
+            assert np.array_equal(ev.variance(theta), moment_variance(data, theta))
+            assert ev.statistic(theta) == moment_statistic(data, theta)
 
     def test_statistic_nonnegative(self, rng):
         for _ in range(5):

@@ -216,6 +216,23 @@ class TestMcCoverage:
         assert [rec.statistic for rec in r1.records] == [rec.statistic for rec in r2.records]
         assert r1.coverage == r2.coverage and r1.ks_distance == r2.ks_distance
 
+    # statistics of the configuration below, pinned to 17 significant digits
+    GOLDEN_STATISTICS = [
+        15.069566406849502,
+        2.1146296327406433,
+        1.6829043234416612,
+        1.5043539225918234,
+        0.54798474746447712,
+    ]
+
+    def test_fixed_seed_statistics_are_pinned(self):
+        """A fixed design and seed give the same statistics on every version,
+        so drift in the estimation kernels fails loudly."""
+        text = BASE_CONFIG.replace("n = 40", "n = 30").replace("replications = 4", "replications = 5")
+        report = run_mc_coverage(parse_config_text(text))
+        assert report.n_failed == 0
+        assert list(report.statistics) == pytest.approx(self.GOLDEN_STATISTICS, rel=1e-12, abs=0)
+
     def test_parallel_matches_serial(self):
         cfg = parse_config_text(BASE_CONFIG.replace("replications = 4", "replications = 6"))
         serial = run_mc_coverage(cfg, threads=1)

@@ -9,6 +9,7 @@ from misnet import (
     PairCovariates,
     Theta,
     ThetaGrid,
+    cell_estimates,
     cell_summary,
     identified_set,
     membership,
@@ -167,3 +168,13 @@ class TestIdentifiedSet:
         for theta, res in results:
             again = membership(cell_summary(data, theta), theta)
             assert again.member == res.member
+
+    def test_shared_cells_give_the_same_summary(self, rng):
+        for n_cells in (2, 3):
+            data = random_dataset(rng, n=15, n_cells=n_cells)
+            cells = cell_estimates(data)
+            theta = default_theta()
+            shared = cell_summary(data, theta, cells)
+            fresh = cell_summary(data, theta)
+            assert np.array_equal(shared.means, fresh.means)
+            assert np.array_equal(shared.indices, fresh.indices)
