@@ -23,8 +23,6 @@ from .estimation import (
     cell_estimates,
     moment,
     moment_variance,
-    stat_influence,
-    moment_statistic,
 )
 from .exceptions import (
     ConfigError,
@@ -48,19 +46,12 @@ from .misclassification import (
     CorrectionMaps,
     apply_misclassification,
     correction_maps,
-    observed_beliefs_from_true,
-    pair_belief_stats,
-    true_beliefs_from_observed,
 )
 from .model import (
-    BeliefStats,
     CovariateSupport,
     Network,
     PairCovariates,
     Theta,
-    decide_link,
-    total_utility,
-    utility_index,
 )
 from .semiparametric import CellSummary, cell_summary, identified_set, membership
 
@@ -68,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeliefMatrix",
-    "BeliefStats",
     "CellEstimates",
     "CellSummary",
     "ConfidenceSet",
@@ -97,21 +87,13 @@ __all__ = [
     "chi2_quantile",
     "confidence_set",
     "correction_maps",
-    "decide_link",
     "extended_stats_from_beliefs",
     "identified_set",
     "membership",
     "moment",
     "moment_variance",
     "network_stats_from_beliefs",
-    "observed_beliefs_from_true",
-    "pair_belief_stats",
     "projection_intervals",
     "simulate_true_network",
     "solve_equilibrium",
-    "stat_influence",
-    "moment_statistic",
-    "total_utility",
-    "true_beliefs_from_observed",
-    "utility_index",
 ]

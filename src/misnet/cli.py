@@ -55,8 +55,6 @@ def _apply_overrides(config, args):
     if args.threads is not None:
         updates["threads"] = args.threads
     if args.alpha is not None:
-        if not (0 < args.alpha < 1):
-            raise ConfigError("--alpha must lie in (0, 1)")
         updates["alpha"] = args.alpha
     return dataclasses.replace(config, **updates) if updates else config
 

@@ -73,6 +73,20 @@ class ExperimentConfig:
     failure_tolerance: float
     grid: ThetaGrid
 
+    def __post_init__(self):
+        """Range checks, run again by ``dataclasses.replace`` on command-line overrides."""
+        in_range = {
+            "n": self.n >= 2,
+            "replications": self.replications >= 1,
+            "alpha": 0 < self.alpha < 1,
+            "seed": 0 <= self.seed < 2**64,
+            "threads": self.threads >= 1,
+            "failure_tolerance": 0 <= self.failure_tolerance <= 1,
+        }
+        for key, ok in in_range.items():
+            if not ok:
+                raise ConfigError(f"key {key}: value {getattr(self, key)} out of range")
+
 
 def _parse_floats(raw: str, key: str) -> np.ndarray:
     try:
@@ -108,15 +122,12 @@ def _parse_axis(raw: str, key: str) -> np.ndarray:
     return _parse_floats(raw, key)
 
 
-def _scalar(values: dict, key: str, cast, check=None):
+def _scalar(values: dict, key: str, cast):
     raw = values[key]
     try:
-        value = cast(raw)
+        return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key}: cannot parse '{raw}'") from exc
-    if check is not None and not check(value):
-        raise ConfigError(f"key {key}: value {value} out of range")
-    return value
 
 
 def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
@@ -134,7 +145,7 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    n = _scalar(values, "n", int, lambda v: v >= 2)
+    n = _scalar(values, "n", int)
     try:
         support = CovariateSupport(_parse_points(values["support_points"]))
     except ValueError as exc:
@@ -210,13 +221,13 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
         support_probs=probs,
         theta=theta,
         solver=solver,
-        replications=_scalar(values, "replications", int, lambda v: v >= 1),
-        alpha=_scalar(values, "alpha", float, lambda v: 0 < v < 1),
-        seed=_scalar(values, "seed", int, lambda v: 0 <= v < 2**64),
+        replications=_scalar(values, "replications", int),
+        alpha=_scalar(values, "alpha", float),
+        seed=_scalar(values, "seed", int),
         x_mode=x_mode,
         x_file=x_file,
-        threads=_scalar(values, "threads", int, lambda v: v >= 1),
-        failure_tolerance=_scalar(values, "failure_tolerance", float, lambda v: 0 <= v <= 1),
+        threads=_scalar(values, "threads", int),
+        failure_tolerance=_scalar(values, "failure_tolerance", float),
         grid=grid,
     )
 

@@ -30,11 +30,9 @@ __all__ = [
     "CellEstimates",
     "cell_estimates",
     "moment",
-    "stat_influence",
     "stat_influence_all",
     "moment_variance",
     "quadratic_form",
-    "moment_statistic",
     "MomentEvaluator",
 ]
 
@@ -161,23 +159,15 @@ def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> n
     return (cells.link_sums - cells.counts * fitted) / data.n_pairs
 
 
-def stat_influence(data: Dataset, agent: int, cell: int, cells: CellEstimates) -> np.ndarray:
-    """Agent's influence on the cell-averaged statistics, one (agent, cell) pair.
-
-    The first component collects the agent's links over pairs whose second
-    index is the agent, scaled by n over the cell count; the remaining three
-    are cell averages of the agent's contributions to the inner sums.  By
-    construction the agent average of these terms reproduces the cell
-    statistics exactly: mean_k stat_influence(k, j) == cells.stats[j].
-    This is one entry of :func:`stat_influence_all`, which computes them all.
-    """
-    if cells.counts[cell] == 0:
-        raise EmptyCell(cell)
-    return stat_influence_all(data, cells)[agent, cell]
-
-
 def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
-    """Influence terms for every (agent, cell), shape (n, J, 4)."""
+    """Agents' influence on the cell-averaged statistics, shape (n, J, 4).
+
+    For agent k and cell j, the first component collects k's links over the
+    cell's pairs whose second index is k, scaled by n over the cell count; the
+    remaining three are cell averages of k's contributions to the inner sums.
+    By construction the agent average reproduces the cell statistics exactly:
+    the mean over k of entry [k, j] equals cells.stats[j].
+    """
     n, J = data.n, data.n_cells
     g = data.network.adj.astype(float)
     labels = _parked_labels(data)
@@ -201,59 +191,9 @@ def _agent_link_shares(data: Dataset) -> np.ndarray:
     return np.ascontiguousarray(sums.T) / data.n
 
 
-def _psi_matrix(
-    link_shares: np.ndarray,
-    influences: np.ndarray,
-    cells: CellEstimates,
-    support: CovariateSupport,
-    theta: Theta,
-    n: int,
-) -> np.ndarray:
-    """Per-agent moment influence vectors, shape (n, J)."""
-    cm = correction_maps(theta.fp_rate, theta.fn_rate)
-    u = _cell_indices(cells, support, theta)
-    lam = 1.0 - theta.fp_rate - theta.fn_rate
-    weights = norm_pdf(u) * cells.counts / (n * n)  # (J,)
-    slope = cm.matrix.T @ theta.externality  # (4,)
-    correction = (influences @ slope) * weights[None, :]  # (n, J)
-    return link_shares - lam * correction
-
-
-def _covariance_of(psi: np.ndarray, n: int, min_eigenvalue: float) -> np.ndarray:
-    centered = psi - psi.mean(axis=0)
-    S = centered.T @ centered / n
-    S = 0.5 * (S + S.T)
-    eigs = np.linalg.eigvalsh(S)
-    if eigs[0] < min_eigenvalue:
-        raise DegenerateVariance(
-            f"smallest variance eigenvalue {eigs[0]:.3e} below {min_eigenvalue:.1e}"
-        )
-    return S
-
-
-def moment_variance(
-    data: Dataset,
-    theta: Theta,
-    cells: CellEstimates | None = None,
-    min_eigenvalue: float = MIN_VARIANCE_EIGENVALUE,
-) -> np.ndarray:
-    """Across-agent covariance of the influence vectors, shape (J, J).
-
-    Raises :class:`DegenerateVariance` when the smallest eigenvalue falls
-    below ``min_eigenvalue``, which signals that the eigenvalue condition for
-    the chi-square calibration fails in this sample.
-    """
-    if cells is None:
-        cells = cell_estimates(data)
-    psi = _psi_matrix(
-        _agent_link_shares(data),
-        stat_influence_all(data, cells),
-        cells,
-        data.support,
-        theta,
-        data.n,
-    )
-    return _covariance_of(psi, data.n, min_eigenvalue)
+def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
+    """Across-agent covariance of the influence vectors; see :meth:`MomentEvaluator.variance`."""
+    return MomentEvaluator(data, cells).variance(theta)
 
 
 def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> float:
@@ -265,45 +205,56 @@ def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> float:
     return max(value, 0.0)
 
 
-def moment_statistic(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> float:
-    """Quadratic-form statistic of the moment vector at ``theta``."""
-    if cells is None:
-        cells = cell_estimates(data)
-    m = moment(data, theta, cells)
-    S = moment_variance(data, theta, cells)
-    return quadratic_form(m, S, data.n)
-
-
 class MomentEvaluator:
-    """Caches the parameter-free pieces for repeated evaluation over a grid.
+    """The moment, its variance and the statistic of one dataset, for any theta.
 
+    This is the only code that builds the influence vectors and the variance.
     One pass over the dataset, at construction, computes everything that does
     not depend on theta: the cell estimates (with the link sums the moment
-    needs), per-agent link shares and the statistic influence terms.  Each
-    grid point then pays only for the probit index, the influence contraction
-    and a J x J eigendecomposition.  The results equal the free functions'
-    exactly, since both run the same arithmetic on the same inputs.
+    needs; pass ``cells`` to reuse ones already computed), per-agent link
+    shares and the statistic influence terms.  Each theta then pays only for
+    the probit index, the influence contraction and a J x J eigendecomposition,
+    which is what makes repeated evaluation over a grid cheap.
     """
 
-    def __init__(self, data: Dataset):
+    def __init__(self, data: Dataset, cells: CellEstimates | None = None):
         self.data = data
-        self.cells = cell_estimates(data)
+        self.cells = cell_estimates(data) if cells is None else cells
         self._link_shares = _agent_link_shares(data)
         self._influences = stat_influence_all(data, self.cells)
 
     def moment(self, theta: Theta) -> np.ndarray:
         return moment(self.data, theta, self.cells)
 
+    def influence(self, theta: Theta) -> np.ndarray:
+        """Per-agent moment influence vectors, shape (n, J)."""
+        n = self.data.n
+        cm = correction_maps(theta.fp_rate, theta.fn_rate)
+        u = _cell_indices(self.cells, self.data.support, theta)
+        lam = 1.0 - theta.fp_rate - theta.fn_rate
+        weights = norm_pdf(u) * self.cells.counts / (n * n)  # (J,)
+        slope = cm.matrix.T @ theta.externality  # (4,)
+        correction = (self._influences @ slope) * weights[None, :]  # (n, J)
+        return self._link_shares - lam * correction
+
     def variance(self, theta: Theta) -> np.ndarray:
-        psi = _psi_matrix(
-            self._link_shares,
-            self._influences,
-            self.cells,
-            self.data.support,
-            theta,
-            self.data.n,
-        )
-        return _covariance_of(psi, self.data.n, MIN_VARIANCE_EIGENVALUE)
+        """Across-agent covariance of the influence vectors, shape (J, J).
+
+        Raises :class:`DegenerateVariance` when the smallest eigenvalue falls
+        below ``MIN_VARIANCE_EIGENVALUE``, which signals that the eigenvalue
+        condition for the chi-square calibration fails in this sample.
+        """
+        psi = self.influence(theta)
+        centered = psi - psi.mean(axis=0)
+        S = centered.T @ centered / self.data.n
+        S = 0.5 * (S + S.T)
+        eigs = np.linalg.eigvalsh(S)
+        if eigs[0] < MIN_VARIANCE_EIGENVALUE:
+            raise DegenerateVariance(
+                f"smallest variance eigenvalue {eigs[0]:.3e} below {MIN_VARIANCE_EIGENVALUE:.1e}"
+            )
+        return S
 
     def statistic(self, theta: Theta) -> float:
+        """Quadratic-form statistic of the moment vector at ``theta``."""
         return quadratic_form(self.moment(theta), self.variance(theta), self.data.n)

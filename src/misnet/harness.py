@@ -20,11 +20,11 @@ from scipy.stats import chi2, kstest
 
 from .config import ExperimentConfig
 from .equilibrium import equilibrium_residual, simulate_true_network, solve_equilibrium
-from .estimation import Dataset, moment_statistic
+from .estimation import Dataset, MomentEvaluator
 from .exceptions import MisnetError, TooManyFailures
 from .inference import chi2_quantile, confidence_set, projection_intervals, write_grid_csv
 from .misclassification import apply_misclassification
-from .model import PairCovariates
+from .model import Network, PairCovariates
 from . import netio
 
 __all__ = [
@@ -109,29 +109,36 @@ def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
     return draw_pair_covariates(config.n, config.support_probs, rng)
 
 
+def _solve(config: ExperimentConfig, covariates: PairCovariates):
+    """Equilibrium beliefs at the configured truth and their fixed-point residual."""
+    th = config.theta
+    beliefs = solve_equilibrium(
+        covariates, config.support, th.externality, th.homophily, config.solver
+    )
+    residual = equilibrium_residual(
+        beliefs, covariates, config.support, th.externality, th.homophily
+    )
+    return beliefs, residual
+
+
+def _observe(config: ExperimentConfig, covariates, beliefs, children) -> tuple[Network, Network]:
+    """Latent network drawn from the beliefs (shocks from ``children[1]``) and
+    its misclassified record (flips from ``children[2]``)."""
+    th = config.theta
+    true_net = simulate_true_network(
+        beliefs, covariates, config.support, th.externality, th.homophily, seed=children[1]
+    )
+    return true_net, apply_misclassification(true_net, th.fp_rate, th.fn_rate, seed=children[2])
+
+
 def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     """Draw one design, solve, simulate, misclassify, and write all files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     children = replication_seed(config.seed, 0).spawn(3)
     covariates = _design_for(config, children)
-    beliefs = solve_equilibrium(
-        covariates, config.support, config.theta.externality, config.theta.homophily, config.solver
-    )
-    residual = equilibrium_residual(
-        beliefs, covariates, config.support, config.theta.externality, config.theta.homophily
-    )
-    true_net = simulate_true_network(
-        beliefs,
-        covariates,
-        config.support,
-        config.theta.externality,
-        config.theta.homophily,
-        seed=children[1],
-    )
-    observed = apply_misclassification(
-        true_net, config.theta.fp_rate, config.theta.fn_rate, seed=children[2]
-    )
+    beliefs, residual = _solve(config, covariates)
+    true_net, observed = _observe(config, covariates, beliefs, children)
     paths = {
         "support": out / "support.csv",
         "covariates": out / "covariates.csv",
@@ -205,29 +212,10 @@ def _replicate(args) -> ReplicationRecord:
             covariates, beliefs, residual = fixed
         else:
             covariates = _design_for(config, children)
-            beliefs = solve_equilibrium(
-                covariates,
-                config.support,
-                config.theta.externality,
-                config.theta.homophily,
-                config.solver,
-            )
-            residual = equilibrium_residual(
-                beliefs, covariates, config.support, config.theta.externality, config.theta.homophily
-            )
-        true_net = simulate_true_network(
-            beliefs,
-            covariates,
-            config.support,
-            config.theta.externality,
-            config.theta.homophily,
-            seed=children[1],
-        )
-        observed = apply_misclassification(
-            true_net, config.theta.fp_rate, config.theta.fn_rate, seed=children[2]
-        )
+            beliefs, residual = _solve(config, covariates)
+        _, observed = _observe(config, covariates, beliefs, children)
         data = Dataset(network=observed, covariates=covariates, support=config.support)
-        stat = moment_statistic(data, config.theta)
+        stat = MomentEvaluator(data).statistic(config.theta)
         return ReplicationRecord(
             index=index,
             seed=seed_label,
@@ -258,13 +246,7 @@ def run_mc_coverage(config: ExperimentConfig, threads: int | None = None) -> Run
     fixed = None
     if config.x_mode == "fixed" or config.x_file is not None:
         covariates = _design_for(config, None)
-        beliefs = solve_equilibrium(
-            covariates, config.support, config.theta.externality, config.theta.homophily, config.solver
-        )
-        residual = equilibrium_residual(
-            beliefs, covariates, config.support, config.theta.externality, config.theta.homophily
-        )
-        fixed = (covariates, beliefs, residual)
+        fixed = (covariates, *_solve(config, covariates))
 
     tasks = [(r, config, critical, fixed) for r in range(config.replications)]
     if threads > 1:

@@ -12,16 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import BeliefMatrix, extended_stats_from_beliefs
-from .model import BeliefStats, Network, validate_rates
+from .model import Network, validate_rates
 
 __all__ = [
     "CorrectionMaps",
     "correction_maps",
     "apply_misclassification",
-    "true_beliefs_from_observed",
-    "observed_beliefs_from_true",
-    "pair_belief_stats",
 ]
 
 
@@ -119,23 +115,3 @@ def apply_misclassification(
     np.fill_diagonal(observed, 0)
     return Network(observed)
 
-
-def true_beliefs_from_observed(observed_stats, fp_rate: float, fn_rate: float) -> np.ndarray:
-    """Latent 3-vector of expected statistics from the observed 4-vector."""
-    return correction_maps(fp_rate, fn_rate).true_from_observed(observed_stats)
-
-
-def observed_beliefs_from_true(
-    true_stats_ext, fp_rate: float, fn_rate: float, n: float = math.inf
-) -> np.ndarray:
-    """Observed 4-vector of expected statistics from the extended latent one."""
-    return correction_maps(fp_rate, fn_rate, n).observed_from_true(true_stats_ext)
-
-
-def pair_belief_stats(
-    beliefs: BeliefMatrix, fp_rate: float, fn_rate: float, i: int, j: int
-) -> BeliefStats:
-    """Latent and observed expected statistics for the ordered pair (i, j)."""
-    ext = extended_stats_from_beliefs(beliefs)[i, j]
-    observed = observed_beliefs_from_true(ext, fp_rate, fn_rate, beliefs.n)
-    return BeliefStats(true_stats=ext[:3], observed_stats=observed)

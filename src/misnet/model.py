@@ -1,4 +1,4 @@
-"""Primitive types, the marginal utility index, and the link decision rule.
+"""Primitive types: covariate support, pair covariates, parameters, networks.
 
 A directed network on n agents is formed pairwise: agent i links to j when
 the marginal utility index plus a pair-specific shock is non-negative.  The
@@ -17,10 +17,6 @@ __all__ = [
     "PairCovariates",
     "Theta",
     "Network",
-    "BeliefStats",
-    "utility_index",
-    "decide_link",
-    "total_utility",
 ]
 
 
@@ -171,82 +167,3 @@ class Network:
     def n(self) -> int:
         return self.adj.shape[0]
 
-
-@dataclass(frozen=True)
-class BeliefStats:
-    """Expected link statistics for one ordered pair.
-
-    true_stats:     (reciprocity, in-degree, common in-neighbor) expectations
-                    of the latent network.
-    observed_stats: the same three statistics on recorded links plus the
-                    combined in-degree term that controls for the product
-                    statistic under misclassification.
-    """
-
-    true_stats: np.ndarray  # (3,)
-    observed_stats: np.ndarray  # (4,)
-
-    def __post_init__(self):
-        ts = np.asarray(self.true_stats, dtype=float).reshape(-1)
-        os_ = np.asarray(self.observed_stats, dtype=float).reshape(-1)
-        if ts.shape != (3,) or os_.shape != (4,):
-            raise ValueError("true_stats must be length 3 and observed_stats length 4")
-        if np.any(ts < 0) or np.any(ts > 1):
-            raise ValueError("true_stats components must lie in [0, 1]")
-        if np.any(os_[:3] < 0) or np.any(os_[:3] > 1) or not (0 <= os_[3] <= 2):
-            raise ValueError("observed_stats must lie in [0,1]^3 x [0,2]")
-        object.__setattr__(self, "true_stats", _frozen_array(ts))
-        object.__setattr__(self, "observed_stats", _frozen_array(os_))
-
-
-def utility_index(true_stats, x, externality, homophily) -> float:
-    """Marginal utility index of a link: stats'ext + x'hom."""
-    return float(
-        np.dot(np.asarray(true_stats, dtype=float), externality)
-        + np.dot(np.asarray(x, dtype=float), homophily)
-    )
-
-
-def decide_link(index: float, shock: float) -> int:
-    """Optimal link choice: 1 iff index + shock >= 0 (ties form the link)."""
-    return int(index + shock >= 0)
-
-
-def total_utility(
-    choice: np.ndarray,
-    agent: int,
-    network: Network,
-    covariates: PairCovariates,
-    support: CovariateSupport,
-    shocks: np.ndarray,
-    theta: Theta,
-) -> float:
-    """Realized utility of ``agent`` from choosing link vector ``choice``.
-
-    The network statistics exclude the agent's own row, so ``network``'s row
-    ``agent`` never enters; ``choice`` must have a zero self-link.  Used to
-    verify best responses by enumeration, not in the estimation path.
-    """
-    g = network.adj.astype(float)
-    n = g.shape[0]
-    choice = np.asarray(choice, dtype=float).reshape(-1)
-    shocks = np.asarray(shocks, dtype=float).reshape(-1)
-    if choice.shape != (n,) or shocks.shape != (n,):
-        raise ValueError("choice and shocks must have length n")
-    if choice[agent] != 0:
-        raise ValueError("self-link must be zero")
-
-    col = g.sum(axis=0)
-    recip = g[:, agent]  # g[j, agent] for each target j
-    in_deg = (col - g[agent, :]) / n  # sum over k != agent of g[k, j]
-    common = (g[:, agent] @ g) / n  # k = agent term vanishes (zero diagonal)
-    x = covariates.values(support)[agent]  # (n, d)
-
-    marginal = (
-        recip * theta.externality[0]
-        + in_deg * theta.externality[1]
-        + common * theta.externality[2]
-        + x @ theta.homophily
-        + shocks
-    )
-    return float(np.dot(choice, marginal) / n)

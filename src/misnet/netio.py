@@ -18,7 +18,6 @@ from .model import CovariateSupport, Network, PairCovariates
 
 __all__ = [
     "write_network_matrix",
-    "write_network_edges",
     "read_network",
     "write_covariates",
     "read_covariates",
@@ -29,15 +28,6 @@ __all__ = [
 
 def write_network_matrix(network: Network, path) -> None:
     np.savetxt(path, network.adj, fmt="%d", delimiter=",")
-
-
-def write_network_edges(network: Network, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"n={network.n}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"])
-        for i, j in zip(*np.nonzero(network.adj)):
-            writer.writerow([int(i), int(j)])
 
 
 def _read_rows(path):

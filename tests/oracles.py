@@ -3,13 +3,18 @@
 Everything here is written as plain loops straight off the estimator
 definitions, deliberately sharing no code path with the package internals
 (except the normal cdf, whose accuracy is checked separately against mpmath).
+It also holds the model's link utility, against which the link rule is
+checked by enumeration, and a writer for edge-list network files, which only
+the reader's tests need.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from misnet.misclassification import correction_maps
+from misnet.model import CovariateSupport, Network, PairCovariates, Theta
 from misnet.normal import norm_cdf, norm_pdf
 
 
@@ -233,6 +238,76 @@ def brute_variance(adj, labels, points, theta, stats, n_cells) -> np.ndarray:
     for i in range(n):
         S += np.outer(psi[i], psi[i])
     return S / n - np.outer(mean, mean)
+
+
+# ---------------------------------------------------------------------------
+# the link decision of one agent, written off the model's utility
+
+
+def utility_index(true_stats, x, externality, homophily) -> float:
+    """Marginal utility index of a link: stats'ext + x'hom."""
+    return float(
+        np.dot(np.asarray(true_stats, dtype=float), externality)
+        + np.dot(np.asarray(x, dtype=float), homophily)
+    )
+
+
+def decide_link(index: float, shock: float) -> int:
+    """Optimal link choice: 1 iff index + shock >= 0 (ties form the link)."""
+    return int(index + shock >= 0)
+
+
+def total_utility(
+    choice: np.ndarray,
+    agent: int,
+    network: Network,
+    covariates: PairCovariates,
+    support: CovariateSupport,
+    shocks: np.ndarray,
+    theta: Theta,
+) -> float:
+    """Realized utility of ``agent`` from choosing link vector ``choice``.
+
+    The network statistics exclude the agent's own row, so ``network``'s row
+    ``agent`` never enters; ``choice`` must have a zero self-link.  Used to
+    verify best responses by enumeration, not in the estimation path.
+    """
+    g = network.adj.astype(float)
+    n = g.shape[0]
+    choice = np.asarray(choice, dtype=float).reshape(-1)
+    shocks = np.asarray(shocks, dtype=float).reshape(-1)
+    if choice.shape != (n,) or shocks.shape != (n,):
+        raise ValueError("choice and shocks must have length n")
+    if choice[agent] != 0:
+        raise ValueError("self-link must be zero")
+
+    col = g.sum(axis=0)
+    recip = g[:, agent]  # g[j, agent] for each target j
+    in_deg = (col - g[agent, :]) / n  # sum over k != agent of g[k, j]
+    common = (g[:, agent] @ g) / n  # k = agent term vanishes (zero diagonal)
+    x = covariates.values(support)[agent]  # (n, d)
+
+    marginal = (
+        recip * theta.externality[0]
+        + in_deg * theta.externality[1]
+        + common * theta.externality[2]
+        + x @ theta.homophily
+        + shocks
+    )
+    return float(np.dot(choice, marginal) / n)
+
+
+# ---------------------------------------------------------------------------
+# edge-list network files, the second format ``netio.read_network`` accepts
+
+
+def write_network_edges(network: Network, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"n={network.n}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j"])
+        for i, j in zip(*np.nonzero(network.adj)):
+            writer.writerow([int(i), int(j)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,12 @@ from misnet import (
     membership,
     moment,
     moment_variance,
-    observed_beliefs_from_true,
     simulate_true_network,
     solve_equilibrium,
-    stat_influence,
-    true_beliefs_from_observed,
 )
 from misnet.config import parse_config_text
 from misnet.equilibrium import SolverConfig, equilibrium_residual, extended_stats_from_beliefs
+from misnet.estimation import stat_influence_all
 from misnet.harness import run_mc_coverage
 from misnet.netio import write_covariates
 from misnet.normal import norm_cdf
@@ -106,9 +104,9 @@ def test_criterion_1_roundtrip_and_closed_form(rng):
         fp = rng.uniform(0, 0.9)
         fn = rng.uniform(0, 0.9 - fp)
         ext = np.concatenate([rng.uniform(0, 1, 3), rng.uniform(0, 2, 1)])
-        rt = true_beliefs_from_observed(observed_beliefs_from_true(ext, fp, fn), fp, fn)
-        max_rt = max(max_rt, float(np.max(np.abs(rt - ext[:3]))))
         cm = correction_maps(fp, fn)
+        rt = cm.true_from_observed(cm.observed_from_true(ext))
+        max_rt = max(max_rt, float(np.max(np.abs(rt - ext[:3]))))
         d_inv = np.linalg.inv(cm.forward)
         max_inv = max(
             max_inv,
@@ -208,8 +206,9 @@ def test_criterion_3_forward_map_monte_carlo(rng):
     elapsed = time.perf_counter() - start
 
     worst_units = np.zeros(4)
+    cm = correction_maps(fp, fn, n)
     for pr in pairs:
-        predicted = observed_beliefs_from_true(ext[pr], fp, fn, n)
+        predicted = cm.observed_from_true(ext[pr])
         units = np.abs(means[pr] - predicted) / (4 * ses[pr])
         worst_units = np.maximum(worst_units, units)
     ok = bool(np.all(worst_units <= 1.0)) and elapsed < 120.0
@@ -287,14 +286,14 @@ def test_criterion_4_population_moment_zero_at_truth():
     J = support.n_points
     m_pop = np.zeros(J)
     spread = 0.0
+    cm = correction_maps(theta.fp_rate, theta.fn_rate)
     for j in range(J):
         mask = (labels == j) & off
         share = mask.sum() / (n * (n - 1))
         cell_ext = ext[mask].mean(axis=0)
         spread = max(spread, float(np.max(ext[mask].max(axis=0) - ext[mask].min(axis=0))))
         mean_link = float(np.mean(theta.fp_rate + lam * norm_cdf(idx_star[mask])))
-        observed_cell = observed_beliefs_from_true(cell_ext, theta.fp_rate, theta.fn_rate)
-        corrected = true_beliefs_from_observed(observed_cell, theta.fp_rate, theta.fn_rate)
+        corrected = cm.true_from_observed(cm.observed_from_true(cell_ext))
         fitted = theta.fp_rate + lam * norm_cdf(
             corrected @ theta.externality + support.points[j] @ theta.homophily
         )
@@ -401,9 +400,10 @@ def test_criterion_7_estimator_oracle_equivalence(rng):
             cells.stats, 2,
         )
         worst = max(worst, float(np.max(np.abs(moment(data, theta, cells) - m_o))))
+        table = stat_influence_all(data, cells)
         for agent in range(n):
             for cell in range(2):
-                got = stat_influence(data, agent, cell, cells)
+                got = table[agent, cell]
                 want = brute_stat_influence(
                     data.network.adj, data.covariates.assignment, agent, cell
                 )
@@ -475,9 +475,7 @@ def test_criterion_9_semiparametric_containment():
             for j in range(J)
         ]
     )
-    observed_cells = np.array(
-        [observed_beliefs_from_true(true_ext[j], fp0, fn0) for j in range(J)]
-    )
+    observed_cells = np.array([correction_maps(fp0, fn0).observed_from_true(e) for e in true_ext])
     u_star = true_ext[:, :3] @ (theta0_scale * direction) + support.points[:, 0] * theta0_scale
     means = fp0 + lam0 * norm_cdf(u_star)
     shares = np.full(J, 1.0 / J)

@@ -18,10 +18,8 @@ from misnet import (
     cell_estimates,
     moment,
     moment_variance,
-    stat_influence,
-    moment_statistic,
 )
-from misnet.estimation import quadratic_form, stat_influence_all, _agent_link_shares
+from misnet.estimation import quadratic_form, stat_influence_all
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_dataset, random_network, scalar_support
@@ -218,26 +216,14 @@ class TestStatInfluence:
     def test_empty_network_is_zero(self):
         data = empty_dataset(5)
         cells = cell_estimates(data)
-        assert np.all(stat_influence(data, 2, 0, cells) == 0.0)
-
-    def test_empty_cell_raises(self):
-        data = empty_dataset(5)
-        cells = cell_estimates(data)
-        forged = type(cells)(
-            freq=np.array([1.0, 0.0]),
-            stats=np.zeros((2, 4)),
-            counts=np.array([20.0, 0.0]),
-            link_sums=np.array([0.0, 0.0]),
-        )
-        with pytest.raises(EmptyCell):
-            stat_influence(data, 1, 1, forged)
+        assert np.all(stat_influence_all(data, cells) == 0.0)
 
     def test_complete_network_combinatorics(self):
         n = 6
         data = complete_dataset(n)
-        cells = cell_estimates(data)
+        table = stat_influence_all(data, cell_estimates(data))
         for agent in range(3):
-            value = stat_influence(data, agent, 0, cells)
+            value = table[agent, 0]
             expected = brute_stat_influence(data.network.adj, data.covariates.assignment, agent, 0)
             assert np.allclose(value, expected, atol=1e-13)
 
@@ -245,24 +231,14 @@ class TestStatInfluence:
         for _ in range(5):
             n = int(rng.integers(4, 9))
             data = random_dataset(rng, n=n, n_cells=2)
-            cells = cell_estimates(data)
+            table = stat_influence_all(data, cell_estimates(data))
             for agent in range(n):
                 for cell in range(2):
-                    got = stat_influence(data, agent, cell, cells)
+                    got = table[agent, cell]
                     want = brute_stat_influence(
                         data.network.adj, data.covariates.assignment, agent, cell
                     )
                     assert np.allclose(got, want, atol=1e-13)
-
-    def test_vectorized_equals_single(self, rng):
-        data = random_dataset(rng, n=7, n_cells=2)
-        cells = cell_estimates(data)
-        table = stat_influence_all(data, cells)
-        for agent in range(data.n):
-            for cell in range(2):
-                assert np.allclose(
-                    table[agent, cell], stat_influence(data, agent, cell, cells), atol=1e-14
-                )
 
     def test_blocked_size_matches_brute_force(self, rng):
         """Three cells at a size where the matrix products run blocked."""
@@ -346,21 +322,13 @@ class TestVariance:
         assert np.allclose(S, S_p, atol=1e-12)
 
     def test_psi_norm_bound(self, rng):
-        from misnet.estimation import _psi_matrix
         from misnet.misclassification import correction_maps
         from misnet.normal import norm_pdf
 
         data = random_dataset(rng, n=10, n_cells=2)
         theta = default_theta()
         cells = cell_estimates(data)
-        psi = _psi_matrix(
-            _agent_link_shares(data),
-            stat_influence_all(data, cells),
-            cells,
-            data.support,
-            theta,
-            data.n,
-        )
+        psi = MomentEvaluator(data, cells).influence(theta)
         cm = correction_maps(theta.fp_rate, theta.fn_rate)
         lam = 1 - theta.fp_rate - theta.fn_rate
         slope_norm = np.linalg.norm(theta.externality @ cm.matrix)
@@ -370,20 +338,11 @@ class TestVariance:
     def test_psi_depends_only_on_own_row(self, rng):
         """With cell inputs held fixed, zeroing other agents' rows leaves an
         agent's influence vector unchanged."""
-        from misnet.estimation import _psi_matrix
-
         data = random_dataset(rng, n=8, n_cells=2)
         theta = default_theta()
         cells = cell_estimates(data)
         agent = 3
-        psi = _psi_matrix(
-            _agent_link_shares(data),
-            stat_influence_all(data, cells),
-            cells,
-            data.support,
-            theta,
-            data.n,
-        )
+        psi = MomentEvaluator(data, cells).influence(theta)
         adj = np.array(data.network.adj)
         for other in range(data.n):
             if other != agent:
@@ -392,14 +351,7 @@ class TestVariance:
         stripped = Dataset(
             network=Network(adj), covariates=data.covariates, support=data.support
         )
-        psi_stripped = _psi_matrix(
-            _agent_link_shares(stripped),
-            stat_influence_all(stripped, cells),
-            cells,
-            data.support,
-            theta,
-            data.n,
-        )
+        psi_stripped = MomentEvaluator(stripped, cells).influence(theta)
         assert np.allclose(psi[agent], psi_stripped[agent], atol=1e-14)
 
 
@@ -425,19 +377,22 @@ class TestStatistic:
             quadratic_form(np.ones(2), S, 10)
 
     def test_evaluator_matches_direct_path(self, rng):
-        """Both paths run the same arithmetic on the same inputs: equal exactly."""
+        """The evaluator and the free functions run the same arithmetic on the
+        same inputs, and the statistic is the quadratic form of the two:
+        equal exactly."""
         for n, n_cells in [(20, 2), (45, 3)]:
             data = random_dataset(rng, n=n, n_cells=n_cells)
             theta = default_theta()
             ev = MomentEvaluator(data)
-            assert np.array_equal(ev.moment(theta), moment(data, theta))
-            assert np.array_equal(ev.variance(theta), moment_variance(data, theta))
-            assert ev.statistic(theta) == moment_statistic(data, theta)
+            m, S = moment(data, theta), moment_variance(data, theta)
+            assert np.array_equal(ev.moment(theta), m)
+            assert np.array_equal(ev.variance(theta), S)
+            assert ev.statistic(theta) == quadratic_form(m, S, data.n)
 
     def test_statistic_nonnegative(self, rng):
         for _ in range(5):
             data = random_dataset(rng, n=15, n_cells=2)
-            assert moment_statistic(data, default_theta()) >= 0.0
+            assert MomentEvaluator(data).statistic(default_theta()) >= 0.0
 
 
 def test_psi_matrix_matches_brute_force(rng):
@@ -446,16 +401,7 @@ def test_psi_matrix_matches_brute_force(rng):
         data = random_dataset(rng, n=n, n_cells=2)
         theta = default_theta()
         cells = cell_estimates(data)
-        from misnet.estimation import _psi_matrix
-
-        got = _psi_matrix(
-            _agent_link_shares(data),
-            stat_influence_all(data, cells),
-            cells,
-            data.support,
-            theta,
-            data.n,
-        )
+        got = MomentEvaluator(data, cells).influence(theta)
         want = brute_psi_matrix(
             data.network.adj, data.covariates.assignment, data.support.points, theta,
             cells.stats, 2,

@@ -20,6 +20,7 @@ from misnet.harness import (
 from misnet import netio
 
 from conftest import scalar_support
+from oracles import write_network_edges
 
 BASE_CONFIG = """
 # minimal experiment
@@ -90,9 +91,9 @@ grid_x2 = -0.4:0.0:3
         run_simulate(cfg, tmp_path)
         data = load_dataset(tmp_path)
         assert data.support.dimension == 2
-        from misnet import moment_statistic
+        from misnet import MomentEvaluator
 
-        assert moment_statistic(data, cfg.theta) >= 0.0
+        assert MomentEvaluator(data).statistic(cfg.theta) >= 0.0
 
 
 class TestNetIO:
@@ -109,7 +110,7 @@ class TestNetIO:
         np.fill_diagonal(adj, 0)
         net = Network(adj)
         path = tmp_path / "net_edges.csv"
-        netio.write_network_edges(net, path)
+        write_network_edges(net, path)
         assert np.array_equal(netio.read_network(path).adj, adj)
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -216,22 +217,52 @@ class TestMcCoverage:
         assert [rec.statistic for rec in r1.records] == [rec.statistic for rec in r2.records]
         assert r1.coverage == r2.coverage and r1.ks_distance == r2.ks_distance
 
-    # statistics of the configuration below, pinned to 17 significant digits
-    GOLDEN_STATISTICS = [
-        14.863084470455746,
-        2.149104497604525,
-        1.6023005396822643,
-        1.5528760067147518,
-        0.52534268654305405,
-    ]
+    # statistics and equilibrium residuals of the configuration below, per
+    # x_mode, pinned to 17 significant digits
+    GOLDEN = {
+        "fixed": (
+            [
+                14.863084470455746,
+                2.149104497604525,
+                1.6023005396822643,
+                1.5528760067147518,
+                0.52534268654305405,
+            ],
+            [3.746325472064882e-11] * 5,  # one design, solved once
+        ),
+        "fresh": (
+            [
+                5.5504636679878265,
+                0.319229990731985,
+                0.5595215361374484,
+                0.1429574655886358,
+                1.3929351622095012,
+            ],
+            [
+                9.064393680091598e-11,
+                9.644451903767504e-11,
+                3.7944092312613975e-11,
+                3.55425688880473e-11,
+                3.505795653779842e-11,
+            ],
+        ),
+    }
 
     def test_fixed_seed_statistics_are_pinned(self):
         """A fixed design and seed give the same statistics on every version,
-        so drift in the estimation kernels fails loudly."""
-        text = BASE_CONFIG.replace("n = 40", "n = 30").replace("replications = 4", "replications = 5")
-        report = run_mc_coverage(parse_config_text(text))
-        assert report.n_failed == 0
-        assert list(report.statistics) == pytest.approx(self.GOLDEN_STATISTICS, rel=1e-12, abs=0)
+        so drift in the solver or the estimation kernels fails loudly; the
+        fresh design pins the path that draws and solves per replication."""
+        for x_mode, (statistics, residuals) in self.GOLDEN.items():
+            text = (
+                BASE_CONFIG.replace("n = 40", "n = 30")
+                .replace("replications = 4", "replications = 5")
+                .replace("x_mode = fixed", f"x_mode = {x_mode}")
+            )
+            report = run_mc_coverage(parse_config_text(text))
+            assert report.n_failed == 0
+            assert list(report.statistics) == pytest.approx(statistics, rel=1e-12, abs=0)
+            residual = [r.residual for r in report.records]
+            assert residual == pytest.approx(residuals, rel=1e-12, abs=0)
 
     def test_parallel_matches_serial(self):
         cfg = parse_config_text(BASE_CONFIG.replace("replications = 4", "replications = 6"))
@@ -357,8 +388,16 @@ class TestCli:
         path.write_text("n = 10\n")  # missing required keys
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_of_range_override_exit_code(self, tmp_path):
+        """Command-line overrides pass the same range checks as the config file."""
+        cfg = self._write_config(tmp_path)
+        out = str(tmp_path / "mc")
+        for flag, value in [("--seed", "-1"), ("--seed", str(2**64)), ("--threads", "0")]:
+            assert main(["mc-coverage", "--config", cfg, "--out", out, flag, value]) == 2
+
     def test_missing_config_file(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "none.cfg"), "--out", "o"]) == 2
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", str(tmp_path / "none.cfg"), "--out", out]) == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
         text = BASE_CONFIG.replace(
@@ -372,7 +411,8 @@ class TestCli:
         data_dir = tmp_path / "data"
         assert main(["simulate", "--config", cfg, "--out", str(data_dir)]) == 0
         (data_dir / "observed_network.csv").write_text("0,1\nbroken\n")
-        assert main(["estimate", "--config", cfg, "--data", str(data_dir), "--out", "o"]) == 2
+        out = str(tmp_path / "o")
+        assert main(["estimate", "--config", cfg, "--data", str(data_dir), "--out", out]) == 2
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write_config(tmp_path)

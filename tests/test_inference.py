@@ -8,13 +8,13 @@ import pytest
 from misnet import (
     Dataset,
     EmptySet,
+    MomentEvaluator,
     Network,
     PairCovariates,
     Theta,
     ThetaGrid,
     chi2_quantile,
     confidence_set,
-    moment_statistic,
     projection_intervals,
 )
 from misnet.inference import REASON_DEGENERATE, write_grid_csv
@@ -122,11 +122,12 @@ class TestConfidenceSet:
         cs = confidence_set(data, grid, alpha=0.05)
         critical = chi2_quantile(2, 0.95)
         assert cs.critical_value == pytest.approx(critical)
+        evaluator = MomentEvaluator(data)
         for rec in cs.records:
             if rec.reason == REASON_DEGENERATE:
                 assert math.isnan(rec.statistic) and not rec.accepted
             else:
-                stat = moment_statistic(data, rec.theta)
+                stat = evaluator.statistic(rec.theta)
                 assert stat == pytest.approx(rec.statistic, abs=1e-12)
                 assert rec.accepted == (rec.statistic <= critical)
 

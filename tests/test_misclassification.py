@@ -9,10 +9,8 @@ from misnet import (
     Network,
     apply_misclassification,
     correction_maps,
-    observed_beliefs_from_true,
-    pair_belief_stats,
+    extended_stats_from_beliefs,
     solve_equilibrium,
-    true_beliefs_from_observed,
 )
 
 from conftest import default_theta, random_assignment, random_network, scalar_support
@@ -106,7 +104,7 @@ class TestCorrectionMaps:
         cm = correction_maps(0.1, 0.2)
         assert np.allclose(cm.offset, [-1 / 7, -1 / 7, 1 / 49], atol=1e-15)
 
-    def test_offset_third_component_exactly_zero(self):
+    def test_offset_third_component_value(self):
         """The population map's third offset component is exactly fp^2 / lam^2."""
         for fp in np.linspace(0.0, 0.49, 25):
             for fn in np.linspace(0.0, 0.49, 25):
@@ -158,15 +156,16 @@ class TestCorrectionMaps:
 class TestBeliefMaps:
     def test_zero_rates_project_first_three(self):
         obs = np.array([0.3, 0.6, 0.2, 1.1])
-        assert np.allclose(true_beliefs_from_observed(obs, 0.0, 0.0), obs[:3], atol=0)
-        assert np.allclose(observed_beliefs_from_true(obs, 0.0, 0.0), obs, atol=0)
+        cm = correction_maps(0.0, 0.0)
+        assert np.allclose(cm.true_from_observed(obs), obs[:3], atol=0)
+        assert np.allclose(cm.observed_from_true(obs), obs, atol=0)
 
     def test_shift_vector_maps_to_zero(self):
         obs = np.array([0.1, 0.1, 0.01, 0.2])
-        assert np.allclose(true_beliefs_from_observed(obs, 0.1, 0.2), 0.0, atol=1e-15)
+        assert np.allclose(correction_maps(0.1, 0.2).true_from_observed(obs), 0.0, atol=1e-15)
 
     def test_empty_truth_maps_to_shift(self):
-        out = observed_beliefs_from_true(np.zeros(4), 0.3, 0.1)
+        out = correction_maps(0.3, 0.1).observed_from_true(np.zeros(4))
         assert np.allclose(out, [0.3, 0.3, 0.09, 0.6], atol=0)
 
     def test_roundtrip_recovers_first_three(self, rng):
@@ -174,7 +173,8 @@ class TestBeliefMaps:
             fp = rng.uniform(0, 0.9)
             fn = rng.uniform(0, 0.9 - fp)
             ext = np.concatenate([rng.uniform(0, 1, 3), rng.uniform(0, 2, 1)])
-            rt = true_beliefs_from_observed(observed_beliefs_from_true(ext, fp, fn), fp, fn)
+            cm = correction_maps(fp, fn)
+            rt = cm.true_from_observed(cm.observed_from_true(ext))
             assert np.max(np.abs(rt - ext[:3])) <= 1e-10
 
     @given(
@@ -188,7 +188,8 @@ class TestBeliefMaps:
         if fp + fn > 0.9:
             return
         ext = np.array([*stats3, deg])
-        rt = true_beliefs_from_observed(observed_beliefs_from_true(ext, fp, fn), fp, fn)
+        cm = correction_maps(fp, fn)
+        rt = cm.true_from_observed(cm.observed_from_true(ext))
         assert np.max(np.abs(rt - ext[:3])) <= 1e-9
 
     def test_forward_map_reciprocal_component_matches_flips(self, rng):
@@ -205,7 +206,8 @@ class TestBeliefMaps:
         theta = default_theta()
         beliefs = solve_equilibrium(cov, support, theta.externality, theta.homophily)
         i, j = 0, 1
-        stats = pair_belief_stats(beliefs, fp, fn, i, j)
+        ext = extended_stats_from_beliefs(beliefs)[i, j]
+        predicted = correction_maps(fp, fn, n).observed_from_true(ext)[0]
         hits = 0
         for r in range(reps):
             local = np.random.default_rng((5, r))
@@ -214,5 +216,4 @@ class TestBeliefMaps:
             obs = apply_misclassification(Network(adj), fp, fn, seed=(6, r)).adj
             hits += int(obs[j, i])
         freq = hits / reps
-        predicted = stats.observed_stats[0]
         assert abs(freq - predicted) <= 4 * np.sqrt(predicted * (1 - predicted) / reps)

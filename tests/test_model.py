@@ -6,20 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from misnet import (
-    BeliefStats,
-    CovariateSupport,
-    InvalidRates,
-    Network,
-    PairCovariates,
-    Theta,
-    decide_link,
-    total_utility,
-    utility_index,
-)
+from misnet import CovariateSupport, InvalidRates, Network, PairCovariates, Theta
 from misnet.equilibrium import BeliefMatrix, network_stats_from_beliefs
 
 from conftest import default_theta, scalar_support
+from oracles import decide_link, total_utility, utility_index
 
 
 class TestTypes:
@@ -42,13 +33,6 @@ class TestTypes:
             Theta(externality=[0, 0, 0], homophily=[0], fp_rate=0.6, fn_rate=0.4)
         with pytest.raises(InvalidRates):
             Theta(externality=[0, 0, 0], homophily=[0], fp_rate=-0.1, fn_rate=0.0)
-
-    def test_belief_stats_ranges(self):
-        BeliefStats(true_stats=[0.2, 0.3, 0.1], observed_stats=[0.2, 0.3, 0.1, 1.5])
-        with pytest.raises(ValueError):
-            BeliefStats(true_stats=[1.2, 0, 0], observed_stats=[0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            BeliefStats(true_stats=[0.1, 0, 0], observed_stats=[0, 0, 0, 2.5])
 
     def test_immutability(self):
         net = Network(np.zeros((3, 3), dtype=int))
