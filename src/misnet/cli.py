@@ -65,11 +65,15 @@ def _cmd_simulate(config, args) -> None:
 
 
 def _cmd_estimate(config, args) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data = harness.load_dataset(args.data)
     evaluator = MomentEvaluator(data)
     cells = evaluator.cells
+    m = evaluator.moment(config.theta)
+    S = evaluator.variance(config.theta)
+    stat = quadratic_form(m, S, data.n)
+    critical = chi2_quantile(data.n_cells, 1.0 - config.alpha)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "cells.csv", "w") as fh:
         d = data.support.dimension
         header = [f"x{k + 1}" for k in range(d)]
@@ -78,16 +82,12 @@ def _cmd_estimate(config, args) -> None:
             point = ",".join(f"{v:.17g}" for v in data.support.points[j])
             stats = ",".join(f"{v:.17g}" for v in cells.stats[j])
             fh.write(f"{j},{point},{cells.freq[j]:.17g},{stats}\n")
-    m = evaluator.moment(config.theta)
     with open(out / "moment.csv", "w") as fh:
         fh.write("cell,moment\n")
         for j, value in enumerate(m):
             fh.write(f"{j},{value:.17g}\n")
-    S = evaluator.variance(config.theta)
     np.savetxt(out / "variance.csv", S, delimiter=",", header=",".join(
         f"cell{j}" for j in range(S.shape[0])), comments="")
-    stat = quadratic_form(m, S, data.n)
-    critical = chi2_quantile(data.n_cells, 1.0 - config.alpha)
     summary = {
         "statistic": stat,
         "dof": data.n_cells,
@@ -114,10 +114,10 @@ def _cmd_mc_coverage(config, args) -> None:
 
 
 def _cmd_sp_set(config, args) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data = harness.load_dataset(args.data)
     results = semiparametric.identified_set(data, config.grid)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     table = out / "sp_grid.csv"
     semiparametric.write_membership_csv(results, config.grid.coordinate_names(), table)
     n_member = sum(1 for _, res in results if res.member)

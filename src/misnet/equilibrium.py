@@ -75,7 +75,10 @@ def network_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
     link shocks within an agent.  Diagonal entries are computed but carry no
     model meaning.
     """
-    p = beliefs.probs
+    return _stats(beliefs.probs)
+
+
+def _stats(p: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     col = p.sum(axis=0)  # sum_k p_kj, with p_jj = 0
     recip = p.T
@@ -97,10 +100,14 @@ def extended_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
     return np.concatenate([base, deg_sum[..., None]], axis=-1)
 
 
+def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Utility index stats(p)'ext + x'hom on plain arrays."""
+    return _stats(p) @ ext + xhom
+
+
 def _index_matrix(beliefs, covariates, support, externality, homophily) -> np.ndarray:
-    stats = network_stats_from_beliefs(beliefs)
-    xvals = covariates.values(support)
-    return stats @ np.asarray(externality, float) + xvals @ np.asarray(homophily, float)
+    xhom = covariates.values(support) @ np.asarray(homophily, float)
+    return _index(beliefs.probs, xhom, np.asarray(externality, float))
 
 
 def best_response(
@@ -128,20 +135,29 @@ def solve_equilibrium(
 
     Starts at p0 = Phi(x'hom) and iterates p <- (1 - damping) p + damping BR(p)
     until the sup-norm residual ||BR(p) - p|| falls below ``config.tol``.
+    x'hom is computed once, and only the returned point is validated;
+    ``_iterate`` holds the loop and also returns that point's residual.
     Raises :class:`NonConvergence` when ``max_iter`` is exhausted; callers may
     retry with smaller damping.  The returned point is the deterministic
     selection used everywhere in this package.
     """
-    xvals = covariates.values(support)
-    p = norm_cdf(xvals @ np.asarray(homophily, float))
+    return _iterate(covariates, support, externality, homophily, config)[0]
+
+
+def _iterate(covariates, support, externality, homophily, config) -> tuple[BeliefMatrix, float]:
+    """The loop of :func:`solve_equilibrium`; the residual it also returns is
+    bit-identical to ``equilibrium_residual`` of the returned beliefs."""
+    ext = np.asarray(externality, float)
+    xhom = covariates.values(support) @ np.asarray(homophily, float)
+    p = norm_cdf(xhom)
     np.fill_diagonal(p, 0.0)
     residual = np.inf
     for _ in range(config.max_iter):
-        current = BeliefMatrix(p)
-        q = best_response(current, covariates, support, externality, homophily).probs
+        q = norm_cdf(_index(p, xhom, ext))
+        np.fill_diagonal(q, 0.0)
         residual = float(np.max(np.abs(q - p)))
         if residual <= config.tol:
-            return current
+            return BeliefMatrix(p), residual
         p = (1.0 - config.damping) * p + config.damping * q
         np.fill_diagonal(p, 0.0)
     raise NonConvergence(residual, config.max_iter)

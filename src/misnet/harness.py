@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import chi2, kstest
 
 from .config import ExperimentConfig
-from .equilibrium import equilibrium_residual, simulate_true_network, solve_equilibrium
+from .equilibrium import _iterate, simulate_true_network
 from .estimation import Dataset, MomentEvaluator
 from .exceptions import MisnetError, TooManyFailures
 from .inference import chi2_quantile, confidence_set, projection_intervals, write_grid_csv
@@ -112,13 +112,7 @@ def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
 def _solve(config: ExperimentConfig, covariates: PairCovariates):
     """Equilibrium beliefs at the configured truth and their fixed-point residual."""
     th = config.theta
-    beliefs = solve_equilibrium(
-        covariates, config.support, th.externality, th.homophily, config.solver
-    )
-    residual = equilibrium_residual(
-        beliefs, covariates, config.support, th.externality, th.homophily
-    )
-    return beliefs, residual
+    return _iterate(covariates, config.support, th.externality, th.homophily, config.solver)
 
 
 def _observe(config: ExperimentConfig, covariates, beliefs, children) -> tuple[Network, Network]:
@@ -133,12 +127,12 @@ def _observe(config: ExperimentConfig, covariates, beliefs, children) -> tuple[N
 
 def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     """Draw one design, solve, simulate, misclassify, and write all files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     children = replication_seed(config.seed, 0).spawn(3)
     covariates = _design_for(config, children)
     beliefs, residual = _solve(config, covariates)
     true_net, observed = _observe(config, covariates, beliefs, children)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "support": out / "support.csv",
         "covariates": out / "covariates.csv",
@@ -173,10 +167,10 @@ def load_dataset(data_dir) -> Dataset:
 
 def run_ci(data_dir, grid, alpha: float, out_dir) -> dict:
     """Invert the test over the grid for a stored dataset and write results."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(data_dir)
     cs = confidence_set(data, grid, alpha)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     grid_path = out / "ci_grid.csv"
     write_grid_csv(cs, grid_path)
     summary = {

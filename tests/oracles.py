@@ -4,8 +4,9 @@ Everything here is written as plain loops straight off the estimator
 definitions, deliberately sharing no code path with the package internals
 (except the normal cdf, whose accuracy is checked separately against mpmath).
 It also holds the model's link utility, against which the link rule is
-checked by enumeration, and a writer for edge-list network files, which only
-the reader's tests need.
+checked by enumeration, a solver loop written through the public best
+response, against which the package's plain-array loop is checked, and a
+writer for edge-list network files, which only the reader's tests need.
 """
 
 import csv
@@ -13,6 +14,8 @@ import math
 
 import numpy as np
 
+from misnet.equilibrium import BeliefMatrix, SolverConfig, best_response
+from misnet.exceptions import NonConvergence
 from misnet.misclassification import correction_maps
 from misnet.model import CovariateSupport, Network, PairCovariates, Theta
 from misnet.normal import norm_cdf, norm_pdf
@@ -295,6 +298,35 @@ def total_utility(
         + shocks
     )
     return float(np.dot(choice, marginal) / n)
+
+
+# ---------------------------------------------------------------------------
+# the equilibrium solver's loop through the public best response
+
+
+def reference_solve(
+    covariates: PairCovariates,
+    support: CovariateSupport,
+    externality,
+    homophily,
+    config: SolverConfig = SolverConfig(),
+) -> BeliefMatrix:
+    """Damped fixed-point iteration that calls ``best_response`` and builds a
+    validated ``BeliefMatrix`` at every step; the package's solver must
+    return the same point bit for bit."""
+    xvals = covariates.values(support)
+    p = norm_cdf(xvals @ np.asarray(homophily, float))
+    np.fill_diagonal(p, 0.0)
+    residual = np.inf
+    for _ in range(config.max_iter):
+        current = BeliefMatrix(p)
+        q = best_response(current, covariates, support, externality, homophily).probs
+        residual = float(np.max(np.abs(q - p)))
+        if residual <= config.tol:
+            return current
+        p = (1.0 - config.damping) * p + config.damping * q
+        np.fill_diagonal(p, 0.0)
+    raise NonConvergence(residual, config.max_iter)
 
 
 # ---------------------------------------------------------------------------

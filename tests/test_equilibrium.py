@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from misnet import (
+    CovariateSupport,
     NonConvergence,
     PairCovariates,
     SolverConfig,
@@ -13,6 +14,7 @@ from misnet import (
 )
 from misnet.equilibrium import (
     BeliefMatrix,
+    _iterate,
     equilibrium_residual,
     extended_stats_from_beliefs,
     network_stats_from_beliefs,
@@ -20,7 +22,7 @@ from misnet.equilibrium import (
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_assignment, scalar_support
-from oracles import brute_extended_stats, brute_network_stats
+from oracles import brute_extended_stats, brute_network_stats, reference_solve
 
 
 def uniform_beliefs(n, q):
@@ -152,6 +154,45 @@ class TestSolver:
         cfg = SolverConfig(tol=1e-10, max_iter=50, damping=1.0)
         with pytest.raises(NonConvergence):
             solve_equilibrium(cov, self.support, [-50.0, 0.0, 0.0], [0.0], cfg)
+
+
+class TestLoopMatchesReference:
+    """The plain-array loop returns the same point as the loop that calls the
+    public best response and validates a BeliefMatrix at every step."""
+
+    SUPPORTS = {
+        "scalar": (scalar_support(-0.5, 0.5), [0.8]),
+        "2-d": (CovariateSupport(np.array([[-0.5, 0.0], [-0.5, 1.0], [0.5, 0.0]])), [0.8, -0.4]),
+    }
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [7, 30])
+    @pytest.mark.parametrize("design", ["scalar", "2-d"])
+    def test_same_beliefs_and_residual(self, rng, damping, n, design):
+        support, hom = self.SUPPORTS[design]
+        cov = random_assignment(rng, n, support.n_points)
+        ext = default_theta().externality
+        cfg = SolverConfig(damping=damping)
+        beliefs, residual = _iterate(cov, support, ext, hom, cfg)
+        expected = reference_solve(cov, support, ext, hom, cfg)
+        assert np.array_equal(beliefs.probs, expected.probs)
+        assert np.array_equal(solve_equilibrium(cov, support, ext, hom, cfg).probs, expected.probs)
+        assert residual == equilibrium_residual(beliefs, cov, support, ext, hom)
+        assert residual <= cfg.tol
+
+    def test_same_nonconvergence(self, rng):
+        # the oscillating map of TestSolver.test_nonconvergence_raised_for_oscillating_map
+        n = 6
+        support = scalar_support(-0.5, 0.5)
+        cov = random_assignment(rng, n, 2)
+        cfg = SolverConfig(tol=1e-10, max_iter=50, damping=1.0)
+        args = (cov, support, [-50.0, 0.0, 0.0], [0.0], cfg)
+        with pytest.raises(NonConvergence) as lean:
+            _iterate(*args)
+        with pytest.raises(NonConvergence) as reference:
+            reference_solve(*args)
+        assert lean.value.residual == reference.value.residual
+        assert lean.value.iterations == reference.value.iterations == cfg.max_iter
 
 
 class TestSimulation:

@@ -414,6 +414,24 @@ class TestCli:
         out = str(tmp_path / "o")
         assert main(["estimate", "--config", cfg, "--data", str(data_dir), "--out", out]) == 2
 
+    def test_failed_command_leaves_no_out_dir(self, tmp_path):
+        """A command that fails on its inputs or its solve creates no --out."""
+        cfg = self._write_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(data_dir)]) == 0
+        (data_dir / "observed_network.csv").write_text("0,1\nbroken\n")
+        for command in ["estimate", "ci", "sp-set"]:
+            out = tmp_path / command
+            args = [command, "--config", cfg, "--data", str(data_dir), "--out", str(out)]
+            assert main(args) == 2
+            assert not out.exists(), command
+        diverging = self._write_config(tmp_path, BASE_CONFIG.replace(
+            "theta_externality = 0.5, 0.25, 0.25", "theta_externality = -60, 0, 0"
+        ) + "max_iter = 30\n")
+        out = tmp_path / "simulate"
+        assert main(["simulate", "--config", diverging, "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write_config(tmp_path)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
