@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, semiparametric
+from . import harness, netio, semiparametric
 from .config import parse_config
 from .estimation import MomentEvaluator, quadratic_form
 from .exceptions import ConfigError, FileFormatError, MisnetError
@@ -22,6 +22,8 @@ from .inference import chi2_quantile
 
 _CONFIG_EXIT = 2
 _NUMERICAL_EXIT = 3
+# config keys a command line may override, each only on the commands that read it
+_OVERRIDES = {"seed": int, "alpha": float, "threads": int}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,31 +33,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False):
+    def command(name, summary, overrides=(), data=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--threads", type=int, default=None, help="worker processes")
-        p.add_argument("--alpha", type=float, default=None, help="override the test level")
         if data:
             p.add_argument("--data", required=True, help="directory with simulate outputs")
+        for key in overrides:
+            p.add_argument(f"--{key}", type=_OVERRIDES[key], help=f"override the config's {key}")
 
-    common(sub.add_parser("simulate", help="draw covariates, solve, simulate, misclassify"))
-    common(sub.add_parser("estimate", help="cell estimates, moment, variance and statistic"), data=True)
-    common(sub.add_parser("ci", help="invert the test over the configured grid"), data=True)
-    common(sub.add_parser("mc-coverage", help="Monte Carlo coverage study"))
-    common(sub.add_parser("sp-set", help="semiparametric membership over the grid"), data=True)
+    command("simulate", "draw covariates, solve, simulate, misclassify", ["seed"])
+    command("estimate", "cell estimates, moment, variance and statistic", ["alpha"], data=True)
+    command("ci", "invert the test over the configured grid", ["alpha"], data=True)
+    command("mc-coverage", "Monte Carlo coverage study", ["seed", "alpha", "threads"])
+    command("sp-set", "semiparametric membership over the grid", data=True)
     return parser
 
 
 def _apply_overrides(config, args):
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
+    updates = {key: v for key in _OVERRIDES if (v := getattr(args, key, None)) is not None}
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -143,6 +139,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT
     try:
+        if hasattr(args, "data"):
+            dimension = netio.read_support(Path(args.data) / "support.csv").dimension
+            if dimension != config.support.dimension:
+                raise ConfigError(
+                    f"data support dimension {dimension}, config's {config.support.dimension}"
+                )
         _COMMANDS[args.command](config, args)
     except (ConfigError, FileFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -26,6 +26,8 @@ Keys:
     failure_tolerance   tolerated share of failed replications (default 0.05)
     grid_recip, grid_indeg, grid_common, grid_x1..grid_xd, grid_fp, grid_fn
                         axes of the inversion grid (default: fixed at theta)
+
+Any other key, ``grid_x{k}`` with k > d included, is an error.
 """
 
 from dataclasses import dataclass
@@ -151,6 +153,11 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
     except ValueError as exc:
         raise ConfigError(f"support_points: {exc}") from exc
     J, d = support.n_points, support.dimension
+    grid_keys = ["grid_recip", "grid_indeg", "grid_common"]
+    grid_keys += [f"grid_x{k + 1}" for k in range(d)] + ["grid_fp", "grid_fn"]
+    unknown = sorted(set(values) - set(_DEFAULTS) - set(_REQUIRED) - set(grid_keys))
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
 
     if values["support_probs"] is None:
         probs = np.full(J, 1.0 / J)
@@ -196,11 +203,9 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
             raise ConfigError(f"x_file does not exist: {x_path}")
         x_file = str(x_path)
 
-    grid_keys = ["grid_recip", "grid_indeg", "grid_common"]
-    grid_keys += [f"grid_x{k + 1}" for k in range(d)]
     defaults = [*theta.externality, *theta.homophily, theta.fp_rate, theta.fn_rate]
     axes = []
-    for key, fallback in zip([*grid_keys, "grid_fp", "grid_fn"], defaults):
+    for key, fallback in zip(grid_keys, defaults):
         if key in values:
             axes.append(_parse_axis(values[key], key))
         else:

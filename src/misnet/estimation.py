@@ -3,17 +3,20 @@
 All pair sums run over ordered pairs with i != j (N = n(n-1) pairs); the
 inner sums of the cell statistics run over every agent k, relying on the zero
 diagonal to suppress degenerate terms.  Cell quantities are indexed by the
-covariate support order.  The variance estimator is built from per-agent
-influence terms: each agent's term depends only on that agent's row of the
-adjacency matrix, which is what makes the across-agent covariance a valid
-variance estimate for the moment vector.
+covariate support order.  The variance is the across-agent covariance of
+per-agent influence vectors; each depends only on that agent's row of the
+adjacency matrix, which is what makes it a valid variance estimate for the
+moment vector.  The influence is a fixed linear map c(theta) of a theta-free
+per-agent table (per cell: link share and four statistic influences), so with
+C the 5J x 5J covariance of that table, S(theta) = c(theta)' C c(theta).
 
 Everything that does not depend on theta is computed in one pass per dataset:
 :func:`cell_estimates` yields the cell counts, statistics and observed link
-sums, and :func:`stat_influence_all` the influence terms.  Per-cell sums over
-pairs use one ``bincount`` over the cell labels with the diagonal parked in a
-spare bin J.  Counts, link sums and the influence sums add 0/1 products, so
-they are exact in any summation order.
+sums, :func:`stat_influence_all` the statistic influences, and
+:class:`MomentEvaluator` the covariance C.  Per-cell sums over pairs use one
+``bincount`` over the cell labels with the diagonal parked in a spare bin J.
+Counts, link sums and the influence sums add 0/1 products, so they are exact
+in any summation order.
 """
 
 from dataclasses import dataclass
@@ -153,10 +156,15 @@ def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> n
     """
     if cells is None:
         cells = cell_estimates(data)
-    u = _cell_indices(cells, data.support, theta)
+    return _moment(cells, data.support, theta)
+
+
+def _moment(cells: CellEstimates, support: CovariateSupport, theta: Theta) -> np.ndarray:
+    """:func:`moment` from the cell estimates; the cells partition the N pairs."""
+    u = _cell_indices(cells, support, theta)
     lam = 1.0 - theta.fp_rate - theta.fn_rate
     fitted = theta.fp_rate + lam * norm_cdf(u)
-    return (cells.link_sums - cells.counts * fitted) / data.n_pairs
+    return (cells.link_sums - cells.counts * fitted) / cells.counts.sum()
 
 
 def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
@@ -184,13 +192,6 @@ def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
     return out
 
 
-def _agent_link_shares(data: Dataset) -> np.ndarray:
-    """First influence term: (1/n) sum_{j != i} G_ij per cell, shape (n, J)."""
-    g = data.network.adj.astype(float)
-    sums = _row_sums_by_cell(_parked_labels(data), data.n_cells, g)
-    return np.ascontiguousarray(sums.T) / data.n
-
-
 def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
     """Across-agent covariance of the influence vectors; see :meth:`MomentEvaluator.variance`."""
     return MomentEvaluator(data, cells).variance(theta)
@@ -208,45 +209,44 @@ def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> float:
 class MomentEvaluator:
     """The moment, its variance and the statistic of one dataset, for any theta.
 
-    This is the only code that builds the influence vectors and the variance.
-    One pass over the dataset, at construction, computes everything that does
-    not depend on theta: the cell estimates (with the link sums the moment
-    needs; pass ``cells`` to reuse ones already computed), per-agent link
-    shares and the statistic influence terms.  Each theta then pays only for
-    the probit index, the influence contraction and a J x J eigendecomposition,
-    which is what makes repeated evaluation over a grid cheap.
+    This is the only code that builds the variance.  Construction computes
+    everything that does not depend on theta: the cell estimates (pass
+    ``cells`` to reuse ones already computed) and the covariance C of the
+    per-agent table, kept as (J, 5, J, 5); no per-agent array is kept.  Each
+    theta then pays for the probit index, c(theta), c' C c and a J x J
+    eigendecomposition, none of it of order n.
     """
 
     def __init__(self, data: Dataset, cells: CellEstimates | None = None):
-        self.data = data
+        n, J = data.n, data.n_cells
+        self.n, self.support = n, data.support
         self.cells = cell_estimates(data) if cells is None else cells
-        self._link_shares = _agent_link_shares(data)
-        self._influences = stat_influence_all(data, self.cells)
+        # link shares (1/n) sum_{j != i} G_ij per cell, then the statistic influences
+        shares = _row_sums_by_cell(_parked_labels(data), J, data.network.adj).T / n
+        table = np.concatenate([shares[:, :, None], stat_influence_all(data, self.cells)], axis=2)
+        table = table.reshape(n, 5 * J)
+        table -= table.mean(axis=0)
+        self._cov = (table.T @ table / n).reshape(J, 5, J, 5)
 
     def moment(self, theta: Theta) -> np.ndarray:
-        return moment(self.data, theta, self.cells)
-
-    def influence(self, theta: Theta) -> np.ndarray:
-        """Per-agent moment influence vectors, shape (n, J)."""
-        n = self.data.n
-        cm = correction_maps(theta.fp_rate, theta.fn_rate)
-        u = _cell_indices(self.cells, self.data.support, theta)
-        lam = 1.0 - theta.fp_rate - theta.fn_rate
-        weights = norm_pdf(u) * self.cells.counts / (n * n)  # (J,)
-        slope = cm.matrix.T @ theta.externality  # (4,)
-        correction = (self._influences @ slope) * weights[None, :]  # (n, J)
-        return self._link_shares - lam * correction
+        return _moment(self.cells, self.support, theta)
 
     def variance(self, theta: Theta) -> np.ndarray:
-        """Across-agent covariance of the influence vectors, shape (J, J).
+        """S(theta) = c' C c, the across-agent covariance of the influence vectors, shape (J, J).
 
+        Agent k's influence on m_j is its link share minus lam * w_j * slope'
+        (its statistic influences), both in cell j, so c_j = (1, -lam * w_j * slope).
         Raises :class:`DegenerateVariance` when the smallest eigenvalue falls
         below ``MIN_VARIANCE_EIGENVALUE``, which signals that the eigenvalue
         condition for the chi-square calibration fails in this sample.
         """
-        psi = self.influence(theta)
-        centered = psi - psi.mean(axis=0)
-        S = centered.T @ centered / self.data.n
+        cm = correction_maps(theta.fp_rate, theta.fn_rate)
+        u = _cell_indices(self.cells, self.support, theta)
+        lam = 1.0 - theta.fp_rate - theta.fn_rate
+        weights = norm_pdf(u) * self.cells.counts / (self.n * self.n)  # (J,)
+        slope = cm.matrix.T @ theta.externality  # (4,)
+        coef = np.column_stack([np.ones_like(weights), -lam * np.outer(weights, slope)])  # (J, 5)
+        S = np.einsum("ja,jakb,kb->jk", coef, self._cov, coef)
         S = 0.5 * (S + S.T)
         eigs = np.linalg.eigvalsh(S)
         if eigs[0] < MIN_VARIANCE_EIGENVALUE:
@@ -257,4 +257,4 @@ class MomentEvaluator:
 
     def statistic(self, theta: Theta) -> float:
         """Quadratic-form statistic of the moment vector at ``theta``."""
-        return quadratic_form(self.moment(theta), self.variance(theta), self.data.n)
+        return quadratic_form(self.moment(theta), self.variance(theta), self.n)

@@ -12,7 +12,7 @@ reports.
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from scipy.stats import chi2, kstest
 from .config import ExperimentConfig
 from .equilibrium import _iterate, simulate_true_network
 from .estimation import Dataset, MomentEvaluator
-from .exceptions import MisnetError, TooManyFailures
+from .exceptions import ConfigError, FileFormatError, MisnetError, TooManyFailures
 from .inference import chi2_quantile, confidence_set, projection_intervals, write_grid_csv
 from .misclassification import apply_misclassification
 from .model import Network, PairCovariates
@@ -75,33 +75,17 @@ class RunReport:
     ks_distance: float
     n_failed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "dof": self.dof,
-            "critical_value": self.critical_value,
-            "coverage": self.coverage,
-            "ks_distance": self.ks_distance,
-            "n_failed": self.n_failed,
-            "n_replications": len(self.records),
-            "records": [asdict(r) for r in self.records],
-        }
-
     @property
     def statistics(self) -> np.ndarray:
         return np.array([r.statistic for r in self.records if not r.error])
 
 
-def _load_covariates(config: ExperimentConfig) -> PairCovariates:
-    cov = netio.read_covariates(config.x_file)
-    if cov.n != config.n:
-        raise MisnetError(f"x_file holds n={cov.n}, config says n={config.n}")
-    return cov
-
-
 def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
     if config.x_file is not None:
-        return _load_covariates(config)
+        covariates = netio.read_covariates(config.x_file)
+        if covariates.n != config.n:
+            raise ConfigError(f"x_file holds n={covariates.n}, config says n={config.n}")
+        return covariates
     if config.x_mode == "fixed":
         rng = np.random.default_rng(fixed_design_seed(config.seed))
     else:
@@ -157,12 +141,16 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
 
 
 def load_dataset(data_dir) -> Dataset:
-    """Read support, covariates and the observed network from one directory."""
+    """Read support, covariates and the observed network from one directory;
+    covariates that do not fit the network or the support are a format error."""
     data_dir = Path(data_dir)
     support = netio.read_support(data_dir / "support.csv")
     covariates = netio.read_covariates(data_dir / "covariates.csv")
     network = netio.read_network(data_dir / "observed_network.csv")
-    return Dataset(network=network, covariates=covariates, support=support)
+    try:
+        return Dataset(network=network, covariates=covariates, support=support)
+    except ValueError as exc:
+        raise FileFormatError(data_dir / "covariates.csv", 1, str(exc)) from exc
 
 
 def run_ci(data_dir, grid, alpha: float, out_dir) -> dict:
@@ -285,7 +273,8 @@ def write_report(report: RunReport, out_dir) -> dict:
                 f"{int(r.accepted)},{error}\n"
             )
     summary = out / "summary.json"
-    payload = report.to_dict()
-    payload.pop("records")
+    fields = ("alpha", "dof", "critical_value", "coverage", "ks_distance", "n_failed")
+    payload = {key: getattr(report, key) for key in fields}
+    payload["n_replications"] = len(report.records)
     summary.write_text(json.dumps(payload, indent=2))
     return {"replications": str(table), "summary": str(summary)}

@@ -74,6 +74,8 @@ def _read_edge_list(path, rows) -> Network:
         n = int(rows[0].partition("=")[2])
     except ValueError as exc:
         raise FileFormatError(path, 1, "cannot parse agent count") from exc
+    if n < 2:
+        raise FileFormatError(path, 1, f"agent count {n} is below 2")
     if len(rows) < 2 or rows[1].strip() != "i,j":
         raise FileFormatError(path, 2, "expected 'i,j' header")
     adj = np.zeros((n, n), dtype=np.int8)

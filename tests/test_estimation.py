@@ -4,6 +4,8 @@ Every estimator is checked against the brute-force loop implementations in
 ``oracles.py``; the quadratic-form statistic against explicit inversion.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from conftest import default_theta, random_dataset, random_network, scalar_suppo
 from oracles import (
     brute_cell_estimates,
     brute_moment,
-    brute_psi_matrix,
     brute_stat_influence,
     brute_variance,
     offdiag_mask,
@@ -267,6 +268,23 @@ class TestStatInfluence:
             norms = np.linalg.norm(table, axis=2)
             assert np.all(norms <= bound + 1e-12)
 
+    def test_depends_only_on_own_row(self, rng):
+        """With cell inputs held fixed, zeroing other agents' rows leaves an
+        agent's statistic influences unchanged, so each row of the table that
+        the variance is the covariance of depends on one agent's links."""
+        data = random_dataset(rng, n=8, n_cells=2)
+        cells = cell_estimates(data)
+        agent = 3
+        table = stat_influence_all(data, cells)
+        adj = np.array(data.network.adj)
+        for other in range(data.n):
+            if other != agent:
+                adj[other] = 0
+        stripped = Dataset(
+            network=Network(adj), covariates=data.covariates, support=data.support
+        )
+        assert np.array_equal(stat_influence_all(stripped, cells)[agent], table[agent])
+
 
 class TestVariance:
     def test_empty_network_degenerate(self):
@@ -276,9 +294,10 @@ class TestVariance:
             moment_variance(data, theta)
 
     def test_matches_brute_force(self, rng):
-        for _ in range(6):
-            data = random_dataset(rng, n=int(rng.integers(5, 9)), n_cells=2)
-            theta = default_theta()
+        rates = [(fp, fn) for fp in (0.0, 0.05, 0.2) for fn in (0.0, 0.1)]
+        for (fp, fn), n_cells, _ in itertools.product(rates, (2, 3), range(3)):
+            data = random_dataset(rng, n=int(rng.integers(6, 10)), n_cells=n_cells)
+            theta = Theta(externality=[0.5, 0.25, 0.25], homophily=[0.8], fp_rate=fp, fn_rate=fn)
             cells = cell_estimates(data)
             expected = brute_variance(
                 data.network.adj,
@@ -286,7 +305,7 @@ class TestVariance:
                 data.support.points,
                 theta,
                 cells.stats,
-                2,
+                n_cells,
             )
             try:
                 got = moment_variance(data, theta, cells)
@@ -321,38 +340,22 @@ class TestVariance:
         S_p = moment_variance(data_p, theta)
         assert np.allclose(S, S_p, atol=1e-12)
 
-    def test_psi_norm_bound(self, rng):
+    def test_trace_bound(self, rng):
+        """Each agent's influence vector has norm at most ``bound``, so the
+        across-agent covariance of those vectors has trace at most bound**2."""
         from misnet.misclassification import correction_maps
         from misnet.normal import norm_pdf
 
-        data = random_dataset(rng, n=10, n_cells=2)
-        theta = default_theta()
-        cells = cell_estimates(data)
-        psi = MomentEvaluator(data, cells).influence(theta)
-        cm = correction_maps(theta.fp_rate, theta.fn_rate)
-        lam = 1 - theta.fp_rate - theta.fn_rate
-        slope_norm = np.linalg.norm(theta.externality @ cm.matrix)
-        bound = 1.0 + lam * norm_pdf(0.0) * slope_norm * np.sqrt(7.0) / cells.freq.min()
-        assert np.all(np.linalg.norm(psi, axis=1) <= bound + 1e-12)
-
-    def test_psi_depends_only_on_own_row(self, rng):
-        """With cell inputs held fixed, zeroing other agents' rows leaves an
-        agent's influence vector unchanged."""
-        data = random_dataset(rng, n=8, n_cells=2)
-        theta = default_theta()
-        cells = cell_estimates(data)
-        agent = 3
-        psi = MomentEvaluator(data, cells).influence(theta)
-        adj = np.array(data.network.adj)
-        for other in range(data.n):
-            if other != agent:
-                adj[other] = 0
-        np.fill_diagonal(adj, 0)
-        stripped = Dataset(
-            network=Network(adj), covariates=data.covariates, support=data.support
-        )
-        psi_stripped = MomentEvaluator(stripped, cells).influence(theta)
-        assert np.allclose(psi[agent], psi_stripped[agent], atol=1e-14)
+        for _ in range(5):
+            data = random_dataset(rng, n=10, n_cells=2)
+            theta = default_theta()
+            cells = cell_estimates(data)
+            S = moment_variance(data, theta, cells)
+            cm = correction_maps(theta.fp_rate, theta.fn_rate)
+            lam = 1 - theta.fp_rate - theta.fn_rate
+            slope_norm = np.linalg.norm(theta.externality @ cm.matrix)
+            bound = 1.0 + lam * norm_pdf(0.0) * slope_norm * np.sqrt(7.0) / cells.freq.min()
+            assert np.trace(S) <= bound**2 + 1e-12
 
 
 class TestStatistic:
@@ -394,16 +397,3 @@ class TestStatistic:
             data = random_dataset(rng, n=15, n_cells=2)
             assert MomentEvaluator(data).statistic(default_theta()) >= 0.0
 
-
-def test_psi_matrix_matches_brute_force(rng):
-    for _ in range(5):
-        n = int(rng.integers(5, 9))
-        data = random_dataset(rng, n=n, n_cells=2)
-        theta = default_theta()
-        cells = cell_estimates(data)
-        got = MomentEvaluator(data, cells).influence(theta)
-        want = brute_psi_matrix(
-            data.network.adj, data.covariates.assignment, data.support.points, theta,
-            cells.stats, 2,
-        )
-        assert np.allclose(got, want, atol=1e-13)

@@ -1,6 +1,7 @@
 """Config parsing, file formats, the Monte Carlo driver, and the CLI."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,14 @@ class TestConfig:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("n = 10\nnot a key value pair\n")
+
+    def test_unknown_keys_rejected(self):
+        """A misspelt key, or a grid axis beyond the support's dimension, is an
+        error rather than a silently kept default."""
+        for line in ["replication = 5", "dampng = 0.5", "grid_x2 = 0:1:3"]:
+            key = line.split()[0]
+            with pytest.raises(ConfigError, match=f"unknown keys: {key}"):
+                parse_config_text(BASE_CONFIG + line + "\n")
 
     def test_invalid_rates_in_theta(self):
         bad = BASE_CONFIG.replace("theta_fp = 0.05", "theta_fp = 0.95")
@@ -415,22 +424,58 @@ class TestCli:
         assert main(["estimate", "--config", cfg, "--data", str(data_dir), "--out", out]) == 2
 
     def test_failed_command_leaves_no_out_dir(self, tmp_path):
-        """A command that fails on its inputs or its solve creates no --out."""
+        """A command that fails on its inputs or its solve creates no --out;
+        data files that disagree with each other or with the config exit 2."""
         cfg = self._write_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["simulate", "--config", cfg, "--out", str(data_dir)]) == 0
-        (data_dir / "observed_network.csv").write_text("0,1\nbroken\n")
-        for command in ["estimate", "ci", "sp-set"]:
-            out = tmp_path / command
-            args = [command, "--config", cfg, "--data", str(data_dir), "--out", str(out)]
-            assert main(args) == 2
-            assert not out.exists(), command
+        rows = (data_dir / "covariates.csv").read_text().splitlines()
+        rows[0] = ",".join(["0", "5", *rows[0].split(",")[2:]])
+        all_commands = ["estimate", "ci", "sp-set"]
+        bad_files = [
+            ("observed_network.csv", "0,1\nbroken\n", all_commands),
+            ("observed_network.csv", "n=-3\ni,j\n", ["estimate"]),
+            ("covariates.csv", "0,1,0\n1,0,1\n0,1,0\n", all_commands),  # network is 40 x 40
+            ("covariates.csv", "\n".join(rows) + "\n", ["estimate"]),  # cell 5 of 2
+            ("support.csv", "x1,x2\n-0.5,0\n0.5,0\n", all_commands),  # config has d = 1
+        ]
+        for case, (name, text, commands) in enumerate(bad_files):
+            bad_dir = tmp_path / f"bad{case}"
+            shutil.copytree(data_dir, bad_dir)
+            (bad_dir / name).write_text(text)
+            for command in commands:
+                out = tmp_path / f"{command}{case}"
+                args = [command, "--config", cfg, "--data", str(bad_dir), "--out", str(out)]
+                assert main(args) == 2, (name, text, command)
+                assert not out.exists(), command
+        (tmp_path / "design.csv").write_text("0,1,0\n1,0,1\n0,1,0\n")
+        small_design = self._write_config(tmp_path, BASE_CONFIG + "x_file = design.csv\n")
+        out = tmp_path / "simulate"
+        assert main(["simulate", "--config", small_design, "--out", str(out)]) == 2
+        assert not out.exists()
         diverging = self._write_config(tmp_path, BASE_CONFIG.replace(
             "theta_externality = 0.5, 0.25, 0.25", "theta_externality = -60, 0, 0"
         ) + "max_iter = 30\n")
-        out = tmp_path / "simulate"
         assert main(["simulate", "--config", diverging, "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_unread_override_refused(self, tmp_path):
+        """Each command accepts only the overrides it reads; any other is a
+        usage error (exit 2) and creates no --out."""
+        cfg = self._write_config(tmp_path)
+        data = str(tmp_path / "data")
+        out = tmp_path / "o"
+        for argv in [
+            ["simulate", "--alpha", "0.1"],
+            ["simulate", "--threads", "2"],
+            ["estimate", "--data", data, "--seed", "3"],
+            ["ci", "--data", data, "--threads", "2"],
+            ["sp-set", "--data", data, "--alpha", "0.1"],
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--config", cfg, "--out", str(out)])
+            assert exc.value.code == 2, argv
+            assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -13,14 +13,16 @@ from misnet import (
     PairCovariates,
     Theta,
     ThetaGrid,
+    cell_estimates,
     chi2_quantile,
     confidence_set,
     projection_intervals,
 )
+from misnet.estimation import quadratic_form
 from misnet.inference import REASON_DEGENERATE, write_grid_csv
 
 from conftest import default_theta, random_dataset, scalar_support
-from oracles import chi2_cdf, chi2_quantile_bisect
+from oracles import brute_moment, brute_variance, chi2_cdf, chi2_quantile_bisect
 
 
 class TestChi2Quantile:
@@ -130,6 +132,24 @@ class TestConfidenceSet:
                 stat = evaluator.statistic(rec.theta)
                 assert stat == pytest.approx(rec.statistic, abs=1e-12)
                 assert rec.accepted == (rec.statistic <= critical)
+
+    def test_statistics_match_brute_force(self, rng):
+        """Every grid statistic is the quadratic form of the loop-built moment
+        and variance, and the accepted set is the one those statistics give."""
+        data = random_dataset(rng, n=12, n_cells=2)
+        theta = default_theta()
+        grid = small_grid(theta, np.linspace(0, 0.3, 4), np.linspace(0, 0.2, 3))
+        cs = confidence_set(data, grid, alpha=0.05)
+        cells = cell_estimates(data)
+        args = (data.network.adj, data.covariates.assignment, data.support.points)
+        assert cs.n_degenerate == 0
+        for rec in cs.records:
+            m = brute_moment(*args, rec.theta, cells.stats, 2)
+            S = brute_variance(*args, rec.theta, cells.stats, 2)
+            want = quadratic_form(m, S, data.n)
+            assert rec.statistic == pytest.approx(want, rel=1e-12, abs=0)
+            assert rec.accepted == (want <= cs.critical_value)
+        assert 0 < len(cs.accepted) < len(cs.records)
 
     def test_alpha_monotonicity(self, rng):
         data = random_dataset(rng, n=18, n_cells=2)
