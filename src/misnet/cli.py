@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, netio, semiparametric
 from .config import parse_config
 from .estimation import MomentEvaluator, quadratic_form
@@ -70,20 +68,14 @@ def _cmd_estimate(config, args) -> None:
     critical = chi2_quantile(data.n_cells, 1.0 - config.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "cells.csv", "w") as fh:
-        d = data.support.dimension
-        header = [f"x{k + 1}" for k in range(d)]
-        fh.write(",".join(["cell", *header, "freq", "recip", "indeg", "common", "degsum"]) + "\n")
-        for j in range(data.n_cells):
-            point = ",".join(f"{v:.17g}" for v in data.support.points[j])
-            stats = ",".join(f"{v:.17g}" for v in cells.stats[j])
-            fh.write(f"{j},{point},{cells.freq[j]:.17g},{stats}\n")
-    with open(out / "moment.csv", "w") as fh:
-        fh.write("cell,moment\n")
-        for j, value in enumerate(m):
-            fh.write(f"{j},{value:.17g}\n")
-    np.savetxt(out / "variance.csv", S, delimiter=",", header=",".join(
-        f"cell{j}" for j in range(S.shape[0])), comments="")
+    points = data.support.points
+    header = [f"x{k + 1}" for k in range(data.support.dimension)]
+    netio.write_table(
+        out / "cells.csv", ["cell", *header, "freq", "recip", "indeg", "common", "degsum"],
+        ([j, *points[j], cells.freq[j], *cells.stats[j]] for j in range(data.n_cells)),
+    )
+    netio.write_table(out / "moment.csv", ["cell", "moment"], enumerate(m))
+    netio.write_table(out / "variance.csv", [f"cell{j}" for j in range(len(S))], S)
     summary = {
         "statistic": stat,
         "dof": data.n_cells,

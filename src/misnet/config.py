@@ -134,14 +134,18 @@ def _scalar(values: dict, key: str, cast):
 
 def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
     values = dict(_DEFAULTS)
+    seen = {}  # key -> line it was given on
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
+        key, _, raw = (part.strip() for part in stripped.partition("="))
+        if key in seen:
+            raise ConfigError(f"key {key} given twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        values[key] = raw
 
     missing = [key for key in _REQUIRED if key not in values]
     if missing:

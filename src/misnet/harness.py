@@ -170,16 +170,12 @@ def run_ci(data_dir, grid, alpha: float, out_dir) -> dict:
         "n_degenerate": cs.n_degenerate,
     }
     projection_path = out / "projection.csv"
-    if cs.accepted:
-        intervals = projection_intervals(cs)
-        with open(projection_path, "w") as fh:
-            fh.write("coordinate,lower,upper\n")
-            for name, (lo, hi) in intervals.items():
-                fh.write(f"{name},{lo:.17g},{hi:.17g}\n")
-        summary["projection"] = {k: list(v) for k, v in intervals.items()}
-    else:
-        projection_path.write_text("coordinate,lower,upper\n")
-        summary["projection"] = {}
+    intervals = projection_intervals(cs) if cs.accepted else {}
+    netio.write_table(
+        projection_path, ["coordinate", "lower", "upper"],
+        ([name, lo, hi] for name, (lo, hi) in intervals.items()),
+    )
+    summary["projection"] = {k: list(v) for k, v in intervals.items()}
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return {"grid": str(grid_path), "projection": str(projection_path), "summary": str(out / "summary.json")}
 
@@ -264,14 +260,10 @@ def write_report(report: RunReport, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = out / "replications.csv"
-    with open(table, "w") as fh:
-        fh.write("index,seed,residual,statistic,accepted,error\n")
-        for r in report.records:
-            error = r.error.replace(",", ";").replace("\n", " ")
-            fh.write(
-                f"{r.index},{r.seed},{r.residual:.17g},{r.statistic:.17g},"
-                f"{int(r.accepted)},{error}\n"
-            )
+    netio.write_table(
+        table, ["index", "seed", "residual", "statistic", "accepted", "error"],
+        ([r.index, r.seed, r.residual, r.statistic, r.accepted, r.error] for r in report.records),
+    )
     summary = out / "summary.json"
     fields = ("alpha", "dof", "critical_value", "coverage", "ks_distance", "n_failed")
     payload = {key: getattr(report, key) for key in fields}

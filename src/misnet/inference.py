@@ -8,13 +8,13 @@ accepted would invalidate coverage, treating them as rejected would
 over-reject.
 """
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import chi2
 
+from . import netio
 from .estimation import Dataset, MomentEvaluator
 from .exceptions import DegenerateVariance, EmptySet
 from .model import Theta
@@ -202,15 +202,6 @@ def projection_intervals(cs: ConfidenceSet) -> dict:
 
 def write_grid_csv(cs: ConfidenceSet, path) -> None:
     """Per-point statistics as CSV: coordinates, statistic, accepted, reason."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*cs.coordinate_names, "statistic", "accepted", "reason"])
-        for rec in cs.records:
-            writer.writerow(
-                [
-                    *(f"{v:.17g}" for v in theta_coordinates(rec.theta)),
-                    "nan" if np.isnan(rec.statistic) else f"{rec.statistic:.17g}",
-                    int(rec.accepted),
-                    rec.reason,
-                ]
-            )
+    header = [*cs.coordinate_names, "statistic", "accepted", "reason"]
+    rows = ([*theta_coordinates(r.theta), r.statistic, r.accepted, r.reason] for r in cs.records)
+    netio.write_table(path, header, rows)

@@ -1,14 +1,21 @@
-"""CSV readers and writers for networks, covariates and support definitions.
+"""The package's CSV format: every table it reads or writes goes through here.
 
 Network files come in two formats: a matrix CSV (n rows of n comma-separated
 0/1 values, no header) and an edge list (first line ``n=<count>``, then a
 ``i,j`` header and one 0-based link per line).  Covariates are a matrix CSV
 of 0-based support indices; the support definition is a CSV with one
-``x1..xd`` header row and one point per line.  Parse failures name the
-offending line.
+``x1..xd`` header row and one point per line.  Networks and covariates need
+n >= 2 agents.
+
+The dialect: fields are separated by commas and lines end in ``\\n``.
+Writers put floats as ``.17g`` (so they read back exactly) and booleans as
+0/1, and quote a field that contains a comma, a quote or a line break.
+Readers accept ``\\r\\n`` line ends, blank lines and spaces around fields.
+Every parse or domain error raises ``FileFormatError`` naming the line.
 """
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,75 +30,115 @@ __all__ = [
     "read_covariates",
     "write_support",
     "read_support",
+    "write_table",
 ]
+
+
+def _field(value):
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.17g}"
+    return value
+
+
+def write_table(path, header, rows) -> None:
+    """Write a header row and then one line per row, in the dialect above."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_field(v) for v in row] for row in rows)
+
+
+def _parse(rows, dtype):
+    # some numpy releases read an integer field such as "0.5" through float,
+    # truncate it and only warn; as an error it is rejected like any bad token
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+
+
+def _read_table(path, skip=0, dtype=np.int64):
+    """The non-blank lines after the first ``skip`` as one array.
+
+    Returns the first ``skip`` lines (padded with "" when the file is
+    shorter), the array, and the 1-based line number of each of its rows.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    head = (lines + [""] * skip)[:skip]
+    numbers = [k + 1 for k in range(skip, len(lines)) if lines[k].strip()]
+    rows = [lines[k - 1] for k in numbers]
+    if not rows:
+        return head, np.empty((0, 0), dtype=dtype), numbers
+    try:
+        return head, _parse(rows, dtype), numbers
+    except (ValueError, DeprecationWarning) as exc:
+        # locate the first line that does not parse, or whose width differs
+        width = None
+        for number, row in zip(numbers, rows):
+            try:
+                columns = _parse([row], dtype).shape[1]
+            except (ValueError, DeprecationWarning) as row_exc:
+                raise FileFormatError(path, number, str(row_exc).replace("row 0, ", "")) from row_exc
+            width = columns if width is None else width
+            if columns != width:
+                raise FileFormatError(path, number, f"expected {width} columns, got {columns}") from exc
+        raise FileFormatError(path, numbers[0], str(exc)) from exc
+
+
+def _reject(path, numbers, bad_rows, message) -> None:
+    """Raise at the line of the first row flagged in ``bad_rows``."""
+    bad = np.flatnonzero(bad_rows)
+    if bad.size:
+        raise FileFormatError(path, numbers[bad[0]], message)
+
+
+def _read_square(path):
+    """A matrix CSV of integers for n >= 2 agents, with its row line numbers."""
+    _, table, numbers = _read_table(path)
+    n = table.shape[0]
+    if n < 2:
+        raise FileFormatError(path, numbers[0] if numbers else 1, f"agent count {n} is below 2")
+    if table.shape[1] != n:
+        raise FileFormatError(path, numbers[0], f"expected {n} columns, got {table.shape[1]}")
+    return table, numbers
 
 
 def write_network_matrix(network: Network, path) -> None:
     np.savetxt(path, network.adj, fmt="%d", delimiter=",")
 
 
-def _read_rows(path):
-    with open(path, newline="") as fh:
-        return [line.rstrip("\n") for line in fh]
-
-
 def read_network(path) -> Network:
     """Read either format; edge lists are recognized by their ``n=`` first line."""
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise FileFormatError(path, 1, "empty network file")
-    if rows[0].startswith("n="):
-        return _read_edge_list(path, rows)
-    return _read_matrix(path, rows)
+    with open(path) as fh:
+        edge_list = fh.readline().startswith("n=")
+    if edge_list:
+        return _read_edge_list(path)
+    table, numbers = _read_square(path)
+    _reject(path, numbers, ~np.isin(table, (0, 1)).all(axis=1), "expected 0/1 entries")
+    _reject(path, numbers, np.diagonal(table) != 0, "diagonal must be zero")
+    return Network(table)
 
 
-def _read_matrix(path, rows) -> Network:
-    parsed = []
-    for lineno, row in enumerate(rows, start=1):
-        if not row.strip():
-            continue
-        fields = row.split(",")
-        values = []
-        for tok in fields:
-            tok = tok.strip()
-            if tok not in ("0", "1"):
-                raise FileFormatError(path, lineno, f"expected 0/1 entries, got '{tok}'")
-            values.append(int(tok))
-        parsed.append(values)
-    n = len(parsed)
-    for lineno, values in enumerate(parsed, start=1):
-        if len(values) != n:
-            raise FileFormatError(path, lineno, f"expected {n} columns, got {len(values)}")
+def _read_edge_list(path) -> Network:
+    head, edges, numbers = _read_table(path, skip=2)
     try:
-        return Network(np.array(parsed, dtype=np.int8))
-    except ValueError as exc:
-        raise FileFormatError(path, 1, str(exc)) from exc
-
-
-def _read_edge_list(path, rows) -> Network:
-    try:
-        n = int(rows[0].partition("=")[2])
+        n = int(head[0].partition("=")[2])
     except ValueError as exc:
         raise FileFormatError(path, 1, "cannot parse agent count") from exc
     if n < 2:
         raise FileFormatError(path, 1, f"agent count {n} is below 2")
-    if len(rows) < 2 or rows[1].strip() != "i,j":
+    if head[1].strip() != "i,j":
         raise FileFormatError(path, 2, "expected 'i,j' header")
+    if numbers and edges.shape[1] != 2:
+        raise FileFormatError(path, numbers[0], "expected two fields 'i,j'")
+    i, j = edges.reshape(-1, 2).T
+    bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+    _reject(path, numbers, bad, f"edge out of range or a self-loop for n={n}")
     adj = np.zeros((n, n), dtype=np.int8)
-    for lineno, row in enumerate(rows[2:], start=3):
-        if not row.strip():
-            continue
-        fields = row.split(",")
-        if len(fields) != 2:
-            raise FileFormatError(path, lineno, "expected two fields 'i,j'")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise FileFormatError(path, lineno, f"cannot parse edge '{row}'") from exc
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise FileFormatError(path, lineno, f"edge ({i},{j}) out of range for n={n}")
-        adj[i, j] = 1
+    adj[i, j] = 1
     return Network(adj)
 
 
@@ -101,47 +148,22 @@ def write_covariates(covariates: PairCovariates, path) -> None:
 
 def read_covariates(path) -> PairCovariates:
     path = Path(path)
-    rows = _read_rows(path)
-    parsed = []
-    for lineno, row in enumerate(rows, start=1):
-        if not row.strip():
-            continue
-        try:
-            parsed.append([int(tok) for tok in row.split(",")])
-        except ValueError as exc:
-            raise FileFormatError(path, lineno, f"cannot parse cell indices '{row}'") from exc
-    n = len(parsed)
-    for lineno, values in enumerate(parsed, start=1):
-        if len(values) != n:
-            raise FileFormatError(path, lineno, f"expected {n} columns, got {len(values)}")
-    try:
-        return PairCovariates(np.array(parsed, dtype=np.int64))
-    except ValueError as exc:
-        raise FileFormatError(path, 1, str(exc)) from exc
+    table, numbers = _read_square(path)
+    _reject(path, numbers, (table < 0).any(axis=1), "cell indices must be non-negative")
+    return PairCovariates(table)
 
 
 def write_support(support: CovariateSupport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{k + 1}" for k in range(support.dimension)])
-        for point in support.points:
-            writer.writerow([f"{v:.17g}" for v in point])
+    header = [f"x{k + 1}" for k in range(support.dimension)]
+    write_table(path, header, support.points.tolist())
 
 
 def read_support(path) -> CovariateSupport:
     path = Path(path)
-    rows = _read_rows(path)
-    if not rows or not rows[0].startswith("x1"):
+    head, points, _ = _read_table(path, skip=1, dtype=float)
+    if not head[0].startswith("x1"):
         raise FileFormatError(path, 1, "expected header row starting with x1")
-    points = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row.strip():
-            continue
-        try:
-            points.append([float(tok) for tok in row.split(",")])
-        except ValueError as exc:
-            raise FileFormatError(path, lineno, f"cannot parse point '{row}'") from exc
     try:
-        return CovariateSupport(np.array(points))
+        return CovariateSupport(points)
     except ValueError as exc:
         raise FileFormatError(path, 2, str(exc)) from exc

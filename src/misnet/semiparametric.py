@@ -13,11 +13,11 @@ This is a population-logic checker: sample cell means are plugged in without
 sampling uncertainty.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import netio
 from .estimation import Dataset, CellEstimates, cell_estimates, _cell_indices
 from .inference import ThetaGrid, theta_coordinates
 from .model import Theta
@@ -118,13 +118,8 @@ def identified_set(data: Dataset, grid: ThetaGrid) -> list:
 
 def write_membership_csv(results: list, names: list, path) -> None:
     """Verdicts and violation diagnostics as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*names, "member", "violations"])
-        for theta, result in results:
-            detail = "; ".join(
-                f"{v.condition}{v.cells}: {v.detail}" for v in result.violations
-            )
-            writer.writerow(
-                [*(f"{v:.17g}" for v in theta_coordinates(theta)), int(result.member), detail]
-            )
+    rows = []
+    for theta, res in results:
+        detail = "; ".join(f"{v.condition}{v.cells}: {v.detail}" for v in res.violations)
+        rows.append([*theta_coordinates(theta), res.member, detail])
+    netio.write_table(path, [*names, "member", "violations"], rows)

@@ -1,7 +1,9 @@
 """The package's public names."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import misnet
 
@@ -14,3 +16,39 @@ def test_public_names_resolve():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ lists missing names {missing}"
+
+
+def _comma_text(node) -> bool:
+    """A string literal or f-string whose literal text holds a comma."""
+    parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+    return any(isinstance(p, ast.Constant) and "," in str(p.value) for p in parts)
+
+
+def test_csv_format_only_in_netio():
+    """``netio`` is the one module that knows the CSV format: no other module
+    imports ``csv``, reads or writes text tables through numpy (by attribute
+    or by a name imported from numpy), joins fields with ``","`` or writes
+    a literal line that holds a comma."""
+    numpy_io = {"loadtxt", "savetxt", "genfromtxt"}
+    for path in sorted(Path(misnet.__file__).parent.glob("*.py")):
+        if path.name == "netio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module] + [alias.name for alias in node.names]
+            else:
+                imported = []
+            assert "csv" not in imported, f"{path.name} imports csv"
+            assert not numpy_io & set(imported), f"{path.name} imports {imported}"
+            name = getattr(node, "attr", getattr(node, "id", None))
+            assert name not in numpy_io, f"{path.name} calls {name}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                target = node.func.value
+                assert not (
+                    node.func.attr == "join" and isinstance(target, ast.Constant) and target.value == ","
+                ), f"{path.name}:{node.lineno} joins fields with ','"
+                assert not (
+                    node.func.attr in ("write", "writelines") and any(_comma_text(a) for a in node.args)
+                ), f"{path.name}:{node.lineno} writes a delimited line by hand"

@@ -1,5 +1,7 @@
 """Config parsing, file formats, the Monte Carlo driver, and the CLI."""
 
+import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -7,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from misnet import ConfigError, FileFormatError, Network, PairCovariates
+from misnet import ConfigError, FileFormatError, MomentEvaluator, Network, PairCovariates
 from misnet.cli import main
 from misnet.config import parse_config_text
 from misnet.harness import (
     fixed_design_seed,
     load_dataset,
+    ReplicationRecord,
     replication_seed,
     run_mc_coverage,
     run_simulate,
@@ -63,8 +66,15 @@ class TestConfig:
         assert points[0].externality[0] == 0.5
 
     def test_malformed_line(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_config_text("n = 10\nnot a key value pair\n")
+        """A line that is not 'key = value', or a key given twice, is an error
+        naming its line."""
+        for text, message in [
+            ("n = 10\nnot a key value pair\n", "line 2"),
+            (BASE_CONFIG + "alpha = 0.1\nalpha = 0.5\n", "key alpha given twice, on lines 12 and 13"),
+            (BASE_CONFIG + "seed = 7\n", "key seed given twice, on lines 9 and 12"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                parse_config_text(text)
 
     def test_unknown_keys_rejected(self):
         """A misspelt key, or a grid axis beyond the support's dimension, is an
@@ -100,8 +110,6 @@ grid_x2 = -0.4:0.0:3
         run_simulate(cfg, tmp_path)
         data = load_dataset(tmp_path)
         assert data.support.dimension == 2
-        from misnet import MomentEvaluator
-
         assert MomentEvaluator(data).statistic(cfg.theta) >= 0.0
 
 
@@ -121,13 +129,49 @@ class TestNetIO:
         path = tmp_path / "net_edges.csv"
         write_network_edges(net, path)
         assert np.array_equal(netio.read_network(path).adj, adj)
+        path.write_text("n=4\ni,j\n")
+        assert np.array_equal(netio.read_network(path).adj, np.zeros((4, 4)))
+
+    def test_dialect_variants_read_alike(self, tmp_path, rng):
+        """A copy with CRLF line ends, one with spaces around the fields and
+        one with a trailing blank line read to the same arrays."""
+        adj = (rng.random((5, 5)) < 0.5).astype(int)
+        np.fill_diagonal(adj, 0)
+        netio.write_network_matrix(Network(adj), tmp_path / "net.csv")
+        write_network_edges(Network(adj), tmp_path / "edges.csv")
+        netio.write_covariates(PairCovariates(rng.integers(0, 3, (5, 5))), tmp_path / "cov.csv")
+        netio.write_support(scalar_support(-0.5, 0.25, 0.5), tmp_path / "support.csv")
+        cases = [  # file, reader, header lines
+            ("net.csv", lambda p: netio.read_network(p).adj, 0),
+            ("edges.csv", lambda p: netio.read_network(p).adj, 2),
+            ("cov.csv", lambda p: netio.read_covariates(p).assignment, 0),
+            ("support.csv", lambda p: netio.read_support(p).points, 1),
+        ]
+        for name, read, head in cases:
+            text = (tmp_path / name).read_text()
+            lines = text.splitlines()
+            padded = lines[:head] + [f" {line.replace(',', ' , ')} " for line in lines[head:]]
+            expected = read(tmp_path / name)
+            for variant in [text.replace("\n", "\r\n"), "\n".join(padded) + "\n", text + "\n"]:
+                path = tmp_path / f"variant_{name}"
+                path.write_text(variant, newline="")
+                assert np.array_equal(read(path), expected), (name, variant)
 
     def test_malformed_row_names_line(self, tmp_path):
+        """Each bad row, placed after a blank line, is named by its own line."""
         path = tmp_path / "bad.csv"
-        path.write_text("0,1,0\n0,x,0\n0,0,0\n")
-        with pytest.raises(FileFormatError) as excinfo:
-            netio.read_network(path)
-        assert excinfo.value.line == 2
+        for read, text in [
+            (netio.read_network, "0,1,0\n\n0,x,0\n0,0,0\n"),  # bad token
+            (netio.read_network, "0,1,0\n\n0,0.5,0\n0,0,0\n"),  # not an integer
+            (netio.read_covariates, "0,1,0\n\n1,1.5,0\n0,0,0\n"),  # not an integer
+            (netio.read_network, "0,1,0\n\n0,1\n0,0,0\n"),  # ragged row
+            (netio.read_network, "0,1,0\n\n0,0,2\n0,0,0\n"),  # not 0/1
+            (netio.read_covariates, "0,1,0\n\n1,-1,0\n0,0,0\n"),  # negative cell
+        ]:
+            path.write_text(text)
+            with pytest.raises(FileFormatError) as excinfo:
+                read(path)
+            assert excinfo.value.line == 3, text
 
     def test_ragged_matrix_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -137,10 +181,15 @@ class TestNetIO:
 
     def test_edge_out_of_range(self, tmp_path):
         path = tmp_path / "edges.csv"
-        path.write_text("n=3\ni,j\n0,5\n")
-        with pytest.raises(FileFormatError) as excinfo:
-            netio.read_network(path)
-        assert excinfo.value.line == 3
+        for text, line in [
+            ("n=3\ni,j\n0,5\n", 3),
+            ("n=3\ni,j\n\n0,5\n", 4),
+            ("n=3\ni,j\n0,1\n\n1,1\n", 5),  # self-loop
+        ]:
+            path.write_text(text)
+            with pytest.raises(FileFormatError) as excinfo:
+                netio.read_network(path)
+            assert excinfo.value.line == line, text
 
     def test_covariates_roundtrip(self, tmp_path, rng):
         cov = PairCovariates(rng.integers(0, 3, (5, 5)))
@@ -305,13 +354,26 @@ x_mode = fixed
         assert 0.92 <= report.coverage <= 1.0
 
     def test_report_files(self, tmp_path):
+        """The replication table reads back with a CSV reader: numbers exactly,
+        and error text with commas and line breaks verbatim."""
         cfg = parse_config_text(BASE_CONFIG)
         report = run_mc_coverage(cfg)
+        failed = ReplicationRecord(
+            4, "(1234;1;4)", float("nan"), float("nan"), False,
+            error='NonConvergence: stopped, retry\nwith "damping"',
+        )
+        report = dataclasses.replace(report, records=[*report.records, failed])
         paths = write_report(report, tmp_path)
-        lines = Path(paths["replications"]).read_text().strip().splitlines()
-        assert len(lines) == 1 + 4
+        with open(paths["replications"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        assert [row["error"] for row in rows] == ["", "", "", "", failed.error]
+        for row, record in zip(rows[:4], report.records):
+            assert float(row["statistic"]) == record.statistic
+            assert row["accepted"] == str(int(record.accepted))
+        assert rows[4]["statistic"] == "nan" and rows[4]["accepted"] == "0"
         summary = json.loads(Path(paths["summary"]).read_text())
-        assert summary["n_replications"] == 4
+        assert summary["n_replications"] == 5
 
     # a tiny fresh-X design with a rare cell produces empty-cell replications
     FRAGILE = """
@@ -356,6 +418,9 @@ class TestCli:
         assert main(["estimate", "--config", cfg, "--data", data_dir, "--out", est_dir]) == 0
         summary = json.loads((Path(est_dir) / "summary.json").read_text())
         assert "statistic" in summary and summary["dof"] == 2
+        variance = np.loadtxt(Path(est_dir) / "variance.csv", delimiter=",", skiprows=1)
+        theta = parse_config_text(BASE_CONFIG).theta
+        assert np.array_equal(variance, MomentEvaluator(load_dataset(data_dir)).variance(theta))
         ci_dir = str(tmp_path / "ci")
         assert main(["ci", "--config", cfg, "--data", data_dir, "--out", ci_dir]) == 0
         grid_lines = (Path(ci_dir) / "ci_grid.csv").read_text().strip().splitlines()
@@ -432,21 +497,24 @@ class TestCli:
         rows = (data_dir / "covariates.csv").read_text().splitlines()
         rows[0] = ",".join(["0", "5", *rows[0].split(",")[2:]])
         all_commands = ["estimate", "ci", "sp-set"]
+        network, covariates = "observed_network.csv", "covariates.csv"
         bad_files = [
-            ("observed_network.csv", "0,1\nbroken\n", all_commands),
-            ("observed_network.csv", "n=-3\ni,j\n", ["estimate"]),
-            ("covariates.csv", "0,1,0\n1,0,1\n0,1,0\n", all_commands),  # network is 40 x 40
-            ("covariates.csv", "\n".join(rows) + "\n", ["estimate"]),  # cell 5 of 2
-            ("support.csv", "x1,x2\n-0.5,0\n0.5,0\n", all_commands),  # config has d = 1
+            ([network], "0,1\nbroken\n", all_commands),
+            ([network], "n=-3\ni,j\n", ["estimate"]),
+            ([network, covariates], "0\n", all_commands),  # one agent
+            ([covariates], "0,1,0\n1,0,1\n0,1,0\n", all_commands),  # network is 40 x 40
+            ([covariates], "\n".join(rows) + "\n", ["estimate"]),  # cell 5 of 2
+            (["support.csv"], "x1,x2\n-0.5,0\n0.5,0\n", all_commands),  # config has d = 1
         ]
-        for case, (name, text, commands) in enumerate(bad_files):
+        for case, (names, text, commands) in enumerate(bad_files):
             bad_dir = tmp_path / f"bad{case}"
             shutil.copytree(data_dir, bad_dir)
-            (bad_dir / name).write_text(text)
+            for name in names:
+                (bad_dir / name).write_text(text)
             for command in commands:
                 out = tmp_path / f"{command}{case}"
                 args = [command, "--config", cfg, "--data", str(bad_dir), "--out", str(out)]
-                assert main(args) == 2, (name, text, command)
+                assert main(args) == 2, (names, text, command)
                 assert not out.exists(), command
         (tmp_path / "design.csv").write_text("0,1,0\n1,0,1\n0,1,0\n")
         small_design = self._write_config(tmp_path, BASE_CONFIG + "x_file = design.csv\n")
