@@ -11,8 +11,6 @@ from .equilibrium import (
     BeliefMatrix,
     SolverConfig,
     best_response,
-    extended_stats_from_beliefs,
-    network_stats_from_beliefs,
     simulate_true_network,
     solve_equilibrium,
 )
@@ -87,12 +85,10 @@ __all__ = [
     "chi2_quantile",
     "confidence_set",
     "correction_maps",
-    "extended_stats_from_beliefs",
     "identified_set",
     "membership",
     "moment",
     "moment_variance",
-    "network_stats_from_beliefs",
     "projection_intervals",
     "simulate_true_network",
     "solve_equilibrium",

@@ -19,8 +19,6 @@ from .normal import norm_cdf
 __all__ = [
     "BeliefMatrix",
     "SolverConfig",
-    "network_stats_from_beliefs",
-    "extended_stats_from_beliefs",
     "best_response",
     "solve_equilibrium",
     "simulate_true_network",
@@ -66,8 +64,8 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
 
 
-def network_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
-    """Expected network statistics per ordered pair, shape (n, n, 3).
+def _stats(p: np.ndarray) -> np.ndarray:
+    """Expected network statistics per ordered pair from beliefs p, shape (n, n, 3).
 
     Entry (i, j) holds
         (p_ji,  (1/n) sum_{k != i} p_kj,  (1/n) sum_{k != i} p_ki * p_kj).
@@ -75,29 +73,12 @@ def network_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
     link shocks within an agent.  Diagonal entries are computed but carry no
     model meaning.
     """
-    return _stats(beliefs.probs)
-
-
-def _stats(p: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     col = p.sum(axis=0)  # sum_k p_kj, with p_jj = 0
     recip = p.T
     in_deg = (col[None, :] - p) / n
     common = (p.T @ p) / n  # k = i term vanishes through the zero diagonal
     return np.stack([recip, in_deg, common], axis=-1)
-
-
-def extended_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
-    """The three statistics plus the combined in-degree term, shape (n, n, 4).
-
-    Component 4 of entry (i, j) is (1/n) sum_{k != i} (p_ki + p_kj).
-    """
-    p = beliefs.probs
-    n = p.shape[0]
-    col = p.sum(axis=0)
-    base = network_stats_from_beliefs(beliefs)
-    deg_sum = (col[:, None] + col[None, :] - p) / n
-    return np.concatenate([base, deg_sum[..., None]], axis=-1)
 
 
 def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:

@@ -11,12 +11,17 @@ per-agent table (per cell: link share and four statistic influences), so with
 C the 5J x 5J covariance of that table, S(theta) = c(theta)' C c(theta).
 
 Everything that does not depend on theta is computed in one pass per dataset:
-:func:`cell_estimates` yields the cell counts, statistics and observed link
-sums, :func:`stat_influence_all` the statistic influences, and
+:func:`cell_estimates` yields the cell counts, statistics and the per-agent
+link sums, :func:`stat_influence_all` the statistic influences, and
 :class:`MomentEvaluator` the covariance C.  Per-cell sums over pairs use one
 ``bincount`` over the cell labels with the diagonal parked in a spare bin J.
 Counts, link sums and the influence sums add 0/1 products, so they are exact
 in any summation order.
+
+Per theta, :func:`_corrected_index` builds the one correction map that the
+moment, the variance and the semiparametric cell summary read; the variance
+is judged from one ``eigvalsh`` (see :class:`MomentEvaluator`), and
+:func:`quadratic_form` only solves.
 """
 
 from dataclasses import dataclass
@@ -79,6 +84,8 @@ class CellEstimates:
              count, combined in-degree), each inner average scaled by 1/n
     counts[j] raw pair count of the cell
     link_sums[j] observed links among the cell's pairs
+    agent_links[j, i] observed links of agent i over its pairs (i, k) in cell j;
+             link_sums are its row sums
 
     None of these depends on theta: the moment, the variance and the
     semiparametric cell summary all read them from here.
@@ -88,6 +95,7 @@ class CellEstimates:
     stats: np.ndarray  # (J, 4)
     counts: np.ndarray  # (J,)
     link_sums: np.ndarray  # (J,)
+    agent_links: np.ndarray  # (J, n)
 
 
 def _parked_labels(data: Dataset) -> np.ndarray:
@@ -107,10 +115,9 @@ def _row_sums_by_cell(labels: np.ndarray, n_cells: int, weights=None) -> np.ndar
 
 
 def _pair_weights(g: np.ndarray):
-    """Observed link, then the four per-pair statistics, one (n, n) array at a time."""
+    """The four per-pair statistics, one (n, n) array at a time."""
     n = g.shape[0]
     col = g.sum(axis=0)
-    yield g
     yield g.T
     yield np.broadcast_to(col[None, :] / n, (n, n))
     yield (g.T @ g) / n
@@ -120,32 +127,34 @@ def _pair_weights(g: np.ndarray):
 def cell_estimates(data: Dataset) -> CellEstimates:
     """Cell frequencies, statistics and link sums; raises on empty cells."""
     J = data.n_cells
-    flat = _parked_labels(data).ravel()
+    labels = _parked_labels(data)
+    flat = labels.ravel()
     counts = np.bincount(flat, minlength=J + 1)[:J].astype(float)
     for j in range(J):
         if counts[j] == 0:
             raise EmptyCell(j)
+    agent_links = _row_sums_by_cell(labels, J, data.network.adj)
     sums = [
         np.bincount(flat, weights=w.ravel(), minlength=J + 1)[:J]
         for w in _pair_weights(data.network.adj.astype(float))
     ]
-    stats = np.stack(sums[1:], axis=1) / counts[:, None]
-    return CellEstimates(
-        freq=counts / data.n_pairs, stats=stats, counts=counts, link_sums=sums[0]
-    )
+    stats = np.stack(sums, axis=1) / counts[:, None]
+    return CellEstimates(counts / data.n_pairs, stats, counts, agent_links.sum(axis=1), agent_links)
 
 
-def _cell_indices(cells: CellEstimates, support: CovariateSupport, theta: Theta) -> np.ndarray:
-    """Corrected utility index per cell, shape (J,).
-
-    The population (n = inf) map is used: the inner sums of the cell
-    statistics run over every k, so the finite-n terms of the map's k != i
-    convention would not describe them exactly; either way the residual is
-    O(1/n).
+def _corrected_index(cells: CellEstimates, support: CovariateSupport, theta: Theta):
+    """From one correction map: the corrected utility index per cell u (J,),
+    lam = 1 - fp - fn, and the index's slope in the four observed statistics
+    ``cm.matrix.T @ externality`` (4,).  The population (n = inf) map is used:
+    the inner sums of the cell statistics run over every k, so the finite-n
+    terms of the map's k != i convention would not describe them exactly;
+    either way the residual is O(1/n).
     """
     cm = correction_maps(theta.fp_rate, theta.fn_rate)
     corrected = cells.stats @ cm.matrix.T + cm.offset  # (J, 3)
-    return corrected @ theta.externality + support.points @ theta.homophily
+    u = corrected @ theta.externality + support.points @ theta.homophily
+    lam = 1.0 - theta.fp_rate - theta.fn_rate
+    return u, lam, cm.matrix.T @ theta.externality
 
 
 def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
@@ -156,13 +165,12 @@ def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> n
     """
     if cells is None:
         cells = cell_estimates(data)
-    return _moment(cells, data.support, theta)
+    u, lam, _ = _corrected_index(cells, data.support, theta)
+    return _moment(cells, theta, u, lam)
 
 
-def _moment(cells: CellEstimates, support: CovariateSupport, theta: Theta) -> np.ndarray:
-    """:func:`moment` from the cell estimates; the cells partition the N pairs."""
-    u = _cell_indices(cells, support, theta)
-    lam = 1.0 - theta.fp_rate - theta.fn_rate
+def _moment(cells: CellEstimates, theta: Theta, u: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`moment` from the cell estimates and the index; the cells partition the N pairs."""
     fitted = theta.fp_rate + lam * norm_cdf(u)
     return (cells.link_sums - cells.counts * fitted) / cells.counts.sum()
 
@@ -198,10 +206,8 @@ def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = N
 
 
 def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> float:
-    """n * m' S^{-1} m via a linear solve; rejects ill-conditioned S."""
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > MAX_CONDITION_NUMBER:
-        raise DegenerateVariance(f"variance condition number {cond:.3e} too large")
+    """n * m' S^{-1} m via a linear solve, and nothing else: S comes from
+    :meth:`MomentEvaluator.variance`, which has already judged it."""
     value = float(n * (m @ np.linalg.solve(S, m)))
     return max(value, 0.0)
 
@@ -213,8 +219,10 @@ class MomentEvaluator:
     everything that does not depend on theta: the cell estimates (pass
     ``cells`` to reuse ones already computed) and the covariance C of the
     per-agent table, kept as (J, 5, J, 5); no per-agent array is kept.  Each
-    theta then pays for the probit index, c(theta), c' C c and a J x J
-    eigendecomposition, none of it of order n.
+    theta then pays for one correction map, the moment, c' C c and one J x J
+    ``eigvalsh``, none of it of order n.  S is degenerate when it is not
+    finite, its smallest eigenvalue is below ``MIN_VARIANCE_EIGENVALUE`` or
+    largest over smallest exceeds ``MAX_CONDITION_NUMBER``.
     """
 
     def __init__(self, data: Dataset, cells: CellEstimates | None = None):
@@ -222,39 +230,45 @@ class MomentEvaluator:
         self.n, self.support = n, data.support
         self.cells = cell_estimates(data) if cells is None else cells
         # link shares (1/n) sum_{j != i} G_ij per cell, then the statistic influences
-        shares = _row_sums_by_cell(_parked_labels(data), J, data.network.adj).T / n
+        shares = self.cells.agent_links.T / n
         table = np.concatenate([shares[:, :, None], stat_influence_all(data, self.cells)], axis=2)
         table = table.reshape(n, 5 * J)
         table -= table.mean(axis=0)
         self._cov = (table.T @ table / n).reshape(J, 5, J, 5)
 
     def moment(self, theta: Theta) -> np.ndarray:
-        return _moment(self.cells, self.support, theta)
+        u, lam, _ = _corrected_index(self.cells, self.support, theta)
+        return _moment(self.cells, theta, u, lam)
 
     def variance(self, theta: Theta) -> np.ndarray:
         """S(theta) = c' C c, the across-agent covariance of the influence vectors, shape (J, J).
 
         Agent k's influence on m_j is its link share minus lam * w_j * slope'
         (its statistic influences), both in cell j, so c_j = (1, -lam * w_j * slope).
-        Raises :class:`DegenerateVariance` when the smallest eigenvalue falls
-        below ``MIN_VARIANCE_EIGENVALUE``, which signals that the eigenvalue
-        condition for the chi-square calibration fails in this sample.
+        Raises :class:`DegenerateVariance` when S is degenerate (see the class),
+        which signals that the chi-square calibration fails in this sample.
         """
-        cm = correction_maps(theta.fp_rate, theta.fn_rate)
-        u = _cell_indices(self.cells, self.support, theta)
-        lam = 1.0 - theta.fp_rate - theta.fn_rate
+        return self._variance(*_corrected_index(self.cells, self.support, theta))
+
+    def _variance(self, u: np.ndarray, lam: float, slope: np.ndarray) -> np.ndarray:
+        """:meth:`variance` from the per-theta quantities of :func:`_corrected_index`."""
         weights = norm_pdf(u) * self.cells.counts / (self.n * self.n)  # (J,)
-        slope = cm.matrix.T @ theta.externality  # (4,)
         coef = np.column_stack([np.ones_like(weights), -lam * np.outer(weights, slope)])  # (J, 5)
         S = np.einsum("ja,jakb,kb->jk", coef, self._cov, coef)
         S = 0.5 * (S + S.T)
+        if not np.isfinite(S).all():  # eigvalsh of a NaN input may read as zeros
+            raise DegenerateVariance("variance is not finite")
         eigs = np.linalg.eigvalsh(S)
         if eigs[0] < MIN_VARIANCE_EIGENVALUE:
             raise DegenerateVariance(
                 f"smallest variance eigenvalue {eigs[0]:.3e} below {MIN_VARIANCE_EIGENVALUE:.1e}"
             )
+        if eigs[-1] > MAX_CONDITION_NUMBER * eigs[0]:
+            raise DegenerateVariance(f"variance condition number {eigs[-1] / eigs[0]:.3e} too large")
         return S
 
     def statistic(self, theta: Theta) -> float:
         """Quadratic-form statistic of the moment vector at ``theta``."""
-        return quadratic_form(self.moment(theta), self.variance(theta), self.n)
+        u, lam, slope = _corrected_index(self.cells, self.support, theta)
+        m = _moment(self.cells, theta, u, lam)
+        return quadratic_form(m, self._variance(u, lam, slope), self.n)

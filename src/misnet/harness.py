@@ -82,7 +82,7 @@ class RunReport:
 
 def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
     if config.x_file is not None:
-        covariates = netio.read_covariates(config.x_file)
+        covariates = netio.read_covariates(config.x_file, config.support.n_points)
         if covariates.n != config.n:
             raise ConfigError(f"x_file holds n={covariates.n}, config says n={config.n}")
         return covariates
@@ -142,10 +142,11 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
 
 def load_dataset(data_dir) -> Dataset:
     """Read support, covariates and the observed network from one directory;
-    covariates that do not fit the network or the support are a format error."""
+    a cell index outside the support is a format error at its line, and
+    covariates that do not fit the network one at line 1."""
     data_dir = Path(data_dir)
     support = netio.read_support(data_dir / "support.csv")
-    covariates = netio.read_covariates(data_dir / "covariates.csv")
+    covariates = netio.read_covariates(data_dir / "covariates.csv", support.n_points)
     network = netio.read_network(data_dir / "observed_network.csv")
     try:
         return Dataset(network=network, covariates=covariates, support=support)

@@ -146,10 +146,14 @@ def write_covariates(covariates: PairCovariates, path) -> None:
     np.savetxt(path, covariates.assignment, fmt="%d", delimiter=",")
 
 
-def read_covariates(path) -> PairCovariates:
+def read_covariates(path, n_cells: int | None = None) -> PairCovariates:
+    """Cell indices, each below ``n_cells`` (the support size) when it is given."""
     path = Path(path)
     table, numbers = _read_square(path)
     _reject(path, numbers, (table < 0).any(axis=1), "cell indices must be non-negative")
+    if n_cells is not None:
+        _reject(path, numbers, (table >= n_cells).any(axis=1),
+                f"cell index outside the support of {n_cells} points")
     return PairCovariates(table)
 
 
@@ -163,6 +167,9 @@ def read_support(path) -> CovariateSupport:
     head, points, _ = _read_table(path, skip=1, dtype=float)
     if not head[0].startswith("x1"):
         raise FileFormatError(path, 1, "expected header row starting with x1")
+    width = len(head[0].split(","))
+    if points.size and points.shape[1] != width:
+        raise FileFormatError(path, 1, f"header names {width} columns, points have {points.shape[1]}")
     try:
         return CovariateSupport(points)
     except ValueError as exc:

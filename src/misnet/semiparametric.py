@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netio
-from .estimation import Dataset, CellEstimates, cell_estimates, _cell_indices
+from .estimation import Dataset, CellEstimates, cell_estimates, _corrected_index
 from .inference import ThetaGrid, theta_coordinates
 from .model import Theta
 
@@ -64,7 +64,7 @@ def cell_summary(data: Dataset, theta: Theta, cells: CellEstimates | None = None
     if cells is None:
         cells = cell_estimates(data)
     means = cells.link_sums / cells.counts
-    indices = _cell_indices(cells, data.support, theta)
+    indices, _, _ = _corrected_index(cells, data.support, theta)
     return CellSummary(means=means, indices=indices)
 
 

@@ -5,8 +5,11 @@ definitions, deliberately sharing no code path with the package internals
 (except the normal cdf, whose accuracy is checked separately against mpmath).
 It also holds the model's link utility, against which the link rule is
 checked by enumeration, a solver loop written through the public best
-response, against which the package's plain-array loop is checked, and a
-writer for edge-list network files, which only the reader's tests need.
+response, against which the package's plain-array loop is checked, the
+extended belief statistics the forward-map checks need (the solver's
+statistics kernel plus the combined in-degree term, itself checked against
+:func:`brute_extended_stats`), and a writer for edge-list network files,
+which only the reader's tests need.
 """
 
 import csv
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from misnet.equilibrium import BeliefMatrix, SolverConfig, best_response
+from misnet.equilibrium import BeliefMatrix, SolverConfig, _stats, best_response
 from misnet.exceptions import NonConvergence
 from misnet.misclassification import correction_maps
 from misnet.model import CovariateSupport, Network, PairCovariates, Theta
@@ -113,6 +116,18 @@ def brute_extended_stats(p: np.ndarray) -> np.ndarray:
             s4 = sum(p[k, i] + p[k, j] for k in range(n) if k != i) / n
             out[i, j] = (*base[i, j], s4)
     return out
+
+
+def extended_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
+    """The three statistics plus the combined in-degree term, shape (n, n, 4).
+
+    Component 4 of entry (i, j) is (1/n) sum_{k != i} (p_ki + p_kj).
+    """
+    p = beliefs.probs
+    n = p.shape[0]
+    col = p.sum(axis=0)
+    deg_sum = (col[:, None] + col[None, :] - p) / n
+    return np.concatenate([_stats(p), deg_sum[..., None]], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from misnet import (
     solve_equilibrium,
 )
 from misnet.config import parse_config_text
-from misnet.equilibrium import SolverConfig, equilibrium_residual, extended_stats_from_beliefs
+from misnet.equilibrium import SolverConfig, equilibrium_residual
 from misnet.estimation import stat_influence_all
 from misnet.harness import run_mc_coverage
 from misnet.netio import write_covariates
@@ -41,6 +41,7 @@ from oracles import (
     brute_stat_influence,
     brute_variance,
     chi2_quantile_bisect,
+    extended_stats_from_beliefs,
 )
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -52,3 +53,42 @@ def test_csv_format_only_in_netio():
                 assert not (
                     node.func.attr in ("write", "writelines") and any(_comma_text(a) for a in node.args)
                 ), f"{path.name}:{node.lineno} writes a delimited line by hand"
+
+
+def _misnet_name(module_name, name):
+    """``from <module_name> import <name>`` as the benchmark runs it, or None."""
+    source = importlib.import_module(module_name)
+    if hasattr(source, name):
+        return getattr(source, name)
+    try:
+        return importlib.import_module(f"{module_name}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def test_benchmark_pins_resolve():
+    """Every name the benchmark in ``perfbench/`` imports from ``misnet``, and
+    every attribute it reads or patches on an imported ``misnet`` module,
+    exists: a simplification must keep what the benchmark runs."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    files = sorted(bench.glob("*.py"))
+    assert files, f"no benchmark sources under {bench}"
+    for path in files:
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> imported misnet module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or (node.module or "").split(".")[0] != "misnet":
+                continue
+            for alias in node.names:
+                value = _misnet_name(node.module, alias.name)
+                assert value is not None, (
+                    f"{path.name}:{node.lineno} imports {node.module}.{alias.name}, which is gone"
+                )
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                module = modules.get(node.value.id)
+                assert module is None or hasattr(module, node.attr), (
+                    f"{path.name}:{node.lineno} uses {module.__name__}.{node.attr}, which is gone"
+                )

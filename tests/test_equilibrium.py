@@ -12,17 +12,16 @@ from misnet import (
     simulate_true_network,
     solve_equilibrium,
 )
-from misnet.equilibrium import (
-    BeliefMatrix,
-    _iterate,
-    equilibrium_residual,
-    extended_stats_from_beliefs,
-    network_stats_from_beliefs,
-)
+from misnet.equilibrium import BeliefMatrix, _iterate, _stats, equilibrium_residual
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_assignment, scalar_support
-from oracles import brute_extended_stats, brute_network_stats, reference_solve
+from oracles import (
+    brute_extended_stats,
+    brute_network_stats,
+    extended_stats_from_beliefs,
+    reference_solve,
+)
 
 
 def uniform_beliefs(n, q):
@@ -32,13 +31,15 @@ def uniform_beliefs(n, q):
 
 
 class TestNetworkStats:
+    """``_stats``, the kernel the solver and the simulation run."""
+
     def test_zero_beliefs(self):
-        stats = network_stats_from_beliefs(uniform_beliefs(5, 0.0))
+        stats = _stats(uniform_beliefs(5, 0.0).probs)
         assert np.all(stats == 0.0)
 
     def test_uniform_three_agents(self):
         q = 0.4
-        stats = network_stats_from_beliefs(uniform_beliefs(3, q))
+        stats = _stats(uniform_beliefs(3, q).probs)
         i, j = 0, 1
         # exactly one k outside {i, j} contributes to the sums
         assert stats[i, j] == pytest.approx([q, q / 3, q * q / 3], abs=1e-15)
@@ -46,7 +47,7 @@ class TestNetworkStats:
     @pytest.mark.parametrize("n", [4, 7, 12])
     def test_uniform_general_n(self, n):
         q = 0.3
-        stats = network_stats_from_beliefs(uniform_beliefs(n, q))
+        stats = _stats(uniform_beliefs(n, q).probs)
         off = ~np.eye(n, dtype=bool)
         expected = np.array([q, (n - 2) * q / n, (n - 2) * q * q / n])
         assert np.allclose(stats[off], expected, atol=1e-14)
@@ -56,9 +57,7 @@ class TestNetworkStats:
         probs = rng.random((n, n))
         np.fill_diagonal(probs, 0.0)
         beliefs = BeliefMatrix(probs)
-        assert np.allclose(
-            network_stats_from_beliefs(beliefs), brute_network_stats(probs), atol=1e-13
-        )
+        assert np.allclose(_stats(probs), brute_network_stats(probs), atol=1e-13)
         assert np.allclose(
             extended_stats_from_beliefs(beliefs), brute_extended_stats(probs), atol=1e-13
         )

@@ -18,10 +18,12 @@ from misnet import (
     PairCovariates,
     Theta,
     cell_estimates,
+    correction_maps,
     moment,
     moment_variance,
 )
-from misnet.estimation import quadratic_form, stat_influence_all
+from misnet import estimation
+from misnet.estimation import _corrected_index, quadratic_form, stat_influence_all
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_dataset, random_network, scalar_support
@@ -108,11 +110,15 @@ class TestCellEstimates:
             data = random_dataset(rng, n=n, n_cells=n_cells)
             adj, labels = data.network.adj, data.covariates.assignment
             expected = np.zeros(n_cells)
+            per_agent = np.zeros((n_cells, n))
             for i in range(n):
                 for j in range(n):
                     if i != j:
                         expected[labels[i, j]] += adj[i, j]
-            assert np.array_equal(cell_estimates(data).link_sums, expected)
+                        per_agent[labels[i, j], i] += adj[i, j]
+            cells = cell_estimates(data)
+            assert np.array_equal(cells.link_sums, expected)
+            assert np.array_equal(cells.agent_links, per_agent)
 
 
 class TestMoment:
@@ -133,10 +139,7 @@ class TestMoment:
         theta = default_theta()
         cells = cell_estimates(data)
         m = moment(data, theta, cells)
-        u = np.zeros(3)
-        from misnet.estimation import _cell_indices
-
-        u = _cell_indices(cells, data.support, theta)
+        u, _, _ = _corrected_index(cells, data.support, theta)
         lam = 1 - theta.fp_rate - theta.fn_rate
         off = ~np.eye(data.n, dtype=bool)
         labels = data.covariates.assignment
@@ -343,7 +346,6 @@ class TestVariance:
     def test_trace_bound(self, rng):
         """Each agent's influence vector has norm at most ``bound``, so the
         across-agent covariance of those vectors has trace at most bound**2."""
-        from misnet.misclassification import correction_maps
         from misnet.normal import norm_pdf
 
         for _ in range(5):
@@ -374,10 +376,39 @@ class TestStatistic:
             expected = 100 * m @ np.linalg.inv(S) @ m
             assert quadratic_form(m, S, 100) == pytest.approx(expected, rel=1e-10)
 
-    def test_ill_conditioned_rejected(self):
-        S = np.diag([1.0, 1e-14])
-        with pytest.raises(DegenerateVariance):
-            quadratic_form(np.ones(2), S, 10)
+    def test_ill_conditioned_rejected(self, rng):
+        """``variance`` judges S: at zero externality c_j = (1, 0, 0, 0, 0), so
+        a covariance with C[0,0,0,0] = 1e4 and C[1,0,1,0] = 1e-9 gives
+        S = diag(1e4, 1e-9), above the eigenvalue floor but with condition
+        number 1e13; a non-finite S is rejected as well."""
+        ev = MomentEvaluator(random_dataset(rng, n=12, n_cells=2))
+        theta = Theta(externality=[0, 0, 0], homophily=[0.8], fp_rate=0.05, fn_rate=0.1)
+        ev._cov = np.zeros((2, 5, 2, 5))
+        ev._cov[0, 0, 0, 0], ev._cov[1, 0, 1, 0] = 1e4, 1e-9
+        assert estimation.MIN_VARIANCE_EIGENVALUE < 1e-9
+        with pytest.raises(DegenerateVariance, match="condition number"):
+            ev.variance(theta)
+        with pytest.raises(DegenerateVariance, match="condition number"):
+            ev.statistic(theta)
+        ev._cov[1, 0, 1, 0] = 1e-3
+        assert np.array_equal(ev.variance(theta), np.diag([1e4, 1e-3]))
+        ev._cov[1, 0, 1, 0] = np.nan
+        with pytest.raises(DegenerateVariance, match="not finite"):
+            ev.variance(theta)
+
+    def test_one_correction_map_per_statistic(self, rng, monkeypatch):
+        """One statistic builds the correction map once: the moment and the
+        variance share the per-theta index, lam and slope."""
+        ev = MomentEvaluator(random_dataset(rng, n=12, n_cells=2))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return correction_maps(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "correction_maps", counting)
+        ev.statistic(default_theta())
+        assert len(calls) == 1
 
     def test_evaluator_matches_direct_path(self, rng):
         """The evaluator and the free functions run the same arithmetic on the

@@ -203,6 +203,33 @@ class TestNetIO:
         netio.write_support(support, path)
         assert np.allclose(netio.read_support(path).points, support.points)
 
+    def test_support_header_width_matches_points(self, tmp_path):
+        path = tmp_path / "support.csv"
+        for text in ["x1,x2\n-0.5\n0.5\n", "x1\n-0.5,0\n0.5,1\n"]:
+            path.write_text(text)
+            with pytest.raises(FileFormatError) as excinfo:
+                netio.read_support(path)
+            assert excinfo.value.line == 1, text
+
+    def test_cell_outside_support_named_at_its_line(self, tmp_path, rng):
+        """A covariate cell index of J or more is reported at its own line,
+        by ``read_covariates`` given J and by ``load_dataset``; without J the
+        reader accepts it."""
+        adj = (rng.random((6, 6)) < 0.5).astype(int)
+        np.fill_diagonal(adj, 0)
+        assignment = rng.integers(0, 2, (6, 6))
+        assignment[4, 2] = 5
+        netio.write_support(scalar_support(-0.5, 0.5), tmp_path / "support.csv")
+        netio.write_covariates(PairCovariates(assignment), tmp_path / "covariates.csv")
+        netio.write_network_matrix(Network(adj), tmp_path / "observed_network.csv")
+        path = tmp_path / "covariates.csv"
+        assert np.array_equal(netio.read_covariates(path).assignment, assignment)
+        for read in [lambda: netio.read_covariates(path, 2), lambda: load_dataset(tmp_path)]:
+            with pytest.raises(FileFormatError) as excinfo:
+                read()
+            assert excinfo.value.line == 5
+            assert Path(excinfo.value.path).name == "covariates.csv"
+
 
 class TestSeedScheme:
     def test_replication_seeds_distinct(self):
@@ -521,6 +548,13 @@ class TestCli:
         out = tmp_path / "simulate"
         assert main(["simulate", "--config", small_design, "--out", str(out)]) == 2
         assert not out.exists()
+        design = np.zeros((40, 40), dtype=int)
+        design[4, 7] = 5  # cell 5 of 2, on line 5
+        netio.write_covariates(PairCovariates(design), tmp_path / "outside.csv")
+        outside = self._write_config(tmp_path, BASE_CONFIG + "x_file = outside.csv\n")
+        for command in ["simulate", "mc-coverage"]:
+            assert main([command, "--config", outside, "--out", str(out)]) == 2, command
+            assert not out.exists(), command
         diverging = self._write_config(tmp_path, BASE_CONFIG.replace(
             "theta_externality = 0.5, 0.25, 0.25", "theta_externality = -60, 0, 0"
         ) + "max_iter = 30\n")

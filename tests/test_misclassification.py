@@ -9,11 +9,11 @@ from misnet import (
     Network,
     apply_misclassification,
     correction_maps,
-    extended_stats_from_beliefs,
     solve_equilibrium,
 )
 
 from conftest import default_theta, random_assignment, random_network, scalar_support
+from oracles import extended_stats_from_beliefs
 
 
 class TestApplyMisclassification:

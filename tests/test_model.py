@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from misnet import CovariateSupport, InvalidRates, Network, PairCovariates, Theta
-from misnet.equilibrium import BeliefMatrix, network_stats_from_beliefs
+from misnet.equilibrium import BeliefMatrix, _stats
 
 from conftest import default_theta, scalar_support
 from oracles import decide_link, total_utility, utility_index
@@ -162,7 +162,7 @@ def test_componentwise_rule_maximizes_expected_utility(rng):
                 expected[key] = expected.get(key, 0.0) + weight * value
 
         best = max(expected.values())
-        stats = network_stats_from_beliefs(beliefs)[agent]
+        stats = _stats(beliefs.probs)[agent]
         x = cov.values(support)[agent]
         rule = np.zeros(n, dtype=int)
         for j in range(n):
