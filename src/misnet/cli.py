@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``simulate``, ``estimate``, ``ci``, ``mc-coverage``, ``sp-set``.
-Exit codes: 0 on success, 2 for configuration or input-file errors, 3 for
-numerical failures (non-convergence, empty cells, degenerate variance,
-excessive replication failures).
+Exit codes: 0 on success, 2 for configuration or input errors (a path that
+cannot be opened included), 3 for numerical failures (non-convergence, empty
+cells, degenerate variance, excessive replication failures).
 """
 
 import argparse
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
                     f"data support dimension {dimension}, config's {config.support.dimension}"
                 )
         _COMMANDS[args.command](config, args)
-    except (ConfigError, FileFormatError) as exc:
+    except (ConfigError, FileFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT
     except MisnetError as exc:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .equilibrium import SolverConfig
 from .exceptions import ConfigError, InvalidRates
-from .inference import ThetaGrid
+from .inference import ThetaGrid, theta_coordinates
 from .model import CovariateSupport, Theta
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_text"]
@@ -169,7 +169,7 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
         probs = _parse_floats(values["support_probs"], "support_probs")
         if probs.size != J:
             raise ConfigError(f"support_probs needs {J} entries, got {probs.size}")
-        if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all(probs > 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ConfigError("support_probs must be positive and sum to 1")
 
     externality = _parse_floats(values["theta_externality"], "theta_externality")
@@ -207,20 +207,12 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
             raise ConfigError(f"x_file does not exist: {x_path}")
         x_file = str(x_path)
 
-    defaults = [*theta.externality, *theta.homophily, theta.fp_rate, theta.fn_rate]
-    axes = []
-    for key, fallback in zip(grid_keys, defaults):
-        if key in values:
-            axes.append(_parse_axis(values[key], key))
-        else:
-            axes.append(np.array([fallback]))
+    axes = [
+        _parse_axis(values[key], key) if key in values else np.array([fallback])
+        for key, fallback in zip(grid_keys, theta_coordinates(theta))
+    ]
     try:
-        grid = ThetaGrid(
-            externality_axes=tuple(axes[:3]),
-            homophily_axes=tuple(axes[3 : 3 + d]),
-            fp_axis=axes[3 + d],
-            fn_axis=axes[4 + d],
-        )
+        grid = ThetaGrid(tuple(axes))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 

@@ -1,5 +1,11 @@
 """Confidence sets by test statistic inversion over a parameter grid.
 
+A parameter point has one coordinate layout everywhere: three externality
+weights, d homophily weights, fp, fn (``theta_coordinates``,
+``ThetaGrid.coordinate_names``).  ``ThetaGrid`` takes one axis per
+coordinate in that order and holds ``points``, the array of its feasible
+points, one row per point.
+
 Every grid point is tested with the quadratic-form statistic against the
 chi-square critical value with one degree of freedom per covariate cell.
 Points where the variance estimate is degenerate are kept in the output with
@@ -8,8 +14,7 @@ accepted would invalidate coverage, treating them as rejected would
 over-reject.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -46,81 +51,55 @@ def chi2_quantile(dof: int, prob: float) -> float:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Cartesian parameter grid with a fixed iteration order.
+    """Cartesian parameter grid, held as one array of its feasible points.
 
-    Axes are given per coordinate: three externality weights, d homophily
-    weights, then the two misclassification rates.  Iteration runs the last
-    axis fastest.  Rate combinations with fp + fn >= 1 are skipped, so every
-    yielded point lies in the parameter space; the grid must keep at least
-    one feasible point.
+    ``axes`` holds one axis per coordinate in ``coordinate_names()`` order,
+    the order ``theta_coordinates`` flattens a ``Theta`` into: three
+    externality weights, d homophily weights, then fp and fn, so
+    d = ``len(axes) - 5``.  ``points`` is the (P, 5 + d) array of the
+    Cartesian product, last axis fastest, with the points where
+    fp + fn >= 1 dropped; iteration yields one ``Theta`` per row.  The grid
+    must keep at least one point.
     """
 
-    externality_axes: tuple
-    homophily_axes: tuple
-    fp_axis: np.ndarray
-    fn_axis: np.ndarray
+    axes: tuple
 
     def __post_init__(self):
-        ext = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in self.externality_axes)
-        hom = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in self.homophily_axes)
-        fp = np.atleast_1d(np.asarray(self.fp_axis, dtype=float))
-        fn = np.atleast_1d(np.asarray(self.fn_axis, dtype=float))
-        if len(ext) != 3:
-            raise ValueError("exactly three externality axes required")
-        if len(hom) < 1:
-            raise ValueError("at least one homophily axis required")
-        for axis in (*ext, *hom, fp, fn):
-            if axis.size < 1 or not np.all(np.isfinite(axis)):
+        axes = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in self.axes)
+        if len(axes) < 6:
+            raise ValueError("grid needs 3 externality, at least 1 homophily and 2 rate axes")
+        for axis in axes:
+            if axis.ndim != 1 or axis.size < 1 or not np.all(np.isfinite(axis)):
                 raise ValueError("grid axes must be non-empty and finite")
-        if np.any(fp < 0) or np.any(fn < 0):
+        if np.any(axes[-2] < 0) or np.any(axes[-1] < 0):
             raise ValueError("rate axes must be non-negative")
-        if fp.min() + fn.min() >= 1:
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+        points = points[points[:, -2] + points[:, -1] < 1]
+        if len(points) == 0:
             raise ValueError("grid contains no feasible rate combination")
-        object.__setattr__(self, "externality_axes", ext)
-        object.__setattr__(self, "homophily_axes", hom)
-        object.__setattr__(self, "fp_axis", fp)
-        object.__setattr__(self, "fn_axis", fn)
+        points.setflags(write=False)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "points", points)
 
     @property
     def dimension(self) -> int:
-        return len(self.homophily_axes)
+        return len(self.axes) - 5
 
     def coordinate_names(self) -> list:
         hom = [f"w_x{k + 1}" for k in range(self.dimension)]
         return ["w_recip", "w_indeg", "w_common", *hom, "fp_rate", "fn_rate"]
 
     def __iter__(self):
-        axes = [*self.externality_axes, *self.homophily_axes, self.fp_axis, self.fn_axis]
-        d = self.dimension
-        for values in itertools.product(*axes):
-            fp, fn = values[3 + d], values[4 + d]
-            if fp + fn >= 1:
-                continue
-            yield Theta(
-                externality=np.array(values[:3]),
-                homophily=np.array(values[3 : 3 + d]),
-                fp_rate=fp,
-                fn_rate=fn,
-            )
+        for row in self.points:
+            yield Theta(externality=row[:3], homophily=row[3:-2], fp_rate=row[-2], fn_rate=row[-1])
 
     def __len__(self):
-        base = 1
-        for axis in (*self.externality_axes, *self.homophily_axes):
-            base *= axis.size
-        feasible = sum(
-            1 for fp in self.fp_axis for fn in self.fn_axis if fp + fn < 1
-        )
-        return base * feasible
+        return len(self.points)
 
     @classmethod
     def singleton(cls, theta: Theta) -> "ThetaGrid":
         """Degenerate grid holding exactly one parameter point."""
-        return cls(
-            externality_axes=tuple([v] for v in theta.externality),
-            homophily_axes=tuple([v] for v in theta.homophily),
-            fp_axis=[theta.fp_rate],
-            fn_axis=[theta.fn_rate],
-        )
+        return cls(tuple([v] for v in theta_coordinates(theta)))
 
 
 def theta_coordinates(theta: Theta) -> list:
@@ -145,7 +124,7 @@ class ConfidenceSet:
     alpha: float
     critical_value: float
     dof: int
-    coordinate_names: list = field(default_factory=list)
+    coordinate_names: list
 
     @property
     def accepted(self) -> list:
@@ -193,10 +172,9 @@ def projection_intervals(cs: ConfidenceSet) -> dict:
     if not accepted:
         raise EmptySet(f"no parameter point accepted at level {cs.alpha}")
     coords = np.array(accepted)
-    names = cs.coordinate_names or [f"coord{i}" for i in range(coords.shape[1])]
     return {
         name: (float(coords[:, k].min()), float(coords[:, k].max()))
-        for k, name in enumerate(names)
+        for k, name in enumerate(cs.coordinate_names)
     }
 
 

@@ -351,13 +351,13 @@ def test_criterion_6_coverage(null_run):
         gstar, config.theta.fp_rate, config.theta.fn_rate, seed=children[2]
     )
     data = Dataset(network=observed, covariates=cov, support=config.support)
-    grid = ThetaGrid(
-        externality_axes=tuple([v] for v in config.theta.externality),
-        homophily_axes=([config.theta.homophily[0] - 0.1, config.theta.homophily[0],
-                         config.theta.homophily[0] + 0.1],),
-        fp_axis=[0.0, config.theta.fp_rate, 0.15],
-        fn_axis=[config.theta.fn_rate],
-    )
+    w = config.theta.homophily[0]
+    grid = ThetaGrid((
+        *([v] for v in config.theta.externality),
+        [w - 0.1, w, w + 0.1],
+        [0.0, config.theta.fp_rate, 0.15],
+        [config.theta.fn_rate],
+    ))
     cs = confidence_set(data, grid, alpha=config.alpha)
     in_set = any(theta == config.theta for theta, _ in cs.accepted)
     assert in_set == report.records[0].accepted

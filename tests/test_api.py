@@ -66,16 +66,31 @@ def _misnet_name(module_name, name):
         return None
 
 
+def _callee(node, imported):
+    """The ``misnet`` object a call names, through an imported name or an
+    attribute of an imported module, or None."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return imported.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        module = imported.get(func.value.id)
+        if inspect.ismodule(module):
+            return getattr(module, func.attr, None)
+    return None
+
+
 def test_benchmark_pins_resolve():
     """Every name the benchmark in ``perfbench/`` imports from ``misnet``, and
     every attribute it reads or patches on an imported ``misnet`` module,
-    exists: a simplification must keep what the benchmark runs."""
+    exists, and every call it makes to such an object binds to the object's
+    signature (calls that unpack ``*`` or ``**`` are skipped): a
+    simplification must keep what the benchmark runs."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     files = sorted(bench.glob("*.py"))
     assert files, f"no benchmark sources under {bench}"
     for path in files:
         tree = ast.parse(path.read_text())
-        modules = {}  # local name -> imported misnet module
+        imported = {}  # local name -> imported misnet object
         for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom) or (node.module or "").split(".")[0] != "misnet":
                 continue
@@ -84,11 +99,25 @@ def test_benchmark_pins_resolve():
                 assert value is not None, (
                     f"{path.name}:{node.lineno} imports {node.module}.{alias.name}, which is gone"
                 )
-                if inspect.ismodule(value):
-                    modules[alias.asname or alias.name] = value
+                imported[alias.asname or alias.name] = value
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                module = modules.get(node.value.id)
-                assert module is None or hasattr(module, node.attr), (
+                module = imported.get(node.value.id)
+                assert not inspect.ismodule(module) or hasattr(module, node.attr), (
                     f"{path.name}:{node.lineno} uses {module.__name__}.{node.attr}, which is gone"
                 )
+            if not isinstance(node, ast.Call):
+                continue
+            target = _callee(node, imported)
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            if target is None or unpacks:
+                continue
+            try:
+                inspect.signature(target).bind(*node.args, **{k.arg: k for k in node.keywords})
+            except TypeError as exc:
+                raise AssertionError(
+                    f"{path.name}:{node.lineno} calls {target.__qualname__} with arguments it "
+                    f"does not take: {exc}"
+                ) from None

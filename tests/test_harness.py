@@ -12,6 +12,7 @@ import pytest
 from misnet import ConfigError, FileFormatError, MomentEvaluator, Network, PairCovariates
 from misnet.cli import main
 from misnet.config import parse_config_text
+from misnet.inference import theta_coordinates
 from misnet.harness import (
     fixed_design_seed,
     load_dataset,
@@ -56,8 +57,10 @@ class TestConfig:
             parse_config_text("n = 10\nsupport_points = 0.0\n")
 
     def test_bad_probabilities(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
-            parse_config_text(BASE_CONFIG + "support_probs = 0.3, 0.3\n")
+        """Probabilities that do not sum to 1, or hold a NaN, are refused."""
+        for probs in ["0.3, 0.3", "nan, 0.5"]:
+            with pytest.raises(ConfigError, match="sum to 1"):
+                parse_config_text(BASE_CONFIG + f"support_probs = {probs}\n")
 
     def test_grid_axes(self):
         cfg = parse_config_text(BASE_CONFIG + "grid_fp = 0:0.2:5\ngrid_fn = 0.0,0.1\n")
@@ -107,6 +110,11 @@ grid_x2 = -0.4:0.0:3
         cfg = parse_config_text(text)
         assert cfg.support.dimension == 2
         assert len(cfg.grid) == 3
+        # grid_x2 is column 4 of the layout; every other column sits at theta
+        theta = np.array(theta_coordinates(cfg.theta))
+        assert np.array_equal(cfg.grid.points[:, 4], np.linspace(-0.4, 0.0, 3))
+        others = np.delete(cfg.grid.points, 4, axis=1)
+        assert np.array_equal(others, np.tile(np.delete(theta, 4), (3, 1)))
         run_simulate(cfg, tmp_path)
         data = load_dataset(tmp_path)
         assert data.support.dimension == 2
@@ -517,7 +525,8 @@ class TestCli:
 
     def test_failed_command_leaves_no_out_dir(self, tmp_path):
         """A command that fails on its inputs or its solve creates no --out;
-        data files that disagree with each other or with the config exit 2."""
+        data files that disagree with each other or with the config, and paths
+        that cannot be opened, exit 2."""
         cfg = self._write_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["simulate", "--config", cfg, "--out", str(data_dir)]) == 0
@@ -543,6 +552,20 @@ class TestCli:
                 args = [command, "--config", cfg, "--data", str(bad_dir), "--out", str(out)]
                 assert main(args) == 2, (names, text, command)
                 assert not out.exists(), command
+        no_covariates = tmp_path / "no_covariates"
+        shutil.copytree(data_dir, no_covariates)
+        (no_covariates / covariates).unlink()
+        out = tmp_path / "unread"
+        for bad_dir in [tmp_path / "missing", no_covariates]:
+            for command in all_commands:
+                args = [command, "--config", cfg, "--data", str(bad_dir), "--out", str(out)]
+                assert main(args) == 2, (bad_dir, command)
+                assert not out.exists(), command
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        for args in [["simulate"], ["ci", "--data", str(data_dir)]]:
+            assert main([*args, "--config", cfg, "--out", str(taken)]) == 2, args
+            assert taken.read_text() == "kept\n"
         (tmp_path / "design.csv").write_text("0,1,0\n1,0,1\n0,1,0\n")
         small_design = self._write_config(tmp_path, BASE_CONFIG + "x_file = design.csv\n")
         out = tmp_path / "simulate"
@@ -554,6 +577,11 @@ class TestCli:
         outside = self._write_config(tmp_path, BASE_CONFIG + "x_file = outside.csv\n")
         for command in ["simulate", "mc-coverage"]:
             assert main([command, "--config", outside, "--out", str(out)]) == 2, command
+            assert not out.exists(), command
+        (tmp_path / "design_dir").mkdir()
+        directory = self._write_config(tmp_path, BASE_CONFIG + "x_file = design_dir\n")
+        for command in ["simulate", "mc-coverage"]:
+            assert main([command, "--config", directory, "--out", str(out)]) == 2, command
             assert not out.exists(), command
         diverging = self._write_config(tmp_path, BASE_CONFIG.replace(
             "theta_externality = 0.5, 0.25, 0.25", "theta_externality = -60, 0, 0"

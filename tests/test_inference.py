@@ -1,5 +1,6 @@
 """Chi-square quantiles, grid inversion, and projection intervals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from misnet import (
     projection_intervals,
 )
 from misnet.estimation import quadratic_form
-from misnet.inference import REASON_DEGENERATE, write_grid_csv
+from misnet.inference import REASON_DEGENERATE, theta_coordinates, write_grid_csv
 
 from conftest import default_theta, random_dataset, scalar_support
 from oracles import brute_moment, brute_variance, chi2_cdf, chi2_quantile_bisect
@@ -70,35 +71,42 @@ class TestChi2Quantile:
 
 class TestThetaGrid:
     def test_iteration_order_and_length(self):
-        grid = ThetaGrid(
-            externality_axes=([0.0], [0.0], [0.0]),
-            homophily_axes=([0.1, 0.2],),
-            fp_axis=[0.0, 0.6],
-            fn_axis=[0.0, 0.6],
-        )
+        grid = ThetaGrid(([0.0], [0.0], [0.0], [0.1, 0.2], [0.0, 0.6], [0.0, 0.6]))
         points = list(grid)
         # (0.6, 0.6) is infeasible, three rate combinations survive
         assert len(points) == len(grid) == 2 * 3
         assert points[0].homophily[0] == 0.1 and points[0].fp_rate == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_match_product_oracle(self, rng, d):
+        """``points`` holds the rows of ``itertools.product`` over the axes, in
+        its order, with the infeasible rate pairs skipped; iteration yields one
+        ``Theta`` per row, in the same coordinate layout."""
+        for _ in range(5):
+            axes = [rng.uniform(-1, 1, rng.integers(1, 4)) for _ in range(3 + d)]
+            fp = rng.permutation(np.append(rng.uniform(0, 0.9, rng.integers(0, 3)), [0.0, 0.6]))
+            fn = rng.permutation(np.append(rng.uniform(0, 0.9, rng.integers(0, 3)), [0.5]))
+            axes += [fp, fn]
+            product = list(itertools.product(*axes))
+            oracle = np.array([row for row in product if row[-2] + row[-1] < 1])
+            assert len(oracle) < len(product)
+            grid = ThetaGrid(tuple(axes))
+            assert grid.points.shape == (len(oracle), 5 + d)
+            assert np.array_equal(grid.points, oracle)
+            thetas = list(grid)
+            assert len(grid) == len(thetas)
+            for theta, row in zip(thetas, grid.points):
+                assert np.array_equal(theta_coordinates(theta), row)
+
     def test_all_points_satisfy_constraints(self):
-        grid = ThetaGrid(
-            externality_axes=([0.0], [0.0], [0.0]),
-            homophily_axes=([0.0],),
-            fp_axis=np.linspace(0, 0.8, 5),
-            fn_axis=np.linspace(0, 0.8, 5),
-        )
+        axis = np.linspace(0, 0.8, 5)
+        grid = ThetaGrid(([0.0], [0.0], [0.0], [0.0], axis, axis))
         for theta in grid:
             assert theta.fp_rate + theta.fn_rate < 1
 
     def test_infeasible_grid_rejected(self):
         with pytest.raises(ValueError):
-            ThetaGrid(
-                externality_axes=([0.0], [0.0], [0.0]),
-                homophily_axes=([0.0],),
-                fp_axis=[0.7],
-                fn_axis=[0.5],
-            )
+            ThetaGrid(([0.0], [0.0], [0.0], [0.0], [0.7], [0.5]))
 
     def test_singleton(self):
         theta = default_theta()
@@ -108,12 +116,8 @@ class TestThetaGrid:
 
 
 def small_grid(theta, fp_values, fn_values):
-    return ThetaGrid(
-        externality_axes=tuple([v] for v in theta.externality),
-        homophily_axes=tuple([v] for v in theta.homophily),
-        fp_axis=fp_values,
-        fn_axis=fn_values,
-    )
+    fixed = ([v] for v in theta_coordinates(theta)[:-2])
+    return ThetaGrid((*fixed, fp_values, fn_values))
 
 
 class TestConfidenceSet:

@@ -144,12 +144,8 @@ class TestIdentifiedSet:
         )
         means = cell_summary(data, theta_with_rates(0.0, 0.0)).means
         assert np.allclose(means, 0.5)
-        grid = ThetaGrid(
-            externality_axes=([0.0], [0.0], [0.0]),
-            homophily_axes=([0.0],),
-            fp_axis=[0.1, 0.4, 0.6],
-            fn_axis=[0.1, 0.4, 0.6],
-        )
+        rates = [0.1, 0.4, 0.6]
+        grid = ThetaGrid(([0.0], [0.0], [0.0], [0.0], rates, rates))
         results = identified_set(data, grid)
         for theta, res in results:
             expected = theta.fp_rate <= 0.5 and theta.fn_rate <= 0.5
@@ -157,12 +153,7 @@ class TestIdentifiedSet:
 
     def test_grid_results_align_with_membership(self, rng):
         data = random_dataset(rng, n=12, n_cells=2)
-        grid = ThetaGrid(
-            externality_axes=([0.0, 0.5], [0.25], [0.25]),
-            homophily_axes=([0.8],),
-            fp_axis=[0.0, 0.1],
-            fn_axis=[0.1],
-        )
+        grid = ThetaGrid(([0.0, 0.5], [0.25], [0.25], [0.8], [0.0, 0.1], [0.1]))
         results = identified_set(data, grid)
         assert len(results) == len(grid)
         for theta, res in results:
