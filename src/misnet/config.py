@@ -120,6 +120,8 @@ def _parse_axis(raw: str, key: str) -> np.ndarray:
             raise ConfigError(f"key {key}: cannot parse axis '{raw}'") from exc
         if count < 1:
             raise ConfigError(f"key {key}: axis count must be at least 1")
+        if count == 1 and lo != hi:
+            raise ConfigError(f"key {key}: a one-point axis needs lo == hi, got '{raw}'")
         return np.linspace(lo, hi, count)
     return _parse_floats(raw, key)
 

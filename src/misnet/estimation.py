@@ -10,13 +10,13 @@ moment vector.  The influence is a fixed linear map c(theta) of a theta-free
 per-agent table (per cell: link share and four statistic influences), so with
 C the 5J x 5J covariance of that table, S(theta) = c(theta)' C c(theta).
 
-Everything that does not depend on theta is computed in one pass per dataset:
-:func:`cell_estimates` yields the cell counts, statistics and the per-agent
-link sums, :func:`stat_influence_all` the statistic influences, and
-:class:`MomentEvaluator` the covariance C.  Per-cell sums over pairs use one
-``bincount`` over the cell labels with the diagonal parked in a spare bin J.
-Counts, link sums and the influence sums add 0/1 products, so they are exact
-in any summation order.
+Everything that does not depend on theta comes from one per-agent table per
+dataset, built once by :func:`cell_estimates`: the cell statistics are the
+agent means of its influence columns, the link sums the agent sums of its link
+counts, and C its covariance.  Per-cell sums over pairs use one ``bincount``
+over the cell labels with the diagonal parked in a spare bin J.  Counts, link
+sums and the influence sums add 0/1 products, so they are exact in any
+summation order.
 
 Per theta, :func:`_corrected_index` builds the one correction map that the
 moment, the variance and the semiparametric cell summary read; the variance
@@ -77,15 +77,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CellEstimates:
-    """Cell frequencies, cell-averaged link statistics and link sums.
+    """Cell frequencies, cell-averaged link statistics, link sums and the covariance C.
 
     freq[j]  share of ordered pairs assigned to support point j
     stats[j] cell average of (reciprocal link, in-degree, common in-neighbor
              count, combined in-degree), each inner average scaled by 1/n
     counts[j] raw pair count of the cell
     link_sums[j] observed links among the cell's pairs
-    agent_links[j, i] observed links of agent i over its pairs (i, k) in cell j;
-             link_sums are its row sums
+    cov      covariance over agents of the per-agent table (per cell: link
+             share and four statistic influences), shape (J, 5, J, 5)
 
     None of these depends on theta: the moment, the variance and the
     semiparametric cell summary all read them from here.
@@ -95,7 +95,7 @@ class CellEstimates:
     stats: np.ndarray  # (J, 4)
     counts: np.ndarray  # (J,)
     link_sums: np.ndarray  # (J,)
-    agent_links: np.ndarray  # (J, n)
+    cov: np.ndarray  # (J, 5, J, 5)
 
 
 def _parked_labels(data: Dataset) -> np.ndarray:
@@ -114,32 +114,46 @@ def _row_sums_by_cell(labels: np.ndarray, n_cells: int, weights=None) -> np.ndar
     return sums.reshape(n_cells + 1, n)[:n_cells].astype(float)
 
 
-def _pair_weights(g: np.ndarray):
-    """The four per-pair statistics, one (n, n) array at a time."""
-    n = g.shape[0]
-    col = g.sum(axis=0)
-    yield g.T
-    yield np.broadcast_to(col[None, :] / n, (n, n))
-    yield (g.T @ g) / n
-    yield (col[:, None] + col[None, :]) / n
+def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
+    """Per agent k and cell j: k's links over its pairs (k, i) in the cell, then
+    k's four statistic influences, shape (n, J, 5).  The first influence is k's
+    links over the cell's pairs (i, k), scaled by n over the cell count; the
+    other three are cell averages of k's terms in the inner sums.  Each row
+    depends only on that agent's links.
+    """
+    n, J = data.n, data.n_cells
+    g = data.network.adj.astype(float)
+    labels = _parked_labels(data)
+    row_count = _row_sums_by_cell(labels, J)  # pairs per first index
+    col_count = _row_sums_by_cell(labels.T, J)  # pairs per second index
+    links_in = _row_sums_by_cell(labels.T, J, g)  # G_ki over pairs (i, k)
+    out = np.empty((n, J, 5))
+    out[:, :, 0] = _row_sums_by_cell(labels, J, g).T  # G_ki over pairs (k, i)
+    for j in range(J):
+        m_count = counts[j]
+        out[:, j, 1] = n * links_in[j] / m_count
+        out[:, j, 2] = (g @ col_count[j]) / m_count
+        out[:, j, 3] = ((g @ (labels == j).astype(float)) * g).sum(axis=1) / m_count
+        out[:, j, 4] = (g @ (row_count[j] + col_count[j])) / m_count
+    return out
 
 
 def cell_estimates(data: Dataset) -> CellEstimates:
-    """Cell frequencies, statistics and link sums; raises on empty cells."""
-    J = data.n_cells
-    labels = _parked_labels(data)
-    flat = labels.ravel()
-    counts = np.bincount(flat, minlength=J + 1)[:J].astype(float)
+    """Cell frequencies, statistics, link sums and C from the per-agent table; raises on empty cells."""
+    n, J = data.n, data.n_cells
+    counts = np.bincount(_parked_labels(data).ravel(), minlength=J + 1)[:J].astype(float)
     for j in range(J):
         if counts[j] == 0:
             raise EmptyCell(j)
-    agent_links = _row_sums_by_cell(labels, J, data.network.adj)
-    sums = [
-        np.bincount(flat, weights=w.ravel(), minlength=J + 1)[:J]
-        for w in _pair_weights(data.network.adj.astype(float))
-    ]
-    stats = np.stack(sums, axis=1) / counts[:, None]
-    return CellEstimates(counts / data.n_pairs, stats, counts, agent_links.sum(axis=1), agent_links)
+    table = _agent_table(data, counts)
+    link_sums = table[:, :, 0].sum(axis=0)
+    stats = table[:, :, 1:].mean(axis=0)
+    # link shares (1/n) sum_{i != k} G_ki per cell, then the statistic influences
+    table[:, :, 0] /= n
+    table = table.reshape(n, 5 * J)
+    table -= table.mean(axis=0)
+    cov = (table.T @ table / n).reshape(J, 5, J, 5)
+    return CellEstimates(counts / data.n_pairs, stats, counts, link_sums, cov)
 
 
 def _corrected_index(cells: CellEstimates, support: CovariateSupport, theta: Theta):
@@ -178,26 +192,11 @@ def _moment(cells: CellEstimates, theta: Theta, u: np.ndarray, lam: float) -> np
 def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
     """Agents' influence on the cell-averaged statistics, shape (n, J, 4).
 
-    For agent k and cell j, the first component collects k's links over the
-    cell's pairs whose second index is k, scaled by n over the cell count; the
-    remaining three are cell averages of k's contributions to the inner sums.
-    By construction the agent average reproduces the cell statistics exactly:
-    the mean over k of entry [k, j] equals cells.stats[j].
+    The influence columns of the per-agent table that :func:`cell_estimates`
+    reads, recomputed from ``data`` with ``cells.counts``; the cell statistics
+    are their agent means.
     """
-    n, J = data.n, data.n_cells
-    g = data.network.adj.astype(float)
-    labels = _parked_labels(data)
-    row_count = _row_sums_by_cell(labels, J)  # pairs per first index
-    col_count = _row_sums_by_cell(labels.T, J)  # pairs per second index
-    links_in = _row_sums_by_cell(labels.T, J, g)  # G_ki over pairs (i, k)
-    out = np.empty((n, J, 4))
-    for j in range(J):
-        m_count = cells.counts[j]
-        out[:, j, 0] = n * links_in[j] / m_count
-        out[:, j, 1] = (g @ col_count[j]) / m_count
-        out[:, j, 2] = ((g @ (labels == j).astype(float)) * g).sum(axis=1) / m_count
-        out[:, j, 3] = (g @ (row_count[j] + col_count[j])) / m_count
-    return out
+    return _agent_table(data, cells.counts)[:, :, 1:]
 
 
 def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
@@ -215,26 +214,19 @@ def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> float:
 class MomentEvaluator:
     """The moment, its variance and the statistic of one dataset, for any theta.
 
-    This is the only code that builds the variance.  Construction computes
-    everything that does not depend on theta: the cell estimates (pass
-    ``cells`` to reuse ones already computed) and the covariance C of the
-    per-agent table, kept as (J, 5, J, 5); no per-agent array is kept.  Each
-    theta then pays for one correction map, the moment, c' C c and one J x J
-    ``eigvalsh``, none of it of order n.  S is degenerate when it is not
-    finite, its smallest eigenvalue is below ``MIN_VARIANCE_EIGENVALUE`` or
-    largest over smallest exceeds ``MAX_CONDITION_NUMBER``.
+    This is the only code that builds the variance.  Everything that does not
+    depend on theta, the covariance C included, comes from the cell estimates
+    (pass ``cells`` to reuse ones already computed); the evaluator keeps no
+    array of its own.  Each theta then pays for one correction map, the
+    moment, c' C c and one J x J ``eigvalsh``, none of it of order n.  S is
+    degenerate when it is not finite, its smallest eigenvalue is below
+    ``MIN_VARIANCE_EIGENVALUE`` or largest over smallest exceeds
+    ``MAX_CONDITION_NUMBER``.
     """
 
     def __init__(self, data: Dataset, cells: CellEstimates | None = None):
-        n, J = data.n, data.n_cells
-        self.n, self.support = n, data.support
+        self.n, self.support = data.n, data.support
         self.cells = cell_estimates(data) if cells is None else cells
-        # link shares (1/n) sum_{j != i} G_ij per cell, then the statistic influences
-        shares = self.cells.agent_links.T / n
-        table = np.concatenate([shares[:, :, None], stat_influence_all(data, self.cells)], axis=2)
-        table = table.reshape(n, 5 * J)
-        table -= table.mean(axis=0)
-        self._cov = (table.T @ table / n).reshape(J, 5, J, 5)
 
     def moment(self, theta: Theta) -> np.ndarray:
         u, lam, _ = _corrected_index(self.cells, self.support, theta)
@@ -254,7 +246,7 @@ class MomentEvaluator:
         """:meth:`variance` from the per-theta quantities of :func:`_corrected_index`."""
         weights = norm_pdf(u) * self.cells.counts / (self.n * self.n)  # (J,)
         coef = np.column_stack([np.ones_like(weights), -lam * np.outer(weights, slope)])  # (J, 5)
-        S = np.einsum("ja,jakb,kb->jk", coef, self._cov, coef)
+        S = np.einsum("ja,jakb,kb->jk", coef, self.cells.cov, coef)
         S = 0.5 * (S + S.T)
         if not np.isfinite(S).all():  # eigvalsh of a NaN input may read as zeros
             raise DegenerateVariance("variance is not finite")

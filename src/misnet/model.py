@@ -130,10 +130,6 @@ class Theta:
         object.__setattr__(self, "fp_rate", float(self.fp_rate))
         object.__setattr__(self, "fn_rate", float(self.fn_rate))
 
-    @property
-    def dimension(self) -> int:
-        return self.homophily.shape[0]
-
 
 def validate_rates(fp_rate: float, fn_rate: float) -> None:
     """Reject rates outside {r0, r1 >= 0, r0 + r1 < 1}."""

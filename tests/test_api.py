@@ -81,9 +81,10 @@ def _callee(node, imported):
 
 def test_benchmark_pins_resolve():
     """Every name the benchmark in ``perfbench/`` imports from ``misnet``, and
-    every attribute it reads or patches on an imported ``misnet`` module,
-    exists, and every call it makes to such an object binds to the object's
-    signature (calls that unpack ``*`` or ``**`` are skipped): a
+    every attribute it reads or patches on an imported ``misnet`` module, as
+    ``module.name`` or as a ``(module, "name")`` pair for ``getattr`` and
+    ``setattr``, exists, and every call it makes to such an object binds to
+    the object's signature (calls that unpack ``*`` or ``**`` are skipped): a
     simplification must keep what the benchmark runs."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     files = sorted(bench.glob("*.py"))
@@ -106,6 +107,14 @@ def test_benchmark_pins_resolve():
                 assert not inspect.ismodule(module) or hasattr(module, node.attr), (
                     f"{path.name}:{node.lineno} uses {module.__name__}.{node.attr}, which is gone"
                 )
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                first, second = node.elts
+                module = imported.get(getattr(first, "id", None))
+                if inspect.ismodule(module) and isinstance(second, ast.Constant):
+                    assert hasattr(module, str(second.value)), (
+                        f"{path.name}:{node.lineno} names {module.__name__}.{second.value}, "
+                        "which is gone"
+                    )
             if not isinstance(node, ast.Call):
                 continue
             target = _callee(node, imported)

@@ -4,6 +4,7 @@ Every estimator is checked against the brute-force loop implementations in
 ``oracles.py``; the quadratic-form statistic against explicit inversion.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -118,7 +119,8 @@ class TestCellEstimates:
                         per_agent[labels[i, j], i] += adj[i, j]
             cells = cell_estimates(data)
             assert np.array_equal(cells.link_sums, expected)
-            assert np.array_equal(cells.agent_links, per_agent)
+            table = estimation._agent_table(data, cells.counts)
+            assert np.array_equal(table[:, :, 0].T, per_agent)
 
 
 class TestMoment:
@@ -256,11 +258,16 @@ class TestStatInfluence:
                 assert np.allclose(table[agent, cell], want, atol=1e-13)
 
     def test_agent_average_recovers_cell_stats(self, rng):
-        """The influence terms are an exact decomposition of the estimator."""
-        data = random_dataset(rng, n=8, n_cells=2)
-        cells = cell_estimates(data)
-        table = stat_influence_all(data, cells)
-        assert np.allclose(table.mean(axis=0), cells.stats, atol=1e-13)
+        """The cell statistics are the agent means of the influence terms; those
+        means match the pair-loop estimator."""
+        for n_cells in (2, 3):
+            data = random_dataset(rng, n=9, n_cells=n_cells)
+            cells = cell_estimates(data)
+            table = stat_influence_all(data, cells)
+            _, stats, _ = brute_cell_estimates(
+                data.network.adj, data.covariates.assignment, n_cells
+            )
+            assert np.allclose(table.mean(axis=0), stats, atol=1e-13)
 
     def test_norm_bound(self, rng):
         for _ in range(5):
@@ -383,16 +390,17 @@ class TestStatistic:
         number 1e13; a non-finite S is rejected as well."""
         ev = MomentEvaluator(random_dataset(rng, n=12, n_cells=2))
         theta = Theta(externality=[0, 0, 0], homophily=[0.8], fp_rate=0.05, fn_rate=0.1)
-        ev._cov = np.zeros((2, 5, 2, 5))
-        ev._cov[0, 0, 0, 0], ev._cov[1, 0, 1, 0] = 1e4, 1e-9
+        cov = np.zeros((2, 5, 2, 5))
+        cov[0, 0, 0, 0], cov[1, 0, 1, 0] = 1e4, 1e-9
+        ev.cells = dataclasses.replace(ev.cells, cov=cov)
         assert estimation.MIN_VARIANCE_EIGENVALUE < 1e-9
         with pytest.raises(DegenerateVariance, match="condition number"):
             ev.variance(theta)
         with pytest.raises(DegenerateVariance, match="condition number"):
             ev.statistic(theta)
-        ev._cov[1, 0, 1, 0] = 1e-3
+        cov[1, 0, 1, 0] = 1e-3
         assert np.array_equal(ev.variance(theta), np.diag([1e4, 1e-3]))
-        ev._cov[1, 0, 1, 0] = np.nan
+        cov[1, 0, 1, 0] = np.nan
         with pytest.raises(DegenerateVariance, match="not finite"):
             ev.variance(theta)
 

@@ -63,10 +63,16 @@ class TestConfig:
                 parse_config_text(BASE_CONFIG + f"support_probs = {probs}\n")
 
     def test_grid_axes(self):
+        """An axis lo:hi:count holds both ends; a one-point axis needs lo == hi,
+        since lo:hi:1 with lo != hi would silently drop hi."""
         cfg = parse_config_text(BASE_CONFIG + "grid_fp = 0:0.2:5\ngrid_fn = 0.0,0.1\n")
         assert len(cfg.grid) == 10
         points = list(cfg.grid)
         assert points[0].externality[0] == 0.5
+        cfg = parse_config_text(BASE_CONFIG + "grid_fp = 0.1:0.1:1\n")
+        assert cfg.grid.axes[-2].tolist() == [0.1]
+        with pytest.raises(ConfigError, match="key grid_fp: a one-point axis needs lo == hi"):
+            parse_config_text(BASE_CONFIG + "grid_fp = 0.1:0.3:1\n")
 
     def test_malformed_line(self):
         """A line that is not 'key = value', or a key given twice, is an error
@@ -441,7 +447,9 @@ x_mode = fresh
 
 class TestCli:
     def _write_config(self, tmp_path, text=BASE_CONFIG):
-        path = tmp_path / "experiment.cfg"
+        """Each call writes its own file, so a path kept from an earlier call
+        still reads the text it was written with."""
+        path = tmp_path / f"experiment{len(list(tmp_path.glob('experiment*.cfg')))}.cfg"
         path.write_text(text)
         return str(path)
 
