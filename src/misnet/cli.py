@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import harness, netio, semiparametric
 from .config import parse_config
-from .estimation import MomentEvaluator, quadratic_form
+from .estimation import MomentEvaluator
 from .exceptions import ConfigError, FileFormatError, MisnetError
 from .inference import chi2_quantile
 
@@ -64,7 +64,7 @@ def _cmd_estimate(config, args) -> None:
     cells = evaluator.cells
     m = evaluator.moment(config.theta)
     S = evaluator.variance(config.theta)
-    stat = quadratic_form(m, S, data.n)
+    stat = evaluator.statistic(config.theta)
     critical = chi2_quantile(data.n_cells, 1.0 - config.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -37,8 +37,8 @@ import numpy as np
 
 from .equilibrium import SolverConfig
 from .exceptions import ConfigError, InvalidRates
-from .inference import ThetaGrid, theta_coordinates
-from .model import CovariateSupport, Theta
+from .inference import ThetaGrid
+from .model import CovariateSupport, Theta, theta_coordinates
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_text"]
 

@@ -18,10 +18,12 @@ over the cell labels with the diagonal parked in a spare bin J.  Counts, link
 sums and the influence sums add 0/1 products, so they are exact in any
 summation order.
 
-Per theta, :func:`_corrected_index` builds the one correction map that the
-moment, the variance and the semiparametric cell summary read; the variance
-is judged from one ``eigvalsh`` (see :class:`MomentEvaluator`), and
-:func:`quadratic_form` only solves.
+Parameter points arrive as rows of theta in the ``theta_coordinates``
+layout; a single point is the one-row case.  :func:`_corrected_index` builds
+one correction map per distinct (fp, fn) of the rows, and
+:meth:`MomentEvaluator.statistics` is the one code that forms m, S and the
+statistic, judging every S from one batched ``eigvalsh``.  A row's result
+does not depend on the other rows.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ import numpy as np
 
 from .exceptions import DegenerateVariance, EmptyCell
 from .misclassification import correction_maps
-from .model import CovariateSupport, Network, PairCovariates, Theta
+from .model import CovariateSupport, Network, PairCovariates, Theta, theta_coordinates
 from .normal import norm_cdf, norm_pdf
 
 __all__ = [
@@ -156,37 +158,28 @@ def cell_estimates(data: Dataset) -> CellEstimates:
     return CellEstimates(counts / data.n_pairs, stats, counts, link_sums, cov)
 
 
-def _corrected_index(cells: CellEstimates, support: CovariateSupport, theta: Theta):
-    """From one correction map: the corrected utility index per cell u (J,),
-    lam = 1 - fp - fn, and the index's slope in the four observed statistics
-    ``cm.matrix.T @ externality`` (4,).  The population (n = inf) map is used:
-    the inner sums of the cell statistics run over every k, so the finite-n
-    terms of the map's k != i convention would not describe them exactly;
-    either way the residual is O(1/n).
+def _corrected_index(cells: CellEstimates, support: CovariateSupport, points):
+    """Per row of theta (``theta_coordinates`` layout, (P, 5 + d)): the corrected
+    index per cell u (P, J), lam = 1 - fp - fn (P,) and the index's slope in the
+    four observed statistics ``cm.matrix.T @ externality`` (P, 4), from one
+    population (n = inf) map per distinct (fp, fn).  The inner sums of the cell
+    statistics run over every k, so the finite-n terms of the map's k != i
+    convention would not describe them exactly; either way the residual is O(1/n).
     """
-    cm = correction_maps(theta.fp_rate, theta.fn_rate)
-    corrected = cells.stats @ cm.matrix.T + cm.offset  # (J, 3)
-    u = corrected @ theta.externality + support.points @ theta.homophily
-    lam = 1.0 - theta.fp_rate - theta.fn_rate
-    return u, lam, cm.matrix.T @ theta.externality
+    points = np.asarray(points, dtype=float)
+    ext, hom, fp, fn = points[:, :3, None], points[:, 3:-2, None], points[:, -2], points[:, -1]
+    pairs = {}  # (fp, fn) -> map number; cheaper than np.unique(axis=0)
+    which = [pairs.setdefault(pair, len(pairs)) for pair in zip(fp.tolist(), fn.tolist())]
+    maps = [correction_maps(*pair) for pair in pairs]
+    matrix_t = np.stack([cm.matrix.T for cm in maps])  # (K, 4, 3)
+    corrected = cells.stats @ matrix_t + np.stack([cm.offset for cm in maps])[:, None]  # (K, J, 3)
+    u = (corrected[which] @ ext)[..., 0] + (support.points @ hom)[..., 0]
+    return u, 1.0 - fp - fn, (matrix_t[which] @ ext)[..., 0]
 
 
 def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
-    """Sample moment vector, one coordinate per covariate cell.
-
-    m_j averages G_ij - r0 - (1 - r0 - r1) * Phi(corrected index) over the
-    pairs of cell j, scaled by the cell share, so each |m_j| <= freq[j].
-    """
-    if cells is None:
-        cells = cell_estimates(data)
-    u, lam, _ = _corrected_index(cells, data.support, theta)
-    return _moment(cells, theta, u, lam)
-
-
-def _moment(cells: CellEstimates, theta: Theta, u: np.ndarray, lam: float) -> np.ndarray:
-    """:func:`moment` from the cell estimates and the index; the cells partition the N pairs."""
-    fitted = theta.fp_rate + lam * norm_cdf(u)
-    return (cells.link_sums - cells.counts * fitted) / cells.counts.sum()
+    """Sample moment vector; see :meth:`MomentEvaluator.moment`."""
+    return MomentEvaluator(data, cells).moment(theta)
 
 
 def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
@@ -204,63 +197,78 @@ def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = N
     return MomentEvaluator(data, cells).variance(theta)
 
 
-def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> float:
-    """n * m' S^{-1} m via a linear solve, and nothing else: S comes from
-    :meth:`MomentEvaluator.variance`, which has already judged it."""
-    value = float(n * (m @ np.linalg.solve(S, m)))
-    return max(value, 0.0)
+def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
+    """n * m' S^{-1} m over leading axes via a linear solve, floored at 0, and
+    nothing else: :meth:`MomentEvaluator.statistics` has already judged S."""
+    x = np.linalg.solve(S, m[..., None])
+    return np.maximum(n * (m[..., None, :] @ x)[..., 0, 0], 0.0)
 
 
 class MomentEvaluator:
-    """The moment, its variance and the statistic of one dataset, for any theta.
+    """The moment, its variance and the statistic of one dataset, over rows of theta.
 
-    This is the only code that builds the variance.  Everything that does not
-    depend on theta, the covariance C included, comes from the cell estimates
-    (pass ``cells`` to reuse ones already computed); the evaluator keeps no
-    array of its own.  Each theta then pays for one correction map, the
-    moment, c' C c and one J x J ``eigvalsh``, none of it of order n.  S is
-    degenerate when it is not finite, its smallest eigenvalue is below
-    ``MIN_VARIANCE_EIGENVALUE`` or largest over smallest exceeds
-    ``MAX_CONDITION_NUMBER``.
+    Everything that does not depend on theta, the covariance C included, comes
+    from the cell estimates (pass ``cells`` to reuse ones already computed).
+    Rows of theta then pay for one correction map per distinct (fp, fn) and a
+    few batched array operations, none of order n.  S is degenerate when it is
+    not finite, its smallest eigenvalue is below ``MIN_VARIANCE_EIGENVALUE`` or
+    largest over smallest exceeds ``MAX_CONDITION_NUMBER``.  ``moment``,
+    ``variance`` and ``statistic`` are the one-row case of :meth:`statistics`.
     """
 
     def __init__(self, data: Dataset, cells: CellEstimates | None = None):
         self.n, self.support = data.n, data.support
         self.cells = cell_estimates(data) if cells is None else cells
 
+    def _evaluate(self, points):
+        """m (P, J), S (P, J, J), S's eigenvalues (P, J) and the statistic (P,).
+
+        m_j averages G_ij - r0 - (1 - r0 - r1) * Phi(corrected index) over cell
+        j's pairs, scaled by the cell share.  S = c' C c: agent k's influence on
+        m_j is its link share minus lam * w_j * slope' (its statistic
+        influences), both in cell j, so c_j = (1, -lam * w_j * slope)."""
+        points = np.asarray(points, dtype=float)
+        cells = self.cells
+        u, lam, slope = _corrected_index(cells, self.support, points)
+        fitted = points[:, -2, None] + lam[:, None] * norm_cdf(u)
+        m = (cells.link_sums - cells.counts * fitted) / cells.counts.sum()
+        weights = norm_pdf(u) * cells.counts / (self.n * self.n)  # (P, J)
+        influence = -lam[:, None, None] * (weights[..., None] * slope[:, None])  # (P, J, 4)
+        coef = np.concatenate([np.ones_like(weights)[..., None], influence], axis=-1)
+        S = np.einsum("pja,jakb,pkb->pjk", coef, cells.cov, coef)
+        S = 0.5 * (S + S.swapaxes(1, 2))
+        eye = np.eye(S.shape[-1])
+        finite = np.isfinite(S).all(axis=(1, 2))  # eigvalsh of a NaN input may read as zeros
+        eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], S, eye))
+        degenerate = ~finite | (eigs[:, 0] < MIN_VARIANCE_EIGENVALUE)
+        degenerate |= eigs[:, -1] > MAX_CONDITION_NUMBER * eigs[:, 0]
+        judged = np.where(degenerate[:, None, None], eye, S)  # solve only the S that passed
+        return m, S, eigs, np.where(degenerate, np.nan, quadratic_form(m, judged, self.n))
+
+    def statistics(self, points) -> np.ndarray:
+        """Statistic per row of theta, (P,); NaN where S is degenerate and the chi-square fails."""
+        return self._evaluate(points)[3]
+
+    def _one(self, theta: Theta):
+        """m, S and the statistic at ``theta``; raises DegenerateVariance with the reason."""
+        m, S, eigs, stat = (a[0] for a in self._evaluate([theta_coordinates(theta)]))
+        if not np.isnan(stat):
+            return m, S, float(stat)
+        low, floor = eigs[0], MIN_VARIANCE_EIGENVALUE
+        raise DegenerateVariance(
+            "variance is not finite" if not np.isfinite(S).all()
+            else f"smallest variance eigenvalue {low:.3e} below {floor:.1e}" if low < floor
+            else f"variance condition number {eigs[-1] / low:.3e} too large"
+        )
+
     def moment(self, theta: Theta) -> np.ndarray:
-        u, lam, _ = _corrected_index(self.cells, self.support, theta)
-        return _moment(self.cells, theta, u, lam)
+        """Sample moment vector at ``theta``, one coordinate per cell; S is not judged."""
+        return self._evaluate([theta_coordinates(theta)])[0][0]
 
     def variance(self, theta: Theta) -> np.ndarray:
-        """S(theta) = c' C c, the across-agent covariance of the influence vectors, shape (J, J).
-
-        Agent k's influence on m_j is its link share minus lam * w_j * slope'
-        (its statistic influences), both in cell j, so c_j = (1, -lam * w_j * slope).
-        Raises :class:`DegenerateVariance` when S is degenerate (see the class),
-        which signals that the chi-square calibration fails in this sample.
-        """
-        return self._variance(*_corrected_index(self.cells, self.support, theta))
-
-    def _variance(self, u: np.ndarray, lam: float, slope: np.ndarray) -> np.ndarray:
-        """:meth:`variance` from the per-theta quantities of :func:`_corrected_index`."""
-        weights = norm_pdf(u) * self.cells.counts / (self.n * self.n)  # (J,)
-        coef = np.column_stack([np.ones_like(weights), -lam * np.outer(weights, slope)])  # (J, 5)
-        S = np.einsum("ja,jakb,kb->jk", coef, self.cells.cov, coef)
-        S = 0.5 * (S + S.T)
-        if not np.isfinite(S).all():  # eigvalsh of a NaN input may read as zeros
-            raise DegenerateVariance("variance is not finite")
-        eigs = np.linalg.eigvalsh(S)
-        if eigs[0] < MIN_VARIANCE_EIGENVALUE:
-            raise DegenerateVariance(
-                f"smallest variance eigenvalue {eigs[0]:.3e} below {MIN_VARIANCE_EIGENVALUE:.1e}"
-            )
-        if eigs[-1] > MAX_CONDITION_NUMBER * eigs[0]:
-            raise DegenerateVariance(f"variance condition number {eigs[-1] / eigs[0]:.3e} too large")
-        return S
+        """S(theta), the across-agent covariance of the influence vectors, shape (J, J)."""
+        return self._one(theta)[1]
 
     def statistic(self, theta: Theta) -> float:
-        """Quadratic-form statistic of the moment vector at ``theta``."""
-        u, lam, slope = _corrected_index(self.cells, self.support, theta)
-        m = _moment(self.cells, theta, u, lam)
-        return quadratic_form(m, self._variance(u, lam, slope), self.n)
+        """Quadratic-form statistic at ``theta``; raises when S is degenerate."""
+        return self._one(theta)[2]

@@ -7,7 +7,8 @@ coordinate in that order and holds ``points``, the array of its feasible
 points, one row per point.
 
 Every grid point is tested with the quadratic-form statistic against the
-chi-square critical value with one degree of freedom per covariate cell.
+chi-square critical value with one degree of freedom per covariate cell; the
+statistics of all points come from one batched evaluation over ``points``.
 Points where the variance estimate is degenerate are kept in the output with
 an explicit reason instead of being silently dropped: treating them as
 accepted would invalidate coverage, treating them as rejected would
@@ -21,8 +22,8 @@ from scipy.stats import chi2
 
 from . import netio
 from .estimation import Dataset, MomentEvaluator
-from .exceptions import DegenerateVariance, EmptySet
-from .model import Theta
+from .exceptions import EmptySet
+from .model import Theta, theta_coordinates
 
 __all__ = [
     "chi2_quantile",
@@ -32,6 +33,7 @@ __all__ = [
     "confidence_set",
     "projection_intervals",
     "write_grid_csv",
+    "theta_coordinates",
     "REASON_ABOVE_CRITICAL",
     "REASON_DEGENERATE",
 ]
@@ -102,10 +104,6 @@ class ThetaGrid:
         return cls(tuple([v] for v in theta_coordinates(theta)))
 
 
-def theta_coordinates(theta: Theta) -> list:
-    return [*theta.externality, *theta.homophily, theta.fp_rate, theta.fn_rate]
-
-
 @dataclass(frozen=True)
 class GridRecord:
     """Outcome of testing one grid point."""
@@ -144,26 +142,14 @@ def confidence_set(data: Dataset, grid: ThetaGrid, alpha: float = 0.05) -> Confi
     """
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    evaluator = MomentEvaluator(data)
     dof = data.n_cells
     critical = chi2_quantile(dof, 1.0 - alpha)
-    records = []
-    for theta in grid:
-        try:
-            stat = evaluator.statistic(theta)
-        except DegenerateVariance:
-            records.append(GridRecord(theta, float("nan"), False, REASON_DEGENERATE))
-            continue
-        accepted = stat <= critical
-        reason = "" if accepted else REASON_ABOVE_CRITICAL
-        records.append(GridRecord(theta, stat, accepted, reason))
-    return ConfidenceSet(
-        records=records,
-        alpha=alpha,
-        critical_value=critical,
-        dof=dof,
-        coordinate_names=grid.coordinate_names(),
-    )
+    stats = MomentEvaluator(data).statistics(grid.points)
+    accepted = stats <= critical  # False where the statistic is NaN
+    reasons = np.where(np.isnan(stats), REASON_DEGENERATE, REASON_ABOVE_CRITICAL)
+    reasons = np.where(accepted, "", reasons).tolist()
+    records = list(map(GridRecord, grid, stats.tolist(), accepted.tolist(), reasons))
+    return ConfidenceSet(records, alpha, critical, dof, grid.coordinate_names())
 
 
 def projection_intervals(cs: ConfidenceSet) -> dict:

@@ -16,6 +16,7 @@ __all__ = [
     "CovariateSupport",
     "PairCovariates",
     "Theta",
+    "theta_coordinates",
     "Network",
 ]
 
@@ -129,6 +130,11 @@ class Theta:
         object.__setattr__(self, "homophily", _frozen_array(hom))
         object.__setattr__(self, "fp_rate", float(self.fp_rate))
         object.__setattr__(self, "fn_rate", float(self.fn_rate))
+
+
+def theta_coordinates(theta: Theta) -> list:
+    """The row layout of a parameter point: externality, homophily, fp, fn."""
+    return [*theta.externality, *theta.homophily, theta.fp_rate, theta.fn_rate]
 
 
 def validate_rates(fp_rate: float, fn_rate: float) -> None:

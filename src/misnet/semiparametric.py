@@ -19,8 +19,8 @@ import numpy as np
 
 from . import netio
 from .estimation import Dataset, CellEstimates, cell_estimates, _corrected_index
-from .inference import ThetaGrid, theta_coordinates
-from .model import Theta
+from .inference import ThetaGrid
+from .model import Theta, theta_coordinates
 
 __all__ = [
     "CellSummary",
@@ -61,11 +61,9 @@ def cell_summary(data: Dataset, theta: Theta, cells: CellEstimates | None = None
     computes once per dataset, so with ``cells`` given a call does no work of
     order n; only the index depends on ``theta``.
     """
-    if cells is None:
-        cells = cell_estimates(data)
-    means = cells.link_sums / cells.counts
-    indices, _, _ = _corrected_index(cells, data.support, theta)
-    return CellSummary(means=means, indices=indices)
+    cells = cell_estimates(data) if cells is None else cells
+    indices = _corrected_index(cells, data.support, [theta_coordinates(theta)])[0][0]
+    return CellSummary(means=cells.link_sums / cells.counts, indices=indices)
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,11 @@ def membership(summary: CellSummary, theta: Theta) -> MembershipResult:
 
 
 def identified_set(data: Dataset, grid: ThetaGrid) -> list:
-    """Membership verdicts over the grid: list of (theta, MembershipResult)."""
+    """Membership verdicts over the grid from one batched index: [(theta, MembershipResult)]."""
     cells = cell_estimates(data)
-    return [(theta, membership(cell_summary(data, theta, cells), theta)) for theta in grid]
+    means = cells.link_sums / cells.counts
+    indices = _corrected_index(cells, data.support, grid.points)[0]
+    return [(theta, membership(CellSummary(means, u), theta)) for theta, u in zip(grid, indices)]
 
 
 def write_membership_csv(results: list, names: list, path) -> None:

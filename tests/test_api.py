@@ -2,11 +2,16 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import misnet
+from misnet import cli
+from misnet.config import parse_config
 
 
 def test_public_names_resolve():
@@ -130,3 +135,59 @@ def test_benchmark_pins_resolve():
                     f"{path.name}:{node.lineno} calls {target.__qualname__} with arguments it "
                     f"does not take: {exc}"
                 ) from None
+
+
+REPLAY_CONFIG = """\
+n = 40
+support_points = -0.5 | 0.5
+theta_externality = 0.5, 0.25, 0.25
+theta_homophily = 0.8
+theta_fp = 0.05
+theta_fn = 0.10
+seed = 7
+replications = 3
+grid_recip = 0.3:0.7:3
+grid_indeg = 0.25
+grid_common = 0.0, 0.25
+grid_x1 = 0.8
+grid_fp = 0.0, 0.05, 0.6
+grid_fn = 0.1, 0.45
+"""
+
+
+def _bench_tracing():
+    """``perfbench/tracing.py``, loaded from its file without touching ``sys.path``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("x_mode", ["fixed", "fresh"])
+def test_traced_replays_write_the_cli_outputs(tmp_path, x_mode):
+    """The benchmark replays the grid and the coverage study one point and one
+    replication at a time and requires the files it writes to equal the
+    program's byte for byte; on a small config they do, so the batched grid
+    path and the per-point replay give the same bits."""
+    tracing = _bench_tracing()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(REPLAY_CONFIG + f"x_mode = {x_mode}\n")
+    config = parse_config(cfg)
+    assert len({(t.fp_rate, t.fn_rate) for t in config.grid}) >= 2
+    data, out, traced = tmp_path / "data", tmp_path / "out", tmp_path / "traced"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    for command in ("ci", "sp-set"):
+        argv = [command, "--config", str(cfg), "--data", str(data), "--out", str(out / command)]
+        assert cli.main(argv) == 0
+    assert cli.main(["mc-coverage", "--config", str(cfg), "--out", str(out / "mc")]) == 0
+    cs, _ = tracing.replay_grid(tracing.Tracer(), config, data, traced)
+    report = tracing.replay_mc(tracing.Tracer(), config, traced)
+    assert cs.n_degenerate < len(cs.records) and report.n_failed == 0
+    for ours, theirs in [
+        ("ci/ci_grid.csv", "ci_grid.csv"),
+        ("sp-set/sp_grid.csv", "sp_grid.csv"),
+        ("mc/replications.csv", "replications.csv"),
+        ("mc/summary.json", "summary.json"),
+    ]:
+        assert (out / ours).read_bytes() == (traced / theirs).read_bytes(), ours

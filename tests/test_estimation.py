@@ -9,15 +9,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misnet import (
+    CovariateSupport,
     DegenerateVariance,
     Dataset,
     EmptyCell,
+    MisnetError,
     MomentEvaluator,
     Network,
     PairCovariates,
     Theta,
+    ThetaGrid,
     cell_estimates,
     correction_maps,
     moment,
@@ -137,17 +141,20 @@ class TestMoment:
             assert m[j] == pytest.approx(expected, abs=1e-14)
 
     def test_cell_moments_sum_to_pooled(self, rng):
+        """Per row of theta, the index and lam of the batch give the pooled
+        moment that the cell moments at that point sum to."""
         data = random_dataset(rng, n=9, n_cells=3)
-        theta = default_theta()
+        grid = ThetaGrid(([0.5, -0.3], [0.25], [0.25], [0.8, -0.4], [0.0, 0.05, 0.2], [0.1, 0.3]))
         cells = cell_estimates(data)
-        m = moment(data, theta, cells)
-        u, _, _ = _corrected_index(cells, data.support, theta)
-        lam = 1 - theta.fp_rate - theta.fn_rate
+        u, lam, _ = _corrected_index(cells, data.support, grid.points)
+        assert u.shape == (len(grid), 3) and lam.shape == (len(grid),)
         off = ~np.eye(data.n, dtype=bool)
         labels = data.covariates.assignment
-        fitted_per_pair = theta.fp_rate + lam * norm_cdf(u)[labels]
-        pooled = np.sum(data.network.adj[off] - fitted_per_pair[off]) / data.n_pairs
-        assert m.sum() == pytest.approx(pooled, abs=1e-14)
+        for theta, u_row, lam_row in zip(grid, u, lam):
+            assert lam_row == 1 - theta.fp_rate - theta.fn_rate
+            fitted_per_pair = theta.fp_rate + lam_row * norm_cdf(u_row)[labels]
+            pooled = np.sum(data.network.adj[off] - fitted_per_pair[off]) / data.n_pairs
+            assert moment(data, theta, cells).sum() == pytest.approx(pooled, abs=1e-14)
 
     def test_bounded_by_cell_frequency(self, rng):
         for _ in range(5):
@@ -192,8 +199,6 @@ class TestMoment:
             assert m[j] == pytest.approx(limit, abs=1e-8)
 
     def test_two_dimensional_covariates_match_oracle(self, rng):
-        from misnet import CovariateSupport
-
         support = CovariateSupport([[0.0, 1.0], [1.0, -1.0]])
         n = 7
         data = Dataset(
@@ -406,7 +411,8 @@ class TestStatistic:
 
     def test_one_correction_map_per_statistic(self, rng, monkeypatch):
         """One statistic builds the correction map once: the moment and the
-        variance share the per-theta index, lam and slope."""
+        variance share the per-theta index, lam and slope.  A batch builds one
+        map per distinct (fp, fn) pair of its rows, however many rows share it."""
         ev = MomentEvaluator(random_dataset(rng, n=12, n_cells=2))
         calls = []
 
@@ -417,6 +423,13 @@ class TestStatistic:
         monkeypatch.setattr(estimation, "correction_maps", counting)
         ev.statistic(default_theta())
         assert len(calls) == 1
+        for fp_axis, fn_axis in [([0.05], [0.1]), ([0.0, 0.05, 0.3], [0.1, 0.2]), ([0.2, 0.6], [0.3, 0.5])]:
+            grid = ThetaGrid(([0.5, 0.0], [0.25, 0.1], [0.25], [0.8], fp_axis, fn_axis))
+            pairs = {(theta.fp_rate, theta.fn_rate) for theta in grid}
+            calls.clear()
+            ev.statistics(grid.points)
+            assert len(calls) == len(pairs) and len(grid) == 4 * len(pairs)
+            assert set(calls) == pairs
 
     def test_evaluator_matches_direct_path(self, rng):
         """The evaluator and the free functions run the same arithmetic on the
@@ -436,3 +449,107 @@ class TestStatistic:
             data = random_dataset(rng, n=15, n_cells=2)
             assert MomentEvaluator(data).statistic(default_theta()) >= 0.0
 
+
+
+def mixed_rate_grid(d=1):
+    """Rows with five distinct (fp, fn) pairs and both zero and non-zero externality."""
+    return ThetaGrid(
+        ([0.0, 0.5], [0.0, 0.25], [0.0, -0.2], *([[0.8, -0.3]] * d), [0.0, 0.05, 0.3], [0.1, 0.6])
+    )
+
+
+def one_row(ev, theta):
+    """``ev.statistic(theta)`` with NaN for a degenerate variance."""
+    try:
+        return ev.statistic(theta)
+    except DegenerateVariance:
+        return float("nan")
+
+
+class TestStatistics:
+    def test_rows_equal_one_row_calls(self, rng):
+        """Row p of the batch is ``statistic(theta_p)`` bit for bit, and NaN
+        exactly where the one-row call raises.  Cell 1's link shares are
+        projected out of C, so S is singular at zero externality and regular
+        elsewhere: the grid holds degenerate and regular rows."""
+        for n_cells, d in [(2, 1), (3, 1), (2, 2)]:
+            data = random_dataset(rng, n=14, n_cells=n_cells)
+            if d == 2:
+                support = CovariateSupport(
+                    np.column_stack([np.linspace(-0.5, 0.5, n_cells), np.arange(n_cells)])
+                )
+                data = dataclasses.replace(data, support=support)
+            ev = MomentEvaluator(data)
+            cov = ev.cells.cov.copy()
+            cov[1, 0], cov[:, :, 1, 0] = 0.0, 0.0
+            ev.cells = dataclasses.replace(ev.cells, cov=cov)
+            grid = mixed_rate_grid(d)
+            stats = ev.statistics(grid.points)
+            assert stats.shape == (len(grid),)
+            assert np.isnan(stats).any() and np.isfinite(stats).any()
+            for theta, stat in zip(grid, stats):
+                want = one_row(ev, theta)
+                assert np.isnan(stat) == np.isnan(want)
+                assert np.isnan(stat) or stat == want
+            # a row's value does not depend on the rows around it
+            order = rng.permutation(len(grid))
+            assert np.array_equal(ev.statistics(grid.points[order]), stats[order], equal_nan=True)
+
+    def test_rows_match_brute_force(self, rng):
+        """The batch's moment and variance rows against the loop oracles, and
+        its statistics against their quadratic form."""
+        for n_cells in (2, 3):
+            data = random_dataset(rng, n=int(rng.integers(6, 10)), n_cells=n_cells)
+            ev = MomentEvaluator(data)
+            grid = mixed_rate_grid()
+            m, S, _, stats = ev._evaluate(grid.points)
+            args = (data.network.adj, data.covariates.assignment, data.support.points)
+            for p, theta in enumerate(grid):
+                m_o = brute_moment(*args, theta, ev.cells.stats, n_cells)
+                S_o = brute_variance(*args, theta, ev.cells.stats, n_cells)
+                assert np.allclose(m[p], m_o, atol=1e-14)
+                assert np.allclose(S[p], S_o, atol=1e-12)
+                if np.isfinite(stats[p]):
+                    assert stats[p] == pytest.approx(quadratic_form(m_o, S_o, data.n), rel=1e-9)
+
+    def test_quadratic_form_over_leading_axes(self, rng):
+        A = rng.standard_normal((2, 3, 4, 4))
+        S = A @ A.swapaxes(-1, -2) + np.eye(4)
+        m = rng.standard_normal((2, 3, 4))
+        got = quadratic_form(m, S, 7)
+        assert got.shape == (2, 3)
+        for i, k in itertools.product(range(2), range(3)):
+            assert got[i, k] == quadratic_form(m[i, k], S[i, k], 7)
+
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 2),
+        st.sampled_from(["empty", "complete", "random"]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 0.999),
+        st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_edge_sweep(self, n, n_cells, kind, seed, fp, closeness):
+        """Tiny, empty and complete networks, and fp + fn up to the last float
+        below 1: the batch returns finite or NaN values that agree with the
+        one-row calls, or raises a MisnetError; nothing else escapes."""
+        rng = np.random.default_rng(seed)
+        adj = {"empty": np.zeros((n, n)), "complete": np.ones((n, n))}.get(kind, rng.random((n, n)) < 0.5)
+        adj = adj.astype(np.int8)
+        np.fill_diagonal(adj, 0)
+        labels = rng.integers(0, n_cells, (n, n))
+        support = scalar_support(*np.linspace(-0.5, 0.5, n_cells))
+        data = Dataset(Network(adj), PairCovariates(labels), support)
+        fn = np.nextafter(1.0 - fp, 0.0) if closeness == 1.0 else (1.0 - fp) * closeness
+        fn_axis = [0.0, fn] if fp + fn < 1 else [0.0]
+        grid = ThetaGrid(([0.0, 0.5], [0.25], [-1.0, 0.25], [0.8], [fp], fn_axis))
+        try:
+            ev = MomentEvaluator(data)
+            stats = ev.statistics(grid.points)
+        except MisnetError:
+            return
+        assert not np.isinf(stats).any()
+        for theta, stat in zip(grid, stats):
+            want = one_row(ev, theta)
+            assert (np.isnan(stat) and np.isnan(want)) or stat == want

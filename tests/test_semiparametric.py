@@ -14,6 +14,7 @@ from misnet import (
     identified_set,
     membership,
 )
+from misnet.estimation import _corrected_index
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_dataset, scalar_support
@@ -152,13 +153,26 @@ class TestIdentifiedSet:
             assert res.member == expected
 
     def test_grid_results_align_with_membership(self, rng):
+        """Each grid verdict is the per-point verdict: the batched index row
+        equals ``cell_summary``'s exactly, and so does every violation."""
         data = random_dataset(rng, n=12, n_cells=2)
-        grid = ThetaGrid(([0.0, 0.5], [0.25], [0.25], [0.8], [0.0, 0.1], [0.1]))
+        grid = ThetaGrid(([0.0, 0.5], [0.25, -1.0], [0.25], [0.8, -2.0], [0.0, 0.1, 0.7], [0.1, 0.55]))
         results = identified_set(data, grid)
-        assert len(results) == len(grid)
-        for theta, res in results:
-            again = membership(cell_summary(data, theta), theta)
+        indices = _corrected_index(cell_estimates(data), data.support, grid.points)[0]
+        assert len(results) == len(grid) == len(indices)
+        kinds = set()
+        for (theta, res), expected, row in zip(results, grid, indices):
+            assert theta == expected
+            summary = cell_summary(data, theta)
+            assert np.array_equal(summary.indices, row)
+            again = membership(summary, theta)
             assert again.member == res.member
+            assert [(v.condition, v.cells, v.detail) for v in res.violations] == [
+                (v.condition, v.cells, v.detail) for v in again.violations
+            ]
+            kinds |= {v.condition for v in res.violations}
+        assert kinds == {"fp_bound", "fn_bound", "rank"}
+        assert any(res.member for _, res in results)
 
     def test_shared_cells_give_the_same_summary(self, rng):
         for n_cells in (2, 3):
