@@ -62,9 +62,7 @@ def _cmd_estimate(config, args) -> None:
     data = harness.load_dataset(args.data)
     evaluator = MomentEvaluator(data)
     cells = evaluator.cells
-    m = evaluator.moment(config.theta)
-    S = evaluator.variance(config.theta)
-    stat = evaluator.statistic(config.theta)
+    m, S, stat = evaluator._one(config.theta)  # one evaluation; a degenerate S raises
     critical = chi2_quantile(data.n_cells, 1.0 - config.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,9 @@ profile.  The best-response map sends a belief matrix p to
 Phi(stats(p)'ext + x'hom) entrywise; an equilibrium is a fixed point.  Shocks
 are taken independent across the pairs of one agent as well as across agents,
 which gives the product form p_ki * p_kj for the common in-neighbor
-expectation.
+expectation.  One step gives the index, Phi(index) with a zero diagonal and the
+sup-norm residual; the solver, ``best_response`` and ``equilibrium_residual``
+all take it, and latent networks are drawn from the index the solver accepts.
 """
 
 from dataclasses import dataclass
@@ -86,9 +88,24 @@ def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:
     return _stats(p) @ ext + xhom
 
 
-def _index_matrix(beliefs, covariates, support, externality, homophily) -> np.ndarray:
-    xhom = covariates.values(support) @ np.asarray(homophily, float)
-    return _index(beliefs.probs, xhom, np.asarray(externality, float))
+def _arrays(covariates, support, externality, homophily):
+    """x'hom (n, n) and the externality weights as float arrays."""
+    return covariates.values(support) @ np.asarray(homophily, float), np.asarray(externality, float)
+
+
+def _step(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray):
+    """The index of p, the best response q = Phi(index) with a zero diagonal, and max |q - p|."""
+    index = _index(p, xhom, ext)
+    q = norm_cdf(index)
+    np.fill_diagonal(q, 0.0)
+    return index, q, float(np.max(np.abs(q - p)))
+
+
+def _draw(index: np.ndarray, seed) -> Network:
+    """Links where index + an independent standard normal shock >= 0."""
+    adj = (index + np.random.default_rng(seed).standard_normal(index.shape) >= 0).astype(np.int8)
+    np.fill_diagonal(adj, 0)
+    return Network(adj)
 
 
 def best_response(
@@ -99,10 +116,7 @@ def best_response(
     homophily,
 ) -> BeliefMatrix:
     """One application of the belief map: Phi(index) off-diagonal, 0 on it."""
-    idx = _index_matrix(beliefs, covariates, support, externality, homophily)
-    out = norm_cdf(idx)
-    np.fill_diagonal(out, 0.0)
-    return BeliefMatrix(out)
+    return BeliefMatrix(_step(beliefs.probs, *_arrays(covariates, support, externality, homophily))[1])
 
 
 def solve_equilibrium(
@@ -115,30 +129,25 @@ def solve_equilibrium(
     """Damped fixed-point iteration from the externality-free start.
 
     Starts at p0 = Phi(x'hom) and iterates p <- (1 - damping) p + damping BR(p)
-    until the sup-norm residual ||BR(p) - p|| falls below ``config.tol``.
-    x'hom is computed once, and only the returned point is validated;
-    ``_iterate`` holds the loop and also returns that point's residual.
+    until the sup-norm residual ||BR(p) - p|| falls below ``config.tol``; only
+    the returned point is validated.  ``_iterate`` holds the loop and also
+    returns the point's index, which the harness draws from, and residual.
     Raises :class:`NonConvergence` when ``max_iter`` is exhausted; callers may
-    retry with smaller damping.  The returned point is the deterministic
-    selection used everywhere in this package.
+    retry with smaller damping.  The point is this package's deterministic selection.
     """
     return _iterate(covariates, support, externality, homophily, config)[0]
 
 
-def _iterate(covariates, support, externality, homophily, config) -> tuple[BeliefMatrix, float]:
-    """The loop of :func:`solve_equilibrium`; the residual it also returns is
-    bit-identical to ``equilibrium_residual`` of the returned beliefs."""
-    ext = np.asarray(externality, float)
-    xhom = covariates.values(support) @ np.asarray(homophily, float)
+def _iterate(covariates, support, externality, homophily, config):
+    """The loop of :func:`solve_equilibrium`; also returns the accepting step's index and residual."""
+    xhom, ext = _arrays(covariates, support, externality, homophily)
     p = norm_cdf(xhom)
     np.fill_diagonal(p, 0.0)
     residual = np.inf
     for _ in range(config.max_iter):
-        q = norm_cdf(_index(p, xhom, ext))
-        np.fill_diagonal(q, 0.0)
-        residual = float(np.max(np.abs(q - p)))
+        index, q, residual = _step(p, xhom, ext)
         if residual <= config.tol:
-            return BeliefMatrix(p), residual
+            return BeliefMatrix(p), index, residual
         p = (1.0 - config.damping) * p + config.damping * q
         np.fill_diagonal(p, 0.0)
     raise NonConvergence(residual, config.max_iter)
@@ -152,8 +161,7 @@ def equilibrium_residual(
     homophily,
 ) -> float:
     """Sup-norm best-response residual of a candidate belief matrix."""
-    q = best_response(beliefs, covariates, support, externality, homophily)
-    return float(np.max(np.abs(q.probs - beliefs.probs)))
+    return _step(beliefs.probs, *_arrays(covariates, support, externality, homophily))[2]
 
 
 def simulate_true_network(
@@ -169,9 +177,4 @@ def simulate_true_network(
     Each ordered pair receives an independent standard normal shock and the
     link forms when index + shock >= 0.  Deterministic given ``seed``.
     """
-    idx = _index_matrix(beliefs, covariates, support, externality, homophily)
-    rng = np.random.default_rng(seed)
-    shocks = rng.standard_normal(idx.shape)
-    adj = (idx + shocks >= 0).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    return Network(adj)
+    return _draw(_index(beliefs.probs, *_arrays(covariates, support, externality, homophily)), seed)

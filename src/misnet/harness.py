@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import chi2, kstest
 
 from .config import ExperimentConfig
-from .equilibrium import _iterate, simulate_true_network
+from .equilibrium import _draw, _iterate
 from .estimation import Dataset, MomentEvaluator
 from .exceptions import ConfigError, FileFormatError, MisnetError, TooManyFailures
 from .inference import chi2_quantile, confidence_set, projection_intervals, write_grid_csv
@@ -94,18 +94,16 @@ def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
 
 
 def _solve(config: ExperimentConfig, covariates: PairCovariates):
-    """Equilibrium beliefs at the configured truth and their fixed-point residual."""
+    """Utility index of the equilibrium at the configured truth and its fixed-point residual."""
     th = config.theta
-    return _iterate(covariates, config.support, th.externality, th.homophily, config.solver)
+    return _iterate(covariates, config.support, th.externality, th.homophily, config.solver)[1:]
 
 
-def _observe(config: ExperimentConfig, covariates, beliefs, children) -> tuple[Network, Network]:
-    """Latent network drawn from the beliefs (shocks from ``children[1]``) and
-    its misclassified record (flips from ``children[2]``)."""
+def _observe(config: ExperimentConfig, utility, children) -> tuple[Network, Network]:
+    """Latent network drawn from the equilibrium's utility index (shocks from
+    ``children[1]``) and its misclassified record (flips from ``children[2]``)."""
     th = config.theta
-    true_net = simulate_true_network(
-        beliefs, covariates, config.support, th.externality, th.homophily, seed=children[1]
-    )
+    true_net = _draw(utility, children[1])
     return true_net, apply_misclassification(true_net, th.fp_rate, th.fn_rate, seed=children[2])
 
 
@@ -113,8 +111,8 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     """Draw one design, solve, simulate, misclassify, and write all files."""
     children = replication_seed(config.seed, 0).spawn(3)
     covariates = _design_for(config, children)
-    beliefs, residual = _solve(config, covariates)
-    true_net, observed = _observe(config, covariates, beliefs, children)
+    utility, residual = _solve(config, covariates)
+    true_net, observed = _observe(config, utility, children)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -188,11 +186,11 @@ def _replicate(args) -> ReplicationRecord:
     children = replication_seed(config.seed, index).spawn(3)
     try:
         if fixed is not None:
-            covariates, beliefs, residual = fixed
+            covariates, utility, residual = fixed
         else:
             covariates = _design_for(config, children)
-            beliefs, residual = _solve(config, covariates)
-        _, observed = _observe(config, covariates, beliefs, children)
+            utility, residual = _solve(config, covariates)
+        _, observed = _observe(config, utility, children)
         data = Dataset(network=observed, covariates=covariates, support=config.support)
         stat = MomentEvaluator(data).statistic(config.theta)
         return ReplicationRecord(
@@ -215,7 +213,8 @@ def run_mc_coverage(config: ExperimentConfig, threads: int | None = None) -> Run
     Each replication simulates a network at the true parameter point,
     misclassifies it, and tests the truth; the report aggregates the coverage
     rate and the Kolmogorov-Smirnov distance of the statistic sample to the
-    chi-square reference.  Failed replications are recorded, and the run
+    chi-square reference.  A fixed design is solved once, and each replication
+    draws from its index.  Failed replications are recorded, and the run
     aborts only when their share exceeds ``failure_tolerance``.
     """
     threads = config.threads if threads is None else threads

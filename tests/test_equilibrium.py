@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misnet import (
     CovariateSupport,
@@ -12,7 +13,15 @@ from misnet import (
     simulate_true_network,
     solve_equilibrium,
 )
-from misnet.equilibrium import BeliefMatrix, _iterate, _stats, equilibrium_residual
+from misnet.equilibrium import (
+    BeliefMatrix,
+    _draw,
+    _index,
+    _iterate,
+    _stats,
+    _step,
+    equilibrium_residual,
+)
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_assignment, scalar_support
@@ -157,7 +166,8 @@ class TestSolver:
 
 class TestLoopMatchesReference:
     """The plain-array loop returns the same point as the loop that calls the
-    public best response and validates a BeliefMatrix at every step."""
+    public best response and validates a BeliefMatrix at every step, and the
+    index and residual of the step that accepted it."""
 
     SUPPORTS = {
         "scalar": (scalar_support(-0.5, 0.5), [0.8]),
@@ -172,12 +182,16 @@ class TestLoopMatchesReference:
         cov = random_assignment(rng, n, support.n_points)
         ext = default_theta().externality
         cfg = SolverConfig(damping=damping)
-        beliefs, residual = _iterate(cov, support, ext, hom, cfg)
+        beliefs, index, residual = _iterate(cov, support, ext, hom, cfg)
         expected = reference_solve(cov, support, ext, hom, cfg)
         assert np.array_equal(beliefs.probs, expected.probs)
         assert np.array_equal(solve_equilibrium(cov, support, ext, hom, cfg).probs, expected.probs)
         assert residual == equilibrium_residual(beliefs, cov, support, ext, hom)
         assert residual <= cfg.tol
+        xhom, ext_arr = cov.values(support) @ np.asarray(hom, float), np.asarray(ext, float)
+        assert np.array_equal(index, _index(beliefs.probs, xhom, ext_arr))
+        q = _step(beliefs.probs, xhom, ext_arr)[1]
+        assert np.array_equal(best_response(beliefs, cov, support, ext, hom).probs, q)
 
     def test_same_nonconvergence(self, rng):
         # the oscillating map of TestSolver.test_nonconvergence_raised_for_oscillating_map
@@ -250,3 +264,35 @@ class TestSimulation:
         beliefs = solve_equilibrium(cov, support, theta.externality, theta.homophily, cfg)
         q = best_response(beliefs, cov, support, theta.externality, theta.homophily)
         assert np.max(np.abs(q.probs - beliefs.probs)) <= cfg.tol
+
+
+class TestSolveThenDraw:
+    """Small designs with bounded random parameters: the solver either returns a
+    valid point whose index draws a valid network, or raises NonConvergence."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        ext=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+        hom=st.floats(-3.0, 3.0),
+        damping=st.floats(0.05, 1.0),
+        data=st.data(),
+    )
+    def test_valid_point_and_network_or_nonconvergence(self, n, ext, hom, damping, data):
+        support = scalar_support(-0.5, 0.5)
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+        cov = PairCovariates(np.array(cells).reshape(n, n))
+        cfg = SolverConfig(max_iter=500, damping=damping)
+        try:
+            beliefs, index, residual = _iterate(cov, support, ext, [hom], cfg)
+        except NonConvergence:
+            return
+        assert np.all(np.isfinite(beliefs.probs))
+        assert np.all((beliefs.probs >= 0) & (beliefs.probs <= 1))
+        assert residual <= cfg.tol
+        assert residual == equilibrium_residual(beliefs, cov, support, ext, [hom])
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        net = _draw(index, seed)
+        assert set(np.unique(net.adj)) <= {0, 1} and np.all(np.diagonal(net.adj) == 0)
+        public = simulate_true_network(beliefs, cov, support, ext, [hom], seed=seed)
+        assert np.array_equal(public.adj, net.adj)

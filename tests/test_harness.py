@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from misnet import ConfigError, FileFormatError, MomentEvaluator, Network, PairCovariates
+from misnet import (
+    ConfigError,
+    FileFormatError,
+    MomentEvaluator,
+    Network,
+    PairCovariates,
+    simulate_true_network,
+    solve_equilibrium,
+)
 from misnet.cli import main
 from misnet.config import parse_config_text
 from misnet.inference import theta_coordinates
@@ -294,6 +302,19 @@ class TestRunSimulate:
         summary = json.loads(Path(paths["summary"]).read_text())
         assert summary["equilibrium_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("x_mode", ["fixed", "fresh"])
+    def test_true_network_is_the_public_draw(self, tmp_path, x_mode):
+        # the solver's index drawn with the shock stream equals the public path
+        cfg = parse_config_text(BASE_CONFIG.replace("x_mode = fixed", f"x_mode = {x_mode}"))
+        paths = run_simulate(cfg, tmp_path)
+        covariates = netio.read_covariates(paths["covariates"], cfg.support.n_points)
+        th = cfg.theta
+        args = (covariates, cfg.support, th.externality, th.homophily)
+        beliefs = solve_equilibrium(*args, cfg.solver)
+        shocks = replication_seed(cfg.seed, 0).spawn(3)[1]
+        expected = simulate_true_network(beliefs, *args, seed=shocks)
+        assert np.array_equal(netio.read_network(paths["true_network"]).adj, expected.adj)
+
     def test_loadable_as_dataset(self, tmp_path):
         run_simulate(self._config(), tmp_path)
         data = load_dataset(tmp_path)
@@ -522,6 +543,17 @@ class TestCli:
         ) + "max_iter = 30\n"
         cfg = self._write_config(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_degenerate_variance_exit_code(self, tmp_path, capsys):
+        """An empty observed network has no link variation, so S is zero."""
+        cfg = self._write_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(data_dir)]) == 0
+        empty = Network(np.zeros((40, 40), dtype=np.int8))
+        netio.write_network_matrix(empty, data_dir / "observed_network.csv")
+        out = tmp_path / "o"
+        assert main(["estimate", "--config", cfg, "--data", str(data_dir), "--out", str(out)]) == 3
+        assert "variance" in capsys.readouterr().err and not out.exists()
 
     def test_malformed_data_file_exit_code(self, tmp_path):
         cfg = self._write_config(tmp_path)
