@@ -13,10 +13,9 @@ C the 5J x 5J covariance of that table, S(theta) = c(theta)' C c(theta).
 Everything that does not depend on theta comes from one per-agent table per
 dataset, built once by :func:`cell_estimates`: the cell statistics are the
 agent means of its influence columns, the link sums the agent sums of its link
-counts, and C its covariance.  Per-cell sums over pairs use one ``bincount``
-over the cell labels with the diagonal parked in a spare bin J.  Counts, link
-sums and the influence sums add 0/1 products, so they are exact in any
-summation order.
+counts, and C its covariance.  Per-cell sums over pairs read one 0/1 mask per
+cell, the pairs assigned to it with the diagonal zeroed.  Counts, link sums and
+the influence sums add 0/1 products, so they are exact in any summation order.
 
 Parameter points arrive as rows of theta in the ``theta_coordinates``
 layout; a single point is the one-row case.  :func:`_corrected_index` builds
@@ -100,50 +99,35 @@ class CellEstimates:
     cov: np.ndarray  # (J, 5, J, 5)
 
 
-def _parked_labels(data: Dataset) -> np.ndarray:
-    """Cell labels with the diagonal moved to the spare bin J, shape (n, n)."""
-    labels = data.covariates.assignment.copy()
-    np.fill_diagonal(labels, data.n_cells)
-    return labels
-
-
-def _row_sums_by_cell(labels: np.ndarray, n_cells: int, weights=None) -> np.ndarray:
-    """Sum of ``weights`` (default 1) over each row's pairs in each cell, shape (J, n)."""
-    n = labels.shape[0]
-    keys = labels * n + np.arange(n)[:, None]
-    w = None if weights is None else weights.ravel()
-    sums = np.bincount(keys.ravel(), weights=w, minlength=(n_cells + 1) * n)
-    return sums.reshape(n_cells + 1, n)[:n_cells].astype(float)
-
-
 def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
     """Per agent k and cell j: k's links over its pairs (k, i) in the cell, then
     k's four statistic influences, shape (n, J, 5).  The first influence is k's
-    links over the cell's pairs (i, k), scaled by n over the cell count; the
-    other three are cell averages of k's terms in the inner sums.  Each row
-    depends only on that agent's links.
+    links G_ki over the cell's pairs (i, k), scaled by n over the cell count: it
+    reads the label of the reverse pair (i, k), hence ``cell.T``.  The other
+    three are cell averages of k's terms in the inner sums.  Each row depends
+    only on that agent's links.
     """
     n, J = data.n, data.n_cells
     g = data.network.adj.astype(float)
-    labels = _parked_labels(data)
-    row_count = _row_sums_by_cell(labels, J)  # pairs per first index
-    col_count = _row_sums_by_cell(labels.T, J)  # pairs per second index
-    links_in = _row_sums_by_cell(labels.T, J, g)  # G_ki over pairs (i, k)
     out = np.empty((n, J, 5))
-    out[:, :, 0] = _row_sums_by_cell(labels, J, g).T  # G_ki over pairs (k, i)
     for j in range(J):
+        cell = (data.covariates.assignment == j).astype(float)
+        np.fill_diagonal(cell, 0.0)
         m_count = counts[j]
-        out[:, j, 1] = n * links_in[j] / m_count
-        out[:, j, 2] = (g @ col_count[j]) / m_count
-        out[:, j, 3] = ((g @ (labels == j).astype(float)) * g).sum(axis=1) / m_count
-        out[:, j, 4] = (g @ (row_count[j] + col_count[j])) / m_count
+        row_count, col_count = cell.sum(axis=1), cell.sum(axis=0)  # pairs per first/second index
+        out[:, j, 0] = (g * cell).sum(axis=1)  # G_ki over pairs (k, i)
+        out[:, j, 1] = n * (g * cell.T).sum(axis=1) / m_count  # G_ki over pairs (i, k)
+        out[:, j, 2] = (g @ col_count) / m_count
+        out[:, j, 3] = ((g @ cell) * g).sum(axis=1) / m_count
+        out[:, j, 4] = (g @ (row_count + col_count)) / m_count
     return out
 
 
 def cell_estimates(data: Dataset) -> CellEstimates:
     """Cell frequencies, statistics, link sums and C from the per-agent table; raises on empty cells."""
     n, J = data.n, data.n_cells
-    counts = np.bincount(_parked_labels(data).ravel(), minlength=J + 1)[:J].astype(float)
+    off_diagonal = data.covariates.assignment[~np.eye(n, dtype=bool)]
+    counts = np.bincount(off_diagonal, minlength=J).astype(float)
     for j in range(J):
         if counts[j] == 0:
             raise EmptyCell(j)

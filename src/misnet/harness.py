@@ -267,6 +267,9 @@ def write_report(report: RunReport, out_dir) -> dict:
     summary = out / "summary.json"
     fields = ("alpha", "dof", "critical_value", "coverage", "ks_distance", "n_failed")
     payload = {key: getattr(report, key) for key in fields}
+    for key, value in payload.items():  # NaN when every replication failed; strict JSON has null
+        if isinstance(value, float) and not np.isfinite(value):
+            payload[key] = None
     payload["n_replications"] = len(report.records)
     summary.write_text(json.dumps(payload, indent=2))
     return {"replications": str(table), "summary": str(summary)}

@@ -111,7 +111,7 @@ class TestCellEstimates:
             assert np.all(cells.stats[j] <= hi + 1e-14)
 
     def test_link_sums_match_brute_force(self, rng):
-        for n, n_cells in [(5, 2), (9, 3), (23, 4)]:
+        for n, n_cells in [(5, 2), (9, 3), (23, 4), (4, 1)]:
             data = random_dataset(rng, n=n, n_cells=n_cells)
             adj, labels = data.network.adj, data.covariates.assignment
             expected = np.zeros(n_cells)
@@ -265,7 +265,7 @@ class TestStatInfluence:
     def test_agent_average_recovers_cell_stats(self, rng):
         """The cell statistics are the agent means of the influence terms; those
         means match the pair-loop estimator."""
-        for n_cells in (2, 3):
+        for n_cells in (2, 3, 1, 4):
             data = random_dataset(rng, n=9, n_cells=n_cells)
             cells = cell_estimates(data)
             table = stat_influence_all(data, cells)

@@ -451,6 +451,25 @@ replications = 20
 x_mode = fresh
 """
 
+    def test_all_failed_summary_is_strict_json(self, tmp_path):
+        """When every replication fails, the NaN aggregates are written as null,
+        so the summary parses with a reader that rejects NaN."""
+        text = (
+            self.FRAGILE.replace("n = 6", "n = 3")
+            .replace("0.97, 0.03", "0.9999, 0.0001")
+            .replace("replications = 20", "replications = 5")
+        )
+        path = tmp_path / "all_failed.cfg"
+        path.write_text(text + "failure_tolerance = 1\n")
+        assert main(["mc-coverage", "--config", str(path), "--out", str(tmp_path / "mc")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((tmp_path / "mc" / "summary.json").read_text(), parse_constant=reject)
+        assert summary["n_failed"] == summary["n_replications"] == 5
+        assert summary["coverage"] is None and summary["ks_distance"] is None
+
     def test_excessive_failures_abort(self):
         from misnet import TooManyFailures
 
