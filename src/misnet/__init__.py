@@ -40,11 +40,7 @@ from .inference import (
     confidence_set,
     projection_intervals,
 )
-from .misclassification import (
-    CorrectionMaps,
-    apply_misclassification,
-    correction_maps,
-)
+from .misclassification import apply_misclassification, population_correction
 from .model import (
     CovariateSupport,
     Network,
@@ -61,7 +57,6 @@ __all__ = [
     "CellSummary",
     "ConfidenceSet",
     "ConfigError",
-    "CorrectionMaps",
     "CovariateSupport",
     "Dataset",
     "DegenerateVariance",
@@ -84,11 +79,11 @@ __all__ = [
     "cell_summary",
     "chi2_quantile",
     "confidence_set",
-    "correction_maps",
     "identified_set",
     "membership",
     "moment",
     "moment_variance",
+    "population_correction",
     "projection_intervals",
     "simulate_true_network",
     "solve_equilibrium",

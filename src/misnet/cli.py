@@ -8,7 +8,6 @@ cells, degenerate variance, excessive replication failures).
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -81,7 +80,7 @@ def _cmd_estimate(config, args) -> None:
         "critical_value": critical,
         "accepted": stat <= critical,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    netio.write_summary(out / "summary.json", summary)
     print(f"statistic {stat:.6g} (critical {critical:.6g})")
 
 
@@ -108,7 +107,7 @@ def _cmd_sp_set(config, args) -> None:
     semiparametric.write_membership_csv(results, config.grid.coordinate_names(), table)
     n_member = sum(1 for _, res in results if res.member)
     summary = {"n_grid": len(results), "n_member": n_member}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    netio.write_summary(out / "summary.json", summary)
     print(f"{n_member} of {len(results)} grid points are members; wrote {table}")
 
 

@@ -66,26 +66,29 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
 
 
-def _stats(p: np.ndarray) -> np.ndarray:
-    """Expected network statistics per ordered pair from beliefs p, shape (n, n, 3).
+def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Utility index stats(p)'ext + x'hom on plain arrays, shape (n, n).
 
-    Entry (i, j) holds
-        (p_ji,  (1/n) sum_{k != i} p_kj,  (1/n) sum_{k != i} p_ki * p_kj).
-    The product form in the third component uses independence of distinct
-    link shocks within an agent.  Diagonal entries are computed but carry no
-    model meaning.
+    The statistics of entry (i, j) are
+        (p_ji,  (1/n) sum_{k != i} p_kj,  (1/n) sum_{k != i} p_ki * p_kj),
+    weighted and summed in that order.  The product form in the third uses
+    independence of distinct link shocks within an agent; its k = i term
+    vanishes through the zero diagonal.  The diagonal carries no model meaning.
+    The index is built C-ordered in two n x n buffers: a transposed (F-ordered)
+    index slows the solver's later passes, and more temporaries cost page faults.
     """
     n = p.shape[0]
-    col = p.sum(axis=0)  # sum_k p_kj, with p_jj = 0
-    recip = p.T
-    in_deg = (col[None, :] - p) / n
-    common = (p.T @ p) / n  # k = i term vanishes through the zero diagonal
-    return np.stack([recip, in_deg, common], axis=-1)
-
-
-def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:
-    """Utility index stats(p)'ext + x'hom on plain arrays."""
-    return _stats(p) @ ext + xhom
+    index = np.multiply(p.T, ext[0], order="C")
+    term = p.sum(axis=0) - p
+    term /= n
+    term *= ext[1]
+    index += term
+    np.matmul(p.T, p, out=term)
+    term /= n
+    term *= ext[2]
+    index += term
+    index += xhom
+    return index
 
 
 def _arrays(covariates, support, externality, homophily):

@@ -18,8 +18,8 @@ cell, the pairs assigned to it with the diagonal zeroed.  Counts, link sums and
 the influence sums add 0/1 products, so they are exact in any summation order.
 
 Parameter points arrive as rows of theta in the ``theta_coordinates``
-layout; a single point is the one-row case.  :func:`_corrected_index` builds
-one correction map per distinct (fp, fn) of the rows, and
+layout; a single point is the one-row case.  :func:`_corrected_index` applies
+the population correction of every row's rates in one array pass, and
 :meth:`MomentEvaluator.statistics` is the one code that forms m, S and the
 statistic, judging every S from one batched ``eigvalsh``.  A row's result
 does not depend on the other rows.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateVariance, EmptyCell
-from .misclassification import correction_maps
+from .misclassification import population_correction
 from .model import CovariateSupport, Network, PairCovariates, Theta, theta_coordinates
 from .normal import norm_cdf, norm_pdf
 
@@ -145,20 +145,19 @@ def cell_estimates(data: Dataset) -> CellEstimates:
 def _corrected_index(cells: CellEstimates, support: CovariateSupport, points):
     """Per row of theta (``theta_coordinates`` layout, (P, 5 + d)): the corrected
     index per cell u (P, J), lam = 1 - fp - fn (P,) and the index's slope in the
-    four observed statistics ``cm.matrix.T @ externality`` (P, 4), from one
-    population (n = inf) map per distinct (fp, fn).  The inner sums of the cell
-    statistics run over every k, so the finite-n terms of the map's k != i
-    convention would not describe them exactly; either way the residual is O(1/n).
+    four observed statistics ``matrix.T @ externality`` (P, 4), from the
+    population (n = inf) correction of each row's rates.  The inner sums of the
+    cell statistics run over every k, so the finite-n terms of the flip law's
+    k != i convention would not describe them exactly; either way the residual
+    is O(1/n).  Infeasible rates raise ``InvalidRates``.
     """
     points = np.asarray(points, dtype=float)
     ext, hom, fp, fn = points[:, :3, None], points[:, 3:-2, None], points[:, -2], points[:, -1]
-    pairs = {}  # (fp, fn) -> map number; cheaper than np.unique(axis=0)
-    which = [pairs.setdefault(pair, len(pairs)) for pair in zip(fp.tolist(), fn.tolist())]
-    maps = [correction_maps(*pair) for pair in pairs]
-    matrix_t = np.stack([cm.matrix.T for cm in maps])  # (K, 4, 3)
-    corrected = cells.stats @ matrix_t + np.stack([cm.offset for cm in maps])[:, None]  # (K, J, 3)
-    u = (corrected[which] @ ext)[..., 0] + (support.points @ hom)[..., 0]
-    return u, 1.0 - fp - fn, (matrix_t[which] @ ext)[..., 0]
+    offset, matrix = population_correction(fp, fn)
+    matrix_t = np.ascontiguousarray(matrix.swapaxes(1, 2))  # (P, 4, 3)
+    corrected = cells.stats @ matrix_t + offset[:, None]  # (P, J, 3)
+    u = (corrected @ ext)[..., 0] + (support.points @ hom)[..., 0]
+    return u, 1.0 - fp - fn, (matrix_t @ ext)[..., 0]
 
 
 def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
@@ -193,10 +192,10 @@ class MomentEvaluator:
 
     Everything that does not depend on theta, the covariance C included, comes
     from the cell estimates (pass ``cells`` to reuse ones already computed).
-    Rows of theta then pay for one correction map per distinct (fp, fn) and a
-    few batched array operations, none of order n.  S is degenerate when it is
-    not finite, its smallest eigenvalue is below ``MIN_VARIANCE_EIGENVALUE`` or
-    largest over smallest exceeds ``MAX_CONDITION_NUMBER``.  ``moment``,
+    Rows of theta then pay for a few batched array operations, none of order n.
+    S is degenerate when it is not finite, its smallest eigenvalue is below
+    ``MIN_VARIANCE_EIGENVALUE`` or largest over smallest exceeds
+    ``MAX_CONDITION_NUMBER``.  ``moment``,
     ``variance`` and ``statistic`` are the one-row case of :meth:`statistics`.
     """
 

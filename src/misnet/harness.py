@@ -10,7 +10,6 @@ leaks across replications, so serial and pooled execution produce identical
 reports.
 """
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,7 +133,7 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
         "observed_link_count": int(observed.adj.sum()),
         "files": {k: str(v) for k, v in paths.items() if k != "summary"},
     }
-    paths["summary"].write_text(json.dumps(summary, indent=2))
+    netio.write_summary(paths["summary"], summary)
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -175,7 +174,7 @@ def run_ci(data_dir, grid, alpha: float, out_dir) -> dict:
         ([name, lo, hi] for name, (lo, hi) in intervals.items()),
     )
     summary["projection"] = {k: list(v) for k, v in intervals.items()}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    netio.write_summary(out / "summary.json", summary)
     return {"grid": str(grid_path), "projection": str(projection_path), "summary": str(out / "summary.json")}
 
 
@@ -266,10 +265,7 @@ def write_report(report: RunReport, out_dir) -> dict:
     )
     summary = out / "summary.json"
     fields = ("alpha", "dof", "critical_value", "coverage", "ks_distance", "n_failed")
-    payload = {key: getattr(report, key) for key in fields}
-    for key, value in payload.items():  # NaN when every replication failed; strict JSON has null
-        if isinstance(value, float) and not np.isfinite(value):
-            payload[key] = None
+    payload = {key: getattr(report, key) for key in fields}  # NaN when every replication failed
     payload["n_replications"] = len(report.records)
-    summary.write_text(json.dumps(payload, indent=2))
+    netio.write_summary(summary, payload)
     return {"replications": str(table), "summary": str(summary)}

@@ -98,11 +98,6 @@ class ThetaGrid:
     def __len__(self):
         return len(self.points)
 
-    @classmethod
-    def singleton(cls, theta: Theta) -> "ThetaGrid":
-        """Degenerate grid holding exactly one parameter point."""
-        return cls(tuple([v] for v in theta_coordinates(theta)))
-
 
 @dataclass(frozen=True)
 class GridRecord:

@@ -1,106 +1,49 @@
-"""Link misclassification: the flip mechanism and its correction algebra.
+"""Link misclassification: the flip mechanism and its correction.
 
 A recorded link differs from the latent one with probability fp_rate when the
 latent link is absent and fn_rate when it is present, independently across
-ordered pairs.  The correction algebra maps the four observed expected
-statistics back to the three latent ones through an affine map whose 4x4
-forward matrix has the closed-form inverse implemented here.
+ordered pairs.  The correction maps the four observed expected statistics back
+to the three latent ones through an affine map, the population (n = inf)
+inverse of the flip law's forward map.
 """
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Network, validate_rates
 
 __all__ = [
-    "CorrectionMaps",
-    "correction_maps",
+    "population_correction",
     "apply_misclassification",
 ]
 
 
-@dataclass(frozen=True)
-class CorrectionMaps:
-    """Affine correction for one (fp_rate, fn_rate) point at network size n.
+def population_correction(fp_rate, fn_rate) -> tuple[np.ndarray, np.ndarray]:
+    """Affine correction true_stats = offset + matrix @ observed_stats, elementwise
+    over arrays of rates: offset (..., 3) and matrix (..., 3, 4).
 
-    true_stats = offset + matrix @ observed_stats, and the forward direction
-    observed_stats = shift + forward @ true_stats_ext, where the extended true
-    vector carries the combined in-degree component.  n = inf gives the
-    population map.
+    With lam = 1 - fp - fn, the observed statistics of a pair have expectations
+    fp + lam g1, fp + lam g2, fp^2 + lam^2 g3 + fp lam g4 and 2 fp + lam g4 in
+    the latent ones, up to terms of order 1/n.  Inverting that forward map gives
+    offset (-fp/lam, -fp/lam, fp^2/lam^2) and a matrix that rescales by 1/lam,
+    1/lam and 1/lam^2 and removes fp/lam^2 times the combined in-degree from the
+    third statistic.  Rates outside {fp, fn >= 0, fp + fn < 1} raise
+    ``InvalidRates`` with ``validate_rates``' message for the first of them.
     """
-
-    offset: np.ndarray  # (3,)
-    matrix: np.ndarray  # (3, 4)
-    shift: np.ndarray  # (4,)
-    forward: np.ndarray  # (4, 4)
-    fp_rate: float
-    fn_rate: float
-
-    def true_from_observed(self, observed_stats) -> np.ndarray:
-        return self.offset + self.matrix @ np.asarray(observed_stats, dtype=float)
-
-    def observed_from_true(self, true_stats_ext) -> np.ndarray:
-        return self.shift + self.forward @ np.asarray(true_stats_ext, dtype=float)
-
-
-def correction_maps(fp_rate: float, fn_rate: float, n: float = math.inf) -> CorrectionMaps:
-    """Closed-form correction algebra for given rates and network size n.
-
-    Both directions follow from the flip law.  For the pair (i, j), with
-    inner sums over k != i and a zero diagonal, the observed statistics
-    collect 1, n - 2, n - 2 and 2n - 3 flipped links, each recorded with
-    probability fp + lam * p where lam = 1 - fp - fn.  Their expectations are
-
-        s1 = fp + lam g1
-        s2 = fp (1 - 2/n) + lam g2
-        s3 = fp^2 (1 - 2/n) + lam^2 g3 + fp lam (g4 - g1/n)
-        s4 = fp (2 - 3/n) + lam g4
-
-    (g4 counts p_ji for k = j, where the product term is zero).  Inverting the
-    block-triangular forward map gives the correction, with
-    offset = (-fp/lam, -fp (1 - 2/n)/lam, fp^2 (1 - 2/n)/lam^2).  Every finite-n
-    term is written in 1/n, so the default n = inf is the population map.
-    Rates with fp + fn >= 1 are rejected, as the forward matrix would be
-    singular, and so is n < 2.
-    """
-    validate_rates(fp_rate, fn_rate)
-    if not n >= 2:
-        raise ValueError(f"network size must be at least 2, got {n}")
-    inv_n = 1.0 / n
-    inner = 1.0 - 2.0 * inv_n  # (n - 2)/n: the links k -> j with k outside {i, j}
-    lam = 1.0 - fp_rate - fn_rate
-    ratio = fp_rate / lam
-    shift = np.array(
-        [fp_rate, fp_rate * inner, fp_rate * fp_rate * inner, fp_rate * (2.0 - 3.0 * inv_n)]
-    )
-    forward = np.array(
-        [
-            [lam, 0.0, 0.0, 0.0],
-            [0.0, lam, 0.0, 0.0],
-            [-fp_rate * lam * inv_n, 0.0, lam * lam, fp_rate * lam],
-            [0.0, 0.0, 0.0, lam],
-        ]
-    )
+    fp, fn = np.broadcast_arrays(np.asarray(fp_rate, dtype=float), np.asarray(fn_rate, dtype=float))
+    bad = ~((fp >= 0) & (fn >= 0) & (fp + fn < 1))  # NaN and infinities fail one of these
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        validate_rates(fp.flat[first], fn.flat[first])
+    lam = 1.0 - fp - fn
     inv_lam = 1.0 / lam
-    degree_weight = fp_rate * inv_lam * inv_lam
-    matrix = np.array(
-        [
-            [inv_lam, 0.0, 0.0, 0.0],
-            [0.0, inv_lam, 0.0, 0.0],
-            [degree_weight * inv_n, 0.0, inv_lam * inv_lam, -degree_weight],
-        ]
-    )
-    offset = np.array([-ratio, -ratio * inner, ratio * ratio * inner])
-    return CorrectionMaps(
-        offset=offset,
-        matrix=matrix,
-        shift=shift,
-        forward=forward,
-        fp_rate=float(fp_rate),
-        fn_rate=float(fn_rate),
-    )
+    ratio = fp / lam
+    offset = np.stack([-ratio, -ratio, ratio * ratio], axis=-1)
+    matrix = np.zeros((*fp.shape, 3, 4))
+    matrix[..., 0, 0] = inv_lam
+    matrix[..., 1, 1] = inv_lam
+    matrix[..., 2, 2] = inv_lam * inv_lam
+    matrix[..., 2, 3] = -(fp * inv_lam * inv_lam)
+    return offset, matrix
 
 
 def apply_misclassification(
@@ -114,4 +57,3 @@ def apply_misclassification(
     observed = np.where(g == 1, u >= fn_rate, u < fp_rate).astype(np.int8)
     np.fill_diagonal(observed, 0)
     return Network(observed)
-

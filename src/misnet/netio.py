@@ -12,9 +12,12 @@ Writers put floats as ``.17g`` (so they read back exactly) and booleans as
 0/1, and quote a field that contains a comma, a quote or a line break.
 Readers accept ``\\r\\n`` line ends, blank lines and spaces around fields.
 Every parse or domain error raises ``FileFormatError`` naming the line.
+Each command's ``summary.json`` is written by :func:`write_summary`.
 """
 
 import csv
+import json
+import math
 import warnings
 from pathlib import Path
 
@@ -31,6 +34,7 @@ __all__ = [
     "write_support",
     "read_support",
     "write_table",
+    "write_summary",
 ]
 
 
@@ -48,6 +52,15 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_field(v) for v in row] for row in rows)
+
+
+def write_summary(path, payload: dict) -> None:
+    """Write a run summary as indented JSON; strict JSON has no NaN, so a
+    non-finite float value is written as null."""
+    strict = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in payload.items()
+    }
+    Path(path).write_text(json.dumps(strict, indent=2))
 
 
 def _parse(rows, dtype):

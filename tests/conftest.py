@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from misnet import CovariateSupport, Dataset, Network, PairCovariates, Theta
+from misnet import CovariateSupport, Dataset, Network, PairCovariates, Theta, ThetaGrid
+from misnet.model import theta_coordinates
 
 
 def scalar_support(*values) -> CovariateSupport:
@@ -46,3 +47,8 @@ def default_theta(d=1) -> Theta:
         fp_rate=0.05,
         fn_rate=0.10,
     )
+
+
+def singleton_grid(theta: Theta) -> ThetaGrid:
+    """Degenerate grid holding exactly one parameter point."""
+    return ThetaGrid(tuple([v] for v in theta_coordinates(theta)))

@@ -6,20 +6,22 @@ definitions, deliberately sharing no code path with the package internals
 It also holds the model's link utility, against which the link rule is
 checked by enumeration, a solver loop written through the public best
 response, against which the package's plain-array loop is checked, the
-extended belief statistics the forward-map checks need (the solver's
-statistics kernel plus the combined in-degree term, itself checked against
-:func:`brute_extended_stats`), and a writer for edge-list network files,
-which only the reader's tests need.
+belief statistics as an (n, n, 3) stack, whose weighted sum the solver's index
+must equal, and the extended statistics the forward-map checks need (both
+checked against :func:`brute_extended_stats`), the flip law's forward map at
+network size n with its inverse, against which the package's population
+correction is checked, and a writer for edge-list network files, which only
+the reader's tests need.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from misnet.equilibrium import BeliefMatrix, SolverConfig, _stats, best_response
+from misnet.equilibrium import BeliefMatrix, SolverConfig, best_response
 from misnet.exceptions import NonConvergence
-from misnet.misclassification import correction_maps
 from misnet.model import CovariateSupport, Network, PairCovariates, Theta
 from misnet.normal import norm_cdf, norm_pdf
 
@@ -118,6 +120,18 @@ def brute_extended_stats(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def network_stats(p: np.ndarray) -> np.ndarray:
+    """Expected network statistics per ordered pair from beliefs p, shape (n, n, 3).
+
+    Entry (i, j) holds
+        (p_ji,  (1/n) sum_{k != i} p_kj,  (1/n) sum_{k != i} p_ki * p_kj);
+    the k = i term of the last vanishes through the zero diagonal.
+    """
+    n = p.shape[0]
+    col = p.sum(axis=0)  # sum_k p_kj, with p_jj = 0
+    return np.stack([p.T, (col[None, :] - p) / n, (p.T @ p) / n], axis=-1)
+
+
 def extended_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
     """The three statistics plus the combined in-degree term, shape (n, n, 4).
 
@@ -127,7 +141,80 @@ def extended_stats_from_beliefs(beliefs: BeliefMatrix) -> np.ndarray:
     n = p.shape[0]
     col = p.sum(axis=0)
     deg_sum = (col[:, None] + col[None, :] - p) / n
-    return np.concatenate([_stats(p), deg_sum[..., None]], axis=-1)
+    return np.concatenate([network_stats(p), deg_sum[..., None]], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the flip law's forward map and its inverse
+
+
+@dataclass(frozen=True)
+class FlipLawMaps:
+    """Affine maps between latent and observed statistics at one (fp, fn, n).
+
+    true_stats = offset + matrix @ observed_stats, and the forward direction
+    observed_stats = shift + forward @ true_stats_ext, where the extended true
+    vector carries the combined in-degree component.
+    """
+
+    offset: np.ndarray  # (3,)
+    matrix: np.ndarray  # (3, 4)
+    shift: np.ndarray  # (4,)
+    forward: np.ndarray  # (4, 4)
+
+    def true_from_observed(self, observed_stats) -> np.ndarray:
+        return self.offset + self.matrix @ np.asarray(observed_stats, dtype=float)
+
+    def observed_from_true(self, true_stats_ext) -> np.ndarray:
+        return self.shift + self.forward @ np.asarray(true_stats_ext, dtype=float)
+
+
+def flip_law_maps(fp_rate: float, fn_rate: float, n: float = math.inf) -> FlipLawMaps:
+    """Closed-form forward map and correction for given rates and network size n.
+
+    Both directions follow from the flip law.  For the pair (i, j), with
+    inner sums over k != i and a zero diagonal, the observed statistics
+    collect 1, n - 2, n - 2 and 2n - 3 flipped links, each recorded with
+    probability fp + lam * p where lam = 1 - fp - fn.  Their expectations are
+
+        s1 = fp + lam g1
+        s2 = fp (1 - 2/n) + lam g2
+        s3 = fp^2 (1 - 2/n) + lam^2 g3 + fp lam (g4 - g1/n)
+        s4 = fp (2 - 3/n) + lam g4
+
+    (g4 counts p_ji for k = j, where the product term is zero).  Inverting the
+    block-triangular forward map gives the correction, with
+    offset = (-fp/lam, -fp (1 - 2/n)/lam, fp^2 (1 - 2/n)/lam^2).  Every finite-n
+    term is written in 1/n, so n = inf is the population map that
+    ``misnet.misclassification.population_correction`` computes, with the same
+    arithmetic.  Rates must satisfy fp, fn >= 0 and fp + fn < 1, and n >= 2.
+    """
+    inv_n = 1.0 / n
+    inner = 1.0 - 2.0 * inv_n  # (n - 2)/n: the links k -> j with k outside {i, j}
+    lam = 1.0 - fp_rate - fn_rate
+    ratio = fp_rate / lam
+    shift = np.array(
+        [fp_rate, fp_rate * inner, fp_rate * fp_rate * inner, fp_rate * (2.0 - 3.0 * inv_n)]
+    )
+    forward = np.array(
+        [
+            [lam, 0.0, 0.0, 0.0],
+            [0.0, lam, 0.0, 0.0],
+            [-fp_rate * lam * inv_n, 0.0, lam * lam, fp_rate * lam],
+            [0.0, 0.0, 0.0, lam],
+        ]
+    )
+    inv_lam = 1.0 / lam
+    degree_weight = fp_rate * inv_lam * inv_lam
+    matrix = np.array(
+        [
+            [inv_lam, 0.0, 0.0, 0.0],
+            [0.0, inv_lam, 0.0, 0.0],
+            [degree_weight * inv_n, 0.0, inv_lam * inv_lam, -degree_weight],
+        ]
+    )
+    offset = np.array([-ratio, -ratio * inner, ratio * ratio * inner])
+    return FlipLawMaps(offset=offset, matrix=matrix, shift=shift, forward=forward)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +262,7 @@ def brute_cell_estimates(adj: np.ndarray, labels: np.ndarray, n_cells: int):
 
 def cell_index_values(stats: np.ndarray, points: np.ndarray, theta) -> np.ndarray:
     """Corrected single index per cell."""
-    cm = correction_maps(theta.fp_rate, theta.fn_rate)
+    cm = flip_law_maps(theta.fp_rate, theta.fn_rate)
     J = stats.shape[0]
     out = np.zeros(J)
     for j in range(J):
@@ -227,7 +314,7 @@ def brute_stat_influence(adj, labels, agent: int, cell: int) -> np.ndarray:
 def brute_psi_matrix(adj, labels, points, theta, stats, n_cells) -> np.ndarray:
     """Per-agent influence vectors for the moment, shape (n, J)."""
     n = adj.shape[0]
-    cm = correction_maps(theta.fp_rate, theta.fn_rate)
+    cm = flip_law_maps(theta.fp_rate, theta.fn_rate)
     u = cell_index_values(stats, points, theta)
     lam = 1.0 - theta.fp_rate - theta.fn_rate
     slope = cm.matrix.T @ theta.externality

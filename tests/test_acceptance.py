@@ -1,9 +1,11 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
-lines.  Criterion 3 compares the forward correction map at the network's size
-with flip simulations; its companion test checks the same Monte Carlo against
-the exact finite-sample law written out independently of the program.
+lines.  Criterion 1 checks the package's population correction against the
+flip law's forward map in the oracles, and criterion 2 its closed-form values.
+Criterion 3 compares that forward map at the network's size with flip
+simulations; its companion test checks the same Monte Carlo against the exact
+finite-sample law written out again.
 """
 
 import itertools
@@ -20,10 +22,10 @@ from misnet import (
     cell_estimates,
     chi2_quantile,
     confidence_set,
-    correction_maps,
     membership,
     moment,
     moment_variance,
+    population_correction,
     simulate_true_network,
     solve_equilibrium,
 )
@@ -42,6 +44,7 @@ from oracles import (
     brute_variance,
     chi2_quantile_bisect,
     extended_stats_from_beliefs,
+    flip_law_maps,
 )
 
 
@@ -105,14 +108,15 @@ def test_criterion_1_roundtrip_and_closed_form(rng):
         fp = rng.uniform(0, 0.9)
         fn = rng.uniform(0, 0.9 - fp)
         ext = np.concatenate([rng.uniform(0, 1, 3), rng.uniform(0, 2, 1)])
-        cm = correction_maps(fp, fn)
-        rt = cm.true_from_observed(cm.observed_from_true(ext))
+        law = flip_law_maps(fp, fn)
+        offset, matrix = population_correction(fp, fn)
+        rt = offset + matrix @ law.observed_from_true(ext)
         max_rt = max(max_rt, float(np.max(np.abs(rt - ext[:3]))))
-        d_inv = np.linalg.inv(cm.forward)
+        d_inv = np.linalg.inv(law.forward)
         max_inv = max(
             max_inv,
-            float(np.max(np.abs(cm.matrix - sel @ d_inv))),
-            float(np.max(np.abs(cm.offset + sel @ d_inv @ cm.shift))),
+            float(np.max(np.abs(matrix - sel @ d_inv))),
+            float(np.max(np.abs(offset + sel @ d_inv @ law.shift))),
         )
     elapsed = time.perf_counter() - start
     ok = max_rt <= 1e-10 and max_inv <= 1e-12 and elapsed < 1.0
@@ -124,21 +128,21 @@ def test_criterion_1_roundtrip_and_closed_form(rng):
 
 
 def test_criterion_2_analytic_identities():
-    cm0 = correction_maps(0.0, 0.0)
+    offset0, matrix0 = population_correction(0.0, 0.0)
     ok = bool(
-        np.all(cm0.offset == 0.0)
-        and np.array_equal(cm0.matrix, np.hstack([np.eye(3), np.zeros((3, 1))]))
+        np.all(offset0 == 0.0)
+        and np.array_equal(matrix0, np.hstack([np.eye(3), np.zeros((3, 1))]))
     )
     worst = 0.0
     for fp in np.linspace(0.0, 0.49, 50):
         for fn in np.linspace(0.0, 0.49, 50):
-            cm = correction_maps(fp, fn)
+            offset, _ = population_correction(fp, fn)
             lam = 1.0 - fp - fn
             worst = max(
                 worst,
-                abs(cm.offset[2] - (fp / lam) ** 2),
-                abs(cm.offset[0] + fp / lam),
-                abs(cm.offset[1] + fp / lam),
+                abs(offset[2] - (fp / lam) ** 2),
+                abs(offset[0] + fp / lam),
+                abs(offset[1] + fp / lam),
             )
     ok = ok and worst <= 1e-14
     _report(2, "analytic identities", ok, f"max deviation {worst:.2e}")
@@ -207,9 +211,9 @@ def test_criterion_3_forward_map_monte_carlo(rng):
     elapsed = time.perf_counter() - start
 
     worst_units = np.zeros(4)
-    cm = correction_maps(fp, fn, n)
+    law = flip_law_maps(fp, fn, n)
     for pr in pairs:
-        predicted = cm.observed_from_true(ext[pr])
+        predicted = law.observed_from_true(ext[pr])
         units = np.abs(means[pr] - predicted) / (4 * ses[pr])
         worst_units = np.maximum(worst_units, units)
     ok = bool(np.all(worst_units <= 1.0)) and elapsed < 120.0
@@ -287,14 +291,15 @@ def test_criterion_4_population_moment_zero_at_truth():
     J = support.n_points
     m_pop = np.zeros(J)
     spread = 0.0
-    cm = correction_maps(theta.fp_rate, theta.fn_rate)
+    law = flip_law_maps(theta.fp_rate, theta.fn_rate)
+    offset, matrix = population_correction(theta.fp_rate, theta.fn_rate)
     for j in range(J):
         mask = (labels == j) & off
         share = mask.sum() / (n * (n - 1))
         cell_ext = ext[mask].mean(axis=0)
         spread = max(spread, float(np.max(ext[mask].max(axis=0) - ext[mask].min(axis=0))))
         mean_link = float(np.mean(theta.fp_rate + lam * norm_cdf(idx_star[mask])))
-        corrected = cm.true_from_observed(cm.observed_from_true(cell_ext))
+        corrected = offset + matrix @ law.observed_from_true(cell_ext)
         fitted = theta.fp_rate + lam * norm_cdf(
             corrected @ theta.externality + support.points[j] @ theta.homophily
         )
@@ -476,7 +481,7 @@ def test_criterion_9_semiparametric_containment():
             for j in range(J)
         ]
     )
-    observed_cells = np.array([correction_maps(fp0, fn0).observed_from_true(e) for e in true_ext])
+    observed_cells = np.array([flip_law_maps(fp0, fn0).observed_from_true(e) for e in true_ext])
     u_star = true_ext[:, :3] @ (theta0_scale * direction) + support.points[:, 0] * theta0_scale
     means = fp0 + lam0 * norm_cdf(u_star)
     shares = np.full(J, 1.0 / J)
@@ -487,8 +492,8 @@ def test_criterion_9_semiparametric_containment():
         )
 
     def indices_of(theta):
-        cm = correction_maps(theta.fp_rate, theta.fn_rate)
-        corrected = observed_cells @ cm.matrix.T + cm.offset
+        offset, matrix = population_correction(theta.fp_rate, theta.fn_rate)
+        corrected = observed_cells @ matrix.T + offset
         return corrected @ theta.externality + support.points[:, 0] * theta.homophily[0]
 
     def pop_moment(theta):

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,33 @@ def test_benchmark_pins_resolve():
                     f"{path.name}:{node.lineno} calls {target.__qualname__} with arguments it "
                     f"does not take: {exc}"
                 ) from None
+
+
+def test_benchmark_worker_imports(monkeypatch):
+    """``perfbench/worker.py`` imports as the benchmark starts it, with
+    ``perfbench/`` on ``sys.path`` (and so imports ``tracing``), and every
+    attribute that it or ``tracing.py`` reads off the ``harness``,
+    ``equilibrium``, ``netio``, ``semiparametric`` or ``cli`` module it
+    imported exists."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    before = set(sys.modules)
+    try:
+        worker = importlib.import_module("worker")
+        modules = {"worker.py": worker, "tracing.py": worker.tracing}
+        for name, module in modules.items():
+            for node in ast.walk(ast.parse((bench / name).read_text())):
+                if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)):
+                    continue
+                if node.value.id in ("harness", "equilibrium", "netio", "semiparametric", "cli"):
+                    target = getattr(module, node.value.id)
+                    assert hasattr(target, node.attr), (
+                        f"{name}:{node.lineno} reads {target.__name__}.{node.attr}, which is gone"
+                    )
+    finally:  # drop the benchmark's own modules, whose plain names other tests may reuse
+        for name in set(sys.modules) - before:
+            if str(getattr(sys.modules[name], "__file__", "")).startswith(str(bench)):
+                del sys.modules[name]
 
 
 REPLAY_CONFIG = """\

@@ -18,7 +18,6 @@ from misnet.equilibrium import (
     _draw,
     _index,
     _iterate,
-    _stats,
     _step,
     equilibrium_residual,
 )
@@ -29,6 +28,7 @@ from oracles import (
     brute_extended_stats,
     brute_network_stats,
     extended_stats_from_beliefs,
+    network_stats,
     reference_solve,
 )
 
@@ -39,16 +39,22 @@ def uniform_beliefs(n, q):
     return BeliefMatrix(probs)
 
 
+def index_stats(p):
+    """The three statistics read off the solver's index one unit weight at a time, (n, n, 3)."""
+    zero = np.zeros_like(p)
+    return np.stack([_index(p, zero, weights) for weights in np.eye(3)], axis=-1)
+
+
 class TestNetworkStats:
-    """``_stats``, the kernel the solver and the simulation run."""
+    """``_index``, the kernel the solver and the simulation run."""
 
     def test_zero_beliefs(self):
-        stats = _stats(uniform_beliefs(5, 0.0).probs)
+        stats = index_stats(uniform_beliefs(5, 0.0).probs)
         assert np.all(stats == 0.0)
 
     def test_uniform_three_agents(self):
         q = 0.4
-        stats = _stats(uniform_beliefs(3, q).probs)
+        stats = index_stats(uniform_beliefs(3, q).probs)
         i, j = 0, 1
         # exactly one k outside {i, j} contributes to the sums
         assert stats[i, j] == pytest.approx([q, q / 3, q * q / 3], abs=1e-15)
@@ -56,7 +62,7 @@ class TestNetworkStats:
     @pytest.mark.parametrize("n", [4, 7, 12])
     def test_uniform_general_n(self, n):
         q = 0.3
-        stats = _stats(uniform_beliefs(n, q).probs)
+        stats = index_stats(uniform_beliefs(n, q).probs)
         off = ~np.eye(n, dtype=bool)
         expected = np.array([q, (n - 2) * q / n, (n - 2) * q * q / n])
         assert np.allclose(stats[off], expected, atol=1e-14)
@@ -66,10 +72,27 @@ class TestNetworkStats:
         probs = rng.random((n, n))
         np.fill_diagonal(probs, 0.0)
         beliefs = BeliefMatrix(probs)
-        assert np.allclose(_stats(probs), brute_network_stats(probs), atol=1e-13)
+        assert np.allclose(index_stats(probs), brute_network_stats(probs), atol=1e-13)
+        assert np.allclose(network_stats(probs), brute_network_stats(probs), atol=1e-13)
         assert np.allclose(
             extended_stats_from_beliefs(beliefs), brute_extended_stats(probs), atol=1e-13
         )
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_index_is_the_weighted_stack(self, rng, n):
+        """The index equals the statistic stack weighted by the externality plus
+        x'hom: bit for bit at weights whose products are exact (the (.5, .25,
+        .25) of the default theta), and to rounding at any weights.  It is
+        C-ordered."""
+        probs = rng.random((n, n))
+        np.fill_diagonal(probs, 0.0)
+        xhom = rng.standard_normal((n, n))
+        for ext, exact in [(default_theta().externality, True), (rng.standard_normal(3), False)]:
+            index = _index(probs, xhom, ext)
+            stack = network_stats(probs) @ ext + xhom
+            assert index.flags.c_contiguous
+            assert np.allclose(index, stack, rtol=1e-14, atol=1e-15)
+            assert np.array_equal(index, stack) or not exact
 
 
 class TestBestResponse:

@@ -21,11 +21,12 @@ from misnet import (
     Network,
     PairCovariates,
     Theta,
+    InvalidRates,
     ThetaGrid,
     cell_estimates,
-    correction_maps,
     moment,
     moment_variance,
+    population_correction,
 )
 from misnet import estimation
 from misnet.estimation import _corrected_index, quadratic_form, stat_influence_all
@@ -365,9 +366,9 @@ class TestVariance:
             theta = default_theta()
             cells = cell_estimates(data)
             S = moment_variance(data, theta, cells)
-            cm = correction_maps(theta.fp_rate, theta.fn_rate)
+            _, matrix = population_correction(theta.fp_rate, theta.fn_rate)
             lam = 1 - theta.fp_rate - theta.fn_rate
-            slope_norm = np.linalg.norm(theta.externality @ cm.matrix)
+            slope_norm = np.linalg.norm(theta.externality @ matrix)
             bound = 1.0 + lam * norm_pdf(0.0) * slope_norm * np.sqrt(7.0) / cells.freq.min()
             assert np.trace(S) <= bound**2 + 1e-12
 
@@ -410,26 +411,42 @@ class TestStatistic:
             ev.variance(theta)
 
     def test_one_correction_map_per_statistic(self, rng, monkeypatch):
-        """One statistic builds the correction map once: the moment and the
-        variance share the per-theta index, lam and slope.  A batch builds one
-        map per distinct (fp, fn) pair of its rows, however many rows share it."""
+        """One statistic evaluates the correction once: the moment and the
+        variance share the per-theta index, lam and slope.  A batch of rows
+        evaluates it once as well, over the rows' rate columns."""
         ev = MomentEvaluator(random_dataset(rng, n=12, n_cells=2))
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return correction_maps(*args, **kwargs)
+        def counting(fp, fn):
+            calls.append((fp.tolist(), fn.tolist()))
+            return population_correction(fp, fn)
 
-        monkeypatch.setattr(estimation, "correction_maps", counting)
+        monkeypatch.setattr(estimation, "population_correction", counting)
         ev.statistic(default_theta())
-        assert len(calls) == 1
-        for fp_axis, fn_axis in [([0.05], [0.1]), ([0.0, 0.05, 0.3], [0.1, 0.2]), ([0.2, 0.6], [0.3, 0.5])]:
-            grid = ThetaGrid(([0.5, 0.0], [0.25, 0.1], [0.25], [0.8], fp_axis, fn_axis))
-            pairs = {(theta.fp_rate, theta.fn_rate) for theta in grid}
-            calls.clear()
-            ev.statistics(grid.points)
-            assert len(calls) == len(pairs) and len(grid) == 4 * len(pairs)
-            assert set(calls) == pairs
+        assert calls == [([0.05], [0.1])]
+        grid = ThetaGrid(([0.5, 0.0], [0.25, 0.1], [0.25], [0.8], [0.0, 0.05, 0.3], [0.1, 0.2]))
+        calls.clear()
+        ev.statistics(grid.points)
+        assert calls == [(grid.points[:, -2].tolist(), grid.points[:, -1].tolist())]
+
+    def test_infeasible_rates_raise(self, rng):
+        """Rows with rates outside {fp, fn >= 0, fp + fn < 1} raise InvalidRates
+        from ``statistics``, with ``validate_rates``' message for the first such
+        row, whichever of NaN, a negative rate or fp + fn = 1 comes first."""
+        ev = MomentEvaluator(random_dataset(rng, n=12, n_cells=2))
+        good = [0.5, 0.25, 0.25, 0.8, 0.05, 0.1]
+        bad = {
+            "rates must be finite": [0.5, 0.25, 0.25, 0.8, np.nan, 0.1],
+            "rates must be non-negative, got (0.05, -0.1)": [0.5, 0.25, 0.25, 0.8, 0.05, -0.1],
+            "rates must satisfy fp + fn < 1, got 0.5 + 0.5 = 1.0": [0.5, 0.25, 0.25, 0.8, 0.5, 0.5],
+        }
+        rows = list(bad.items())
+        for shift in range(3):
+            order = rows[shift:] + rows[:shift]
+            points = [good, *(row for _, row in order), good]
+            with pytest.raises(InvalidRates) as excinfo:
+                ev.statistics(points)
+            assert str(excinfo.value) == order[0][0]
 
     def test_evaluator_matches_direct_path(self, rng):
         """The evaluator and the free functions run the same arithmetic on the

@@ -144,6 +144,17 @@ class TestNetIO:
         netio.write_network_matrix(net, path)
         assert np.array_equal(netio.read_network(path).adj, adj)
 
+    def test_summary_writer(self, tmp_path):
+        """``write_summary`` writes ``json.dumps(payload, indent=2)`` for a finite
+        payload, and null for a non-finite float value."""
+        path = tmp_path / "summary.json"
+        finite = {"alpha": 0.05, "n_grid": 3, "accepted": True, "projection": {"fp": [0.0, 0.1]}}
+        netio.write_summary(path, finite)
+        assert path.read_text() == json.dumps(finite, indent=2)
+        netio.write_summary(path, {"coverage": float("nan"), "ks": np.float64(-np.inf), "n": 2})
+        written = json.loads(path.read_text(), parse_constant=pytest.fail)
+        assert written == {"coverage": None, "ks": None, "n": 2}
+
     def test_edge_list_roundtrip(self, tmp_path, rng):
         adj = (rng.random((6, 6)) < 0.5).astype(int)
         np.fill_diagonal(adj, 0)

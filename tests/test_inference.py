@@ -22,7 +22,7 @@ from misnet import (
 from misnet.estimation import quadratic_form
 from misnet.inference import REASON_DEGENERATE, theta_coordinates, write_grid_csv
 
-from conftest import default_theta, random_dataset, scalar_support
+from conftest import default_theta, random_dataset, scalar_support, singleton_grid
 from oracles import brute_moment, brute_variance, chi2_cdf, chi2_quantile_bisect
 
 
@@ -110,7 +110,7 @@ class TestThetaGrid:
 
     def test_singleton(self):
         theta = default_theta()
-        points = list(ThetaGrid.singleton(theta))
+        points = list(singleton_grid(theta))
         assert len(points) == 1
         assert points[0] == theta
 
@@ -197,7 +197,7 @@ class TestConfidenceSet:
             support=scalar_support(0.0),
         )
         theta = Theta(externality=[0, 0, 0], homophily=[0.0], fp_rate=0.0, fn_rate=0.0)
-        grid = ThetaGrid.singleton(theta)
+        grid = singleton_grid(theta)
         cs = confidence_set(data, grid, alpha=0.05)
         assert len(cs.records) == 1
         assert cs.records[0].reason == REASON_DEGENERATE
@@ -219,7 +219,7 @@ class TestConfidenceSet:
         )
         observed = apply_misclassification(true_net, theta.fp_rate, theta.fn_rate, seed=6)
         data = Dataset(network=observed, covariates=cov, support=support)
-        cs = confidence_set(data, ThetaGrid.singleton(theta), alpha=0.05)
+        cs = confidence_set(data, singleton_grid(theta), alpha=0.05)
         assert cs.records[0].accepted
 
 
@@ -238,7 +238,7 @@ class TestProjection:
         )
         observed = apply_misclassification(true_net, theta.fp_rate, theta.fn_rate, seed=22)
         data = Dataset(network=observed, covariates=cov, support=support)
-        cs = confidence_set(data, ThetaGrid.singleton(theta), alpha=0.05)
+        cs = confidence_set(data, singleton_grid(theta), alpha=0.05)
         assert cs.accepted, "truth rejected on simulated data"
         intervals = projection_intervals(cs)
         assert intervals["fp_rate"] == (theta.fp_rate, theta.fp_rate)

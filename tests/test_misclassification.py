@@ -1,4 +1,4 @@
-"""Flip mechanism and the correction algebra."""
+"""Flip mechanism and the correction, checked against the flip law in the oracles."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from misnet import (
     InvalidRates,
     Network,
     apply_misclassification,
-    correction_maps,
+    population_correction,
     solve_equilibrium,
 )
 
 from conftest import default_theta, random_assignment, random_network, scalar_support
-from oracles import extended_stats_from_beliefs
+from oracles import extended_stats_from_beliefs, flip_law_maps
 
 
 class TestApplyMisclassification:
@@ -93,47 +93,66 @@ class TestApplyMisclassification:
         assert abs(freq - expected) <= 4 * np.sqrt(expected * (1 - expected) / (reps * n_pairs))
 
 
+SELECT = np.hstack([np.eye(3), np.zeros((3, 1))])  # the three latent statistics
+
+
+def feasible_rates(rng, size=None):
+    fp = rng.uniform(0, 0.6, size)
+    return fp, rng.uniform(0, 0.9 - fp)
+
+
 class TestCorrectionMaps:
+    """``population_correction`` and the flip law of ``oracles.flip_law_maps``."""
+
     def test_zero_rates_are_identity(self):
-        cm = correction_maps(0.0, 0.0)
-        assert np.allclose(cm.offset, 0.0, atol=0)
-        assert np.allclose(cm.matrix, np.hstack([np.eye(3), np.zeros((3, 1))]), atol=0)
-        assert np.allclose(cm.forward, np.eye(4), atol=0)
+        offset, matrix = population_correction(0.0, 0.0)
+        assert np.all(offset == 0.0)
+        assert np.array_equal(matrix, SELECT)
+        assert np.array_equal(flip_law_maps(0.0, 0.0).forward, np.eye(4))
 
     def test_reference_point(self):
-        cm = correction_maps(0.1, 0.2)
-        assert np.allclose(cm.offset, [-1 / 7, -1 / 7, 1 / 49], atol=1e-15)
+        offset, _ = population_correction(0.1, 0.2)
+        assert np.allclose(offset, [-1 / 7, -1 / 7, 1 / 49], atol=1e-15)
 
     def test_offset_third_component_value(self):
         """The population map's third offset component is exactly fp^2 / lam^2."""
-        for fp in np.linspace(0.0, 0.49, 25):
-            for fn in np.linspace(0.0, 0.49, 25):
-                lam = 1.0 - fp - fn
-                assert correction_maps(fp, fn).offset[2] == (fp / lam) ** 2
+        axis = np.linspace(0.0, 0.49, 25)
+        fp, fn = np.meshgrid(axis, axis)
+        offset, _ = population_correction(fp, fn)
+        assert offset.shape == (25, 25, 3)
+        assert np.array_equal(offset[..., 2], (fp / (1.0 - fp - fn)) ** 2)
+
+    def test_matches_flip_law_inverse(self, rng):
+        """Over random feasible rates, one array call equals the oracle's
+        population (n = inf) inverse of the flip law row by row, bit for bit."""
+        fp, fn = feasible_rates(rng, 500)
+        offset, matrix = population_correction(fp, fn)
+        assert offset.shape == (500, 3) and matrix.shape == (500, 3, 4)
+        for k in range(500):
+            law = flip_law_maps(fp[k], fn[k])
+            assert np.array_equal(offset[k], law.offset)
+            assert np.array_equal(matrix[k], law.matrix)
+            one = population_correction(fp[k], fn[k])
+            assert np.array_equal(one[0], law.offset) and np.array_equal(one[1], law.matrix)
 
     def test_closed_form_matches_numeric_inverse(self, rng):
         for _ in range(200):
-            fp = rng.uniform(0, 0.6)
-            fn = rng.uniform(0, 0.9 - fp)
-            for n in (np.inf, 7, 50):
-                cm = correction_maps(fp, fn, n)
-                d_inv = np.linalg.inv(cm.forward)
-                sel = np.hstack([np.eye(3), np.zeros((3, 1))])
-                assert np.allclose(cm.matrix, sel @ d_inv, atol=1e-12)
+            fp, fn = feasible_rates(rng)
+            for n in (np.inf, 2, 7, 50):  # n = 2: no k outside {i, j}
+                law = flip_law_maps(fp, fn, n)
+                d_inv = np.linalg.inv(law.forward)
+                assert np.allclose(law.matrix, SELECT @ d_inv, atol=1e-12)
                 inner = (n - 2) / n if np.isfinite(n) else 1.0
                 deg = (2 * n - 3) / n if np.isfinite(n) else 2.0
                 shift = np.array([fp, fp * inner, fp * fp * inner, fp * deg])  # flip law
-                assert np.allclose(cm.offset, -(sel @ d_inv @ shift), atol=1e-12)
+                assert np.allclose(law.shift, shift, atol=1e-15)
+                assert np.allclose(law.offset, -(SELECT @ d_inv @ shift), atol=1e-12)
 
     def test_boundary_rates_rejected(self):
         with pytest.raises(InvalidRates):
-            correction_maps(0.5, 0.5)
-
-    def test_network_size_below_two_rejected(self):
-        for n in (1, 0, -3, np.nan):
-            with pytest.raises(ValueError):
-                correction_maps(0.1, 0.2, n)
-        assert np.array_equal(correction_maps(0.1, 0.2, 2).shift, [0.1, 0.0, 0.0, 0.05])
+            population_correction(0.5, 0.5)
+        with pytest.raises(InvalidRates, match="non-negative"):
+            population_correction([0.1, -0.1, np.nan], [0.2, 0.2, 0.2])
 
     def test_population_map_is_large_n_limit(self, rng):
         """The n = inf map, which the estimator uses, departs from the size-n
@@ -141,11 +160,10 @@ class TestCorrectionMaps:
         exactly c / n in every entry."""
         fields = ("shift", "forward", "offset", "matrix")
         for _ in range(50):
-            fp = rng.uniform(0, 0.6)
-            fn = rng.uniform(0, 0.9 - fp)
-            pop = correction_maps(fp, fn)
+            fp, fn = feasible_rates(rng)
+            pop = flip_law_maps(fp, fn)
             scaled = [
-                [n * (getattr(correction_maps(fp, fn, n), f) - getattr(pop, f)) for f in fields]
+                [n * (getattr(flip_law_maps(fp, fn, n), f) - getattr(pop, f)) for f in fields]
                 for n in (20, 1000)
             ]
             for small, large in zip(*scaled):
@@ -153,19 +171,24 @@ class TestCorrectionMaps:
                 assert np.all(np.abs(small) <= 3.0 * max(fp, fp / (1 - fp - fn) ** 2))
 
 
+def corrected(fp, fn, observed):
+    """The package's correction applied to one observed 4-vector."""
+    offset, matrix = population_correction(fp, fn)
+    return offset + matrix @ np.asarray(observed, dtype=float)
+
+
 class TestBeliefMaps:
     def test_zero_rates_project_first_three(self):
         obs = np.array([0.3, 0.6, 0.2, 1.1])
-        cm = correction_maps(0.0, 0.0)
-        assert np.allclose(cm.true_from_observed(obs), obs[:3], atol=0)
-        assert np.allclose(cm.observed_from_true(obs), obs, atol=0)
+        assert np.array_equal(corrected(0.0, 0.0, obs), obs[:3])
+        assert np.array_equal(flip_law_maps(0.0, 0.0).observed_from_true(obs), obs)
 
     def test_shift_vector_maps_to_zero(self):
         obs = np.array([0.1, 0.1, 0.01, 0.2])
-        assert np.allclose(correction_maps(0.1, 0.2).true_from_observed(obs), 0.0, atol=1e-15)
+        assert np.allclose(corrected(0.1, 0.2, obs), 0.0, atol=1e-15)
 
     def test_empty_truth_maps_to_shift(self):
-        out = correction_maps(0.3, 0.1).observed_from_true(np.zeros(4))
+        out = flip_law_maps(0.3, 0.1).observed_from_true(np.zeros(4))
         assert np.allclose(out, [0.3, 0.3, 0.09, 0.6], atol=0)
 
     def test_roundtrip_recovers_first_three(self, rng):
@@ -173,8 +196,7 @@ class TestBeliefMaps:
             fp = rng.uniform(0, 0.9)
             fn = rng.uniform(0, 0.9 - fp)
             ext = np.concatenate([rng.uniform(0, 1, 3), rng.uniform(0, 2, 1)])
-            cm = correction_maps(fp, fn)
-            rt = cm.true_from_observed(cm.observed_from_true(ext))
+            rt = corrected(fp, fn, flip_law_maps(fp, fn).observed_from_true(ext))
             assert np.max(np.abs(rt - ext[:3])) <= 1e-10
 
     @given(
@@ -188,8 +210,7 @@ class TestBeliefMaps:
         if fp + fn > 0.9:
             return
         ext = np.array([*stats3, deg])
-        cm = correction_maps(fp, fn)
-        rt = cm.true_from_observed(cm.observed_from_true(ext))
+        rt = corrected(fp, fn, flip_law_maps(fp, fn).observed_from_true(ext))
         assert np.max(np.abs(rt - ext[:3])) <= 1e-9
 
     def test_forward_map_reciprocal_component_matches_flips(self, rng):
@@ -207,7 +228,7 @@ class TestBeliefMaps:
         beliefs = solve_equilibrium(cov, support, theta.externality, theta.homophily)
         i, j = 0, 1
         ext = extended_stats_from_beliefs(beliefs)[i, j]
-        predicted = correction_maps(fp, fn, n).observed_from_true(ext)[0]
+        predicted = flip_law_maps(fp, fn, n).observed_from_true(ext)[0]
         hits = 0
         for r in range(reps):
             local = np.random.default_rng((5, r))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from misnet import CovariateSupport, InvalidRates, Network, PairCovariates, Theta
-from misnet.equilibrium import BeliefMatrix, _stats
+from misnet.equilibrium import BeliefMatrix, _index
 
 from conftest import default_theta, scalar_support
 from oracles import decide_link, total_utility, utility_index
@@ -162,12 +162,11 @@ def test_componentwise_rule_maximizes_expected_utility(rng):
                 expected[key] = expected.get(key, 0.0) + weight * value
 
         best = max(expected.values())
-        stats = _stats(beliefs.probs)[agent]
-        x = cov.values(support)[agent]
+        xhom = cov.values(support) @ theta.homophily
+        index = _index(beliefs.probs, xhom, theta.externality)[agent]
         rule = np.zeros(n, dtype=int)
         for j in range(n):
             if j == agent:
                 continue
-            idx = stats[j] @ theta.externality + x[j] @ theta.homophily
-            rule[j] = decide_link(idx, shocks[j])
+            rule[j] = decide_link(index[j], shocks[j])
         assert expected[tuple(rule)] == pytest.approx(best, abs=1e-12)
