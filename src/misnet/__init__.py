@@ -10,7 +10,6 @@ round out the toolkit.
 from .equilibrium import (
     BeliefMatrix,
     SolverConfig,
-    best_response,
     simulate_true_network,
     solve_equilibrium,
 )
@@ -19,8 +18,6 @@ from .estimation import (
     Dataset,
     MomentEvaluator,
     cell_estimates,
-    moment,
-    moment_variance,
 )
 from .exceptions import (
     ConfigError,
@@ -74,15 +71,12 @@ __all__ = [
     "ThetaGrid",
     "TooManyFailures",
     "apply_misclassification",
-    "best_response",
     "cell_estimates",
     "cell_summary",
     "chi2_quantile",
     "confidence_set",
     "identified_set",
     "membership",
-    "moment",
-    "moment_variance",
     "population_correction",
     "projection_intervals",
     "simulate_true_network",

@@ -57,14 +57,21 @@ def _cmd_simulate(config, args) -> None:
     print(f"wrote {paths['summary']}")
 
 
-def _cmd_estimate(config, args) -> None:
+def _load(config, args):
+    """The command's dataset, read once; its support must have the config's dimension."""
     data = harness.load_dataset(args.data)
+    if (dimension := data.support.dimension) != config.support.dimension:
+        raise ConfigError(f"data support dimension {dimension}, config's {config.support.dimension}")
+    return data
+
+
+def _cmd_estimate(config, args) -> None:
+    data = _load(config, args)
     evaluator = MomentEvaluator(data)
     cells = evaluator.cells
     m, S, stat = evaluator._one(config.theta)  # one evaluation; a degenerate S raises
     critical = chi2_quantile(data.n_cells, 1.0 - config.alpha)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     points = data.support.points
     header = [f"x{k + 1}" for k in range(data.support.dimension)]
     netio.write_table(
@@ -85,7 +92,7 @@ def _cmd_estimate(config, args) -> None:
 
 
 def _cmd_ci(config, args) -> None:
-    paths = harness.run_ci(args.data, config.grid, config.alpha, args.out)
+    paths = harness.run_ci(_load(config, args), config.grid, config.alpha, args.out)
     print(f"wrote {paths['summary']}")
 
 
@@ -99,10 +106,8 @@ def _cmd_mc_coverage(config, args) -> None:
 
 
 def _cmd_sp_set(config, args) -> None:
-    data = harness.load_dataset(args.data)
-    results = semiparametric.identified_set(data, config.grid)
+    results = semiparametric.identified_set(_load(config, args), config.grid)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = out / "sp_grid.csv"
     semiparametric.write_membership_csv(results, config.grid.coordinate_names(), table)
     n_member = sum(1 for _, res in results if res.member)
@@ -128,12 +133,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT
     try:
-        if hasattr(args, "data"):
-            dimension = netio.read_support(Path(args.data) / "support.csv").dimension
-            if dimension != config.support.dimension:
-                raise ConfigError(
-                    f"data support dimension {dimension}, config's {config.support.dimension}"
-                )
         _COMMANDS[args.command](config, args)
     except (ConfigError, FileFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -151,8 +151,8 @@ def _iterate(covariates, support, externality, homophily, config):
         index, q, residual = _step(p, xhom, ext)
         if residual <= config.tol:
             return BeliefMatrix(p), index, residual
-        p = (1.0 - config.damping) * p + config.damping * q
-        np.fill_diagonal(p, 0.0)
+        # p and q have zero diagonals, and at damping 1 the blend equals q exactly
+        p = q if config.damping == 1.0 else (1.0 - config.damping) * p + config.damping * q
     raise NonConvergence(residual, config.max_iter)
 
 

@@ -74,10 +74,6 @@ class RunReport:
     ks_distance: float
     n_failed: int
 
-    @property
-    def statistics(self) -> np.ndarray:
-        return np.array([r.statistic for r in self.records if not r.error])
-
 
 def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
     if config.x_file is not None:
@@ -113,7 +109,6 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     utility, residual = _solve(config, covariates)
     true_net, observed = _observe(config, utility, children)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "support": out / "support.csv",
         "covariates": out / "covariates.csv",
@@ -151,12 +146,10 @@ def load_dataset(data_dir) -> Dataset:
         raise FileFormatError(data_dir / "covariates.csv", 1, str(exc)) from exc
 
 
-def run_ci(data_dir, grid, alpha: float, out_dir) -> dict:
-    """Invert the test over the grid for a stored dataset and write results."""
-    data = load_dataset(data_dir)
+def run_ci(data: Dataset, grid, alpha: float, out_dir) -> dict:
+    """Invert the test over the grid for a loaded dataset and write results."""
     cs = confidence_set(data, grid, alpha)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid_path = out / "ci_grid.csv"
     write_grid_csv(cs, grid_path)
     summary = {
@@ -206,7 +199,7 @@ def _replicate(args) -> ReplicationRecord:
         )
 
 
-def run_mc_coverage(config: ExperimentConfig, threads: int | None = None) -> RunReport:
+def run_mc_coverage(config: ExperimentConfig) -> RunReport:
     """Coverage and null-distribution study at the configured truth.
 
     Each replication simulates a network at the true parameter point,
@@ -214,9 +207,9 @@ def run_mc_coverage(config: ExperimentConfig, threads: int | None = None) -> Run
     rate and the Kolmogorov-Smirnov distance of the statistic sample to the
     chi-square reference.  A fixed design is solved once, and each replication
     draws from its index.  Failed replications are recorded, and the run
-    aborts only when their share exceeds ``failure_tolerance``.
+    aborts only when their share exceeds ``failure_tolerance``.  With
+    ``config.threads`` above 1 the replications run in a process pool.
     """
-    threads = config.threads if threads is None else threads
     dof = config.support.n_points
     critical = chi2_quantile(dof, 1.0 - config.alpha)
 
@@ -226,12 +219,11 @@ def run_mc_coverage(config: ExperimentConfig, threads: int | None = None) -> Run
         fixed = (covariates, *_solve(config, covariates))
 
     tasks = [(r, config, critical, fixed) for r in range(config.replications)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if config.threads > 1:
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
             records = list(pool.map(_replicate, tasks, chunksize=8))
     else:
         records = [_replicate(task) for task in tasks]
-    records.sort(key=lambda r: r.index)
 
     failed = [r for r in records if r.error]
     if len(failed) > config.failure_tolerance * config.replications:
@@ -257,7 +249,6 @@ def run_mc_coverage(config: ExperimentConfig, threads: int | None = None) -> Run
 def write_report(report: RunReport, out_dir) -> dict:
     """Replication table as CSV plus the JSON summary."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     table = out / "replications.csv"
     netio.write_table(
         table, ["index", "seed", "residual", "statistic", "accepted", "error"],

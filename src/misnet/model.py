@@ -159,7 +159,7 @@ class Network:
         arr = np.asarray(self.adj)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("adjacency must be a square (n, n) array")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
         if np.any(np.diagonal(arr) != 0):
             raise ValueError("diagonal must be zero")

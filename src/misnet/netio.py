@@ -12,7 +12,8 @@ Writers put floats as ``.17g`` (so they read back exactly) and booleans as
 0/1, and quote a field that contains a comma, a quote or a line break.
 Readers accept ``\\r\\n`` line ends, blank lines and spaces around fields.
 Every parse or domain error raises ``FileFormatError`` naming the line.
-Each command's ``summary.json`` is written by :func:`write_summary`.
+Each command's ``summary.json`` is written by :func:`write_summary`, after its
+CSV files; the CSV writer makes the directory it writes into.
 """
 
 import csv
@@ -46,12 +47,17 @@ def _field(value):
     return value
 
 
+def _write_rows(path, rows) -> None:
+    """The one CSV writer: one line per row of formatted fields, into a
+    directory it makes when it is missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_table(path, header, rows) -> None:
     """Write a header row and then one line per row, in the dialect above."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_field(v) for v in row] for row in rows)
+    _write_rows(path, [header, *([_field(v) for v in row] for row in rows)])
 
 
 def write_summary(path, payload: dict) -> None:
@@ -119,7 +125,7 @@ def _read_square(path):
 
 
 def write_network_matrix(network: Network, path) -> None:
-    np.savetxt(path, network.adj, fmt="%d", delimiter=",")
+    _write_rows(path, (row.tolist() for row in network.adj))
 
 
 def read_network(path) -> Network:
@@ -130,7 +136,7 @@ def read_network(path) -> Network:
     if edge_list:
         return _read_edge_list(path)
     table, numbers = _read_square(path)
-    _reject(path, numbers, ~np.isin(table, (0, 1)).all(axis=1), "expected 0/1 entries")
+    _reject(path, numbers, ~((table == 0) | (table == 1)).all(axis=1), "expected 0/1 entries")
     _reject(path, numbers, np.diagonal(table) != 0, "diagonal must be zero")
     return Network(table)
 
@@ -156,7 +162,7 @@ def _read_edge_list(path) -> Network:
 
 
 def write_covariates(covariates: PairCovariates, path) -> None:
-    np.savetxt(path, covariates.assignment, fmt="%d", delimiter=",")
+    _write_rows(path, (row.tolist() for row in covariates.assignment))
 
 
 def read_covariates(path, n_cells: int | None = None) -> PairCovariates:

@@ -49,6 +49,11 @@ def default_theta(d=1) -> Theta:
     )
 
 
+def report_statistics(report) -> np.ndarray:
+    """The statistics of a coverage report's replications that did not fail."""
+    return np.array([r.statistic for r in report.records if not r.error])
+
+
 def singleton_grid(theta: Theta) -> ThetaGrid:
     """Degenerate grid holding exactly one parameter point."""
     return ThetaGrid(tuple([v] for v in theta_coordinates(theta)))

@@ -23,20 +23,18 @@ from misnet import (
     chi2_quantile,
     confidence_set,
     membership,
-    moment,
-    moment_variance,
     population_correction,
     simulate_true_network,
     solve_equilibrium,
 )
 from misnet.config import parse_config_text
 from misnet.equilibrium import SolverConfig, equilibrium_residual
-from misnet.estimation import stat_influence_all
+from misnet.estimation import moment, moment_variance, stat_influence_all
 from misnet.harness import run_mc_coverage
 from misnet.netio import write_covariates
 from misnet.normal import norm_cdf
 
-from conftest import random_assignment, random_dataset, scalar_support
+from conftest import random_assignment, random_dataset, report_statistics, scalar_support
 from oracles import (
     brute_cell_estimates,
     brute_moment,
@@ -313,7 +311,7 @@ def test_criterion_4_population_moment_zero_at_truth():
 
 def test_criterion_5_null_distribution(null_run):
     config, report = null_run
-    stats = report.statistics
+    stats = report_statistics(report)
     rejection = float(np.mean(stats > report.critical_value))
     ok = (
         report.n_failed == 0

@@ -9,7 +9,6 @@ from misnet import (
     NonConvergence,
     PairCovariates,
     SolverConfig,
-    best_response,
     simulate_true_network,
     solve_equilibrium,
 )
@@ -19,6 +18,7 @@ from misnet.equilibrium import (
     _index,
     _iterate,
     _step,
+    best_response,
     equilibrium_residual,
 )
 from misnet.normal import norm_cdf

@@ -24,12 +24,16 @@ from misnet import (
     InvalidRates,
     ThetaGrid,
     cell_estimates,
-    moment,
-    moment_variance,
     population_correction,
 )
 from misnet import estimation
-from misnet.estimation import _corrected_index, quadratic_form, stat_influence_all
+from misnet.estimation import (
+    _corrected_index,
+    moment,
+    moment_variance,
+    quadratic_form,
+    stat_influence_all,
+)
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_dataset, random_network, scalar_support

@@ -32,7 +32,7 @@ from misnet.harness import (
 )
 from misnet import netio
 
-from conftest import scalar_support
+from conftest import report_statistics, scalar_support
 from oracles import write_network_edges
 
 BASE_CONFIG = """
@@ -236,6 +236,38 @@ class TestNetIO:
         netio.write_support(support, path)
         assert np.allclose(netio.read_support(path).points, support.points)
 
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_matrix_writers_match_savetxt(self, tmp_path, rng, n):
+        """An int8 network and an int64 design with a non-zero diagonal are
+        written as ``np.savetxt(path, a, fmt="%d", delimiter=",")`` writes them."""
+        adj = (rng.random((n, n)) < 0.4).astype(np.int8)
+        np.fill_diagonal(adj, 0)
+        assignment = rng.integers(0, 3, (n, n))
+        np.fill_diagonal(assignment, 2)
+        network, covariates = Network(adj), PairCovariates(assignment)
+        assert network.adj.dtype == np.int8 and covariates.assignment.dtype == np.int64
+        for write, value, array in [
+            (netio.write_network_matrix, network, network.adj),
+            (netio.write_covariates, covariates, covariates.assignment),
+        ]:
+            got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+            write(value, got)
+            np.savetxt(expected, array, fmt="%d", delimiter=",")
+            assert got.read_bytes() == expected.read_bytes(), write.__name__
+
+    def test_csv_writers_make_missing_directories(self, tmp_path):
+        """Every CSV writer makes the directory it writes into, parents included."""
+        writes = [
+            lambda path: netio.write_support(scalar_support(-0.5, 0.5), path),
+            lambda path: netio.write_table(path, ["a", "b"], [[1, 0.5]]),
+            lambda path: netio.write_network_matrix(Network(np.zeros((2, 2), dtype=np.int8)), path),
+            lambda path: netio.write_covariates(PairCovariates(np.zeros((2, 2), dtype=np.int64)), path),
+        ]
+        for k, write in enumerate(writes):
+            path = tmp_path / f"missing{k}" / "nested" / "file.csv"
+            write(path)
+            assert path.is_file(), k
+
     def test_support_header_width_matches_points(self, tmp_path):
         path = tmp_path / "support.csv"
         for text in ["x1,x2\n-0.5\n0.5\n", "x1\n-0.5,0\n0.5,1\n"]:
@@ -391,14 +423,14 @@ class TestMcCoverage:
             )
             report = run_mc_coverage(parse_config_text(text))
             assert report.n_failed == 0
-            assert list(report.statistics) == pytest.approx(statistics, rel=1e-12, abs=0)
+            assert list(report_statistics(report)) == pytest.approx(statistics, rel=1e-12, abs=0)
             residual = [r.residual for r in report.records]
             assert residual == pytest.approx(residuals, rel=1e-12, abs=0)
 
     def test_parallel_matches_serial(self):
         cfg = parse_config_text(BASE_CONFIG.replace("replications = 4", "replications = 6"))
-        serial = run_mc_coverage(cfg, threads=1)
-        pooled = run_mc_coverage(cfg, threads=2)
+        serial = run_mc_coverage(dataclasses.replace(cfg, threads=1))
+        pooled = run_mc_coverage(dataclasses.replace(cfg, threads=2))
         assert [r.statistic for r in serial.records] == [r.statistic for r in pooled.records]
         assert serial.coverage == pooled.coverage
 
@@ -550,6 +582,21 @@ class TestCli:
         assert main(["mc-coverage", "--config", cfg, "--out", out]) == 0
         summary = json.loads((Path(out) / "summary.json").read_text())
         assert summary["n_replications"] == 4
+
+    def test_data_commands_read_support_once(self, tmp_path, monkeypatch):
+        """``estimate``, ``ci`` and ``sp-set`` each read ``support.csv`` once,
+        with the rest of the dataset."""
+        cfg = self._write_config(tmp_path)
+        data_dir = str(tmp_path / "data")
+        assert main(["simulate", "--config", cfg, "--out", data_dir]) == 0
+        reads = []
+        read_support = netio.read_support
+        monkeypatch.setattr(netio, "read_support", lambda path: reads.append(path) or read_support(path))
+        for command in ["estimate", "ci", "sp-set"]:
+            reads.clear()
+            out = str(tmp_path / command)
+            assert main([command, "--config", cfg, "--data", data_dir, "--out", out]) == 0
+            assert len(reads) == 1, (command, reads)
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.cfg"

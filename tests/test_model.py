@@ -23,10 +23,13 @@ class TestTypes:
         assert sup.n_points == 2 and sup.dimension == 2
 
     def test_network_rejects_bad_matrices(self):
-        with pytest.raises(ValueError):
-            Network(np.array([[0, 2], [0, 0]]))
+        for entry in [2, -1, 0.5, np.nan]:
+            with pytest.raises(ValueError):
+                Network(np.array([[0, entry], [0, 0]]))
         with pytest.raises(ValueError):
             Network(np.array([[1, 0], [0, 0]]))  # non-zero diagonal
+        accepted = Network(np.array([[False, True], [True, False]]))
+        assert accepted.adj.dtype == np.int8 and accepted.adj.tolist() == [[0, 1], [1, 0]]
 
     def test_theta_rejects_invalid_rates(self):
         with pytest.raises(InvalidRates):
