@@ -10,6 +10,7 @@ round out the toolkit.
 from .equilibrium import (
     BeliefMatrix,
     SolverConfig,
+    draw_network,
     simulate_true_network,
     solve_equilibrium,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "cell_summary",
     "chi2_quantile",
     "confidence_set",
+    "draw_network",
     "identified_set",
     "membership",
     "population_correction",

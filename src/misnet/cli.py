@@ -69,7 +69,7 @@ def _cmd_estimate(config, args) -> None:
     data = _load(config, args)
     evaluator = MomentEvaluator(data)
     cells = evaluator.cells
-    m, S, stat = evaluator._one(config.theta)  # one evaluation; a degenerate S raises
+    m, S, stat = evaluator.evaluate(config.theta)  # one evaluation; a degenerate S raises
     critical = chi2_quantile(data.n_cells, 1.0 - config.alpha)
     out = Path(args.out)
     points = data.support.points

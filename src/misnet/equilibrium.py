@@ -7,7 +7,8 @@ are taken independent across the pairs of one agent as well as across agents,
 which gives the product form p_ki * p_kj for the common in-neighbor
 expectation.  One step gives the index, Phi(index) with a zero diagonal and the
 sup-norm residual; the solver, ``best_response`` and ``equilibrium_residual``
-all take it, and latent networks are drawn from the index the solver accepts.
+all take it.  The solver returns an :class:`Equilibrium`, whose accepting step's
+index :func:`draw_network` draws latent networks from.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,11 @@ from .normal import norm_cdf
 
 __all__ = [
     "BeliefMatrix",
+    "Equilibrium",
     "SolverConfig",
     "best_response",
     "solve_equilibrium",
+    "draw_network",
     "simulate_true_network",
 ]
 
@@ -44,9 +47,13 @@ class BeliefMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
+
+@dataclass(frozen=True)
+class Equilibrium(BeliefMatrix):
+    """Beliefs with the utility index and sup-norm residual of the solver step that accepted them."""
+
+    index: np.ndarray  # (n, n)
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,8 @@ def _step(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray):
     return index, q, float(np.max(np.abs(q - p)))
 
 
-def _draw(index: np.ndarray, seed) -> Network:
-    """Links where index + an independent standard normal shock >= 0."""
+def draw_network(index: np.ndarray, seed) -> Network:
+    """Links where index + an independent standard normal shock >= 0; deterministic given ``seed``."""
     adj = (index + np.random.default_rng(seed).standard_normal(index.shape) >= 0).astype(np.int8)
     np.fill_diagonal(adj, 0)
     return Network(adj)
@@ -128,21 +135,16 @@ def solve_equilibrium(
     externality,
     homophily,
     config: SolverConfig = SolverConfig(),
-) -> BeliefMatrix:
+) -> Equilibrium:
     """Damped fixed-point iteration from the externality-free start.
 
     Starts at p0 = Phi(x'hom) and iterates p <- (1 - damping) p + damping BR(p)
     until the sup-norm residual ||BR(p) - p|| falls below ``config.tol``; only
-    the returned point is validated.  ``_iterate`` holds the loop and also
-    returns the point's index, which the harness draws from, and residual.
+    the returned point is validated.  The result also carries the accepting
+    step's index, which :func:`draw_network` draws from, and its residual.
     Raises :class:`NonConvergence` when ``max_iter`` is exhausted; callers may
     retry with smaller damping.  The point is this package's deterministic selection.
     """
-    return _iterate(covariates, support, externality, homophily, config)[0]
-
-
-def _iterate(covariates, support, externality, homophily, config):
-    """The loop of :func:`solve_equilibrium`; also returns the accepting step's index and residual."""
     xhom, ext = _arrays(covariates, support, externality, homophily)
     p = norm_cdf(xhom)
     np.fill_diagonal(p, 0.0)
@@ -150,7 +152,7 @@ def _iterate(covariates, support, externality, homophily, config):
     for _ in range(config.max_iter):
         index, q, residual = _step(p, xhom, ext)
         if residual <= config.tol:
-            return BeliefMatrix(p), index, residual
+            return Equilibrium(p, index, residual)
         # p and q have zero diagonals, and at damping 1 the blend equals q exactly
         p = q if config.damping == 1.0 else (1.0 - config.damping) * p + config.damping * q
     raise NonConvergence(residual, config.max_iter)
@@ -175,9 +177,5 @@ def simulate_true_network(
     homophily,
     seed,
 ) -> Network:
-    """Draw one latent network from equilibrium beliefs.
-
-    Each ordered pair receives an independent standard normal shock and the
-    link forms when index + shock >= 0.  Deterministic given ``seed``.
-    """
-    return _draw(_index(beliefs.probs, *_arrays(covariates, support, externality, homophily)), seed)
+    """One latent network drawn from the index of the beliefs by :func:`draw_network`."""
+    return draw_network(_index(beliefs.probs, *_arrays(covariates, support, externality, homophily)), seed)

@@ -19,10 +19,10 @@ the influence sums add 0/1 products, so they are exact in any summation order.
 
 Parameter points arrive as rows of theta in the ``theta_coordinates``
 layout; a single point is the one-row case.  :func:`_corrected_index` applies
-the population correction of every row's rates in one array pass, and
-:meth:`MomentEvaluator.statistics` is the one code that forms m, S and the
-statistic, judging every S from one batched ``eigvalsh``.  A row's result
-does not depend on the other rows.
+the population correction of every row's rates in one array pass, which
+:meth:`MomentEvaluator.indices` exposes, and :meth:`MomentEvaluator.statistics`
+is the one code that forms m, S and the statistic, judging every S from one
+batched ``eigvalsh``.  A row's result does not depend on the other rows.
 """
 
 from dataclasses import dataclass
@@ -161,8 +161,8 @@ def _corrected_index(cells: CellEstimates, support: CovariateSupport, points):
 
 
 def moment(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
-    """Sample moment vector; see :meth:`MomentEvaluator.moment`."""
-    return MomentEvaluator(data, cells).moment(theta)
+    """Sample moment vector at ``theta``, one coordinate per cell; S is not judged."""
+    return MomentEvaluator(data, cells)._evaluate([theta_coordinates(theta)])[0][0]
 
 
 def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
@@ -176,8 +176,8 @@ def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
 
 
 def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:
-    """Across-agent covariance of the influence vectors; see :meth:`MomentEvaluator.variance`."""
-    return MomentEvaluator(data, cells).variance(theta)
+    """S(theta), the across-agent covariance of the influence vectors; raises when degenerate."""
+    return MomentEvaluator(data, cells).evaluate(theta)[1]
 
 
 def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
@@ -195,8 +195,8 @@ class MomentEvaluator:
     Rows of theta then pay for a few batched array operations, none of order n.
     S is degenerate when it is not finite, its smallest eigenvalue is below
     ``MIN_VARIANCE_EIGENVALUE`` or largest over smallest exceeds
-    ``MAX_CONDITION_NUMBER``.  ``moment``,
-    ``variance`` and ``statistic`` are the one-row case of :meth:`statistics`.
+    ``MAX_CONDITION_NUMBER``.  :meth:`evaluate` and :meth:`statistic` are the
+    one-row case of :meth:`statistics`.
     """
 
     def __init__(self, data: Dataset, cells: CellEstimates | None = None):
@@ -228,11 +228,15 @@ class MomentEvaluator:
         judged = np.where(degenerate[:, None, None], eye, S)  # solve only the S that passed
         return m, S, eigs, np.where(degenerate, np.nan, quadratic_form(m, judged, self.n))
 
+    def indices(self, points) -> np.ndarray:
+        """Corrected single index per row of theta and cell, (P, J)."""
+        return _corrected_index(self.cells, self.support, points)[0]
+
     def statistics(self, points) -> np.ndarray:
         """Statistic per row of theta, (P,); NaN where S is degenerate and the chi-square fails."""
         return self._evaluate(points)[3]
 
-    def _one(self, theta: Theta):
+    def evaluate(self, theta: Theta):
         """m, S and the statistic at ``theta``; raises DegenerateVariance with the reason."""
         m, S, eigs, stat = (a[0] for a in self._evaluate([theta_coordinates(theta)]))
         if not np.isnan(stat):
@@ -244,14 +248,6 @@ class MomentEvaluator:
             else f"variance condition number {eigs[-1] / low:.3e} too large"
         )
 
-    def moment(self, theta: Theta) -> np.ndarray:
-        """Sample moment vector at ``theta``, one coordinate per cell; S is not judged."""
-        return self._evaluate([theta_coordinates(theta)])[0][0]
-
-    def variance(self, theta: Theta) -> np.ndarray:
-        """S(theta), the across-agent covariance of the influence vectors, shape (J, J)."""
-        return self._one(theta)[1]
-
     def statistic(self, theta: Theta) -> float:
         """Quadratic-form statistic at ``theta``; raises when S is degenerate."""
-        return self._one(theta)[2]
+        return self.evaluate(theta)[2]

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import chi2, kstest
 
 from .config import ExperimentConfig
-from .equilibrium import _draw, _iterate
+from .equilibrium import draw_network, solve_equilibrium
 from .estimation import Dataset, MomentEvaluator
 from .exceptions import ConfigError, FileFormatError, MisnetError, TooManyFailures
 from .inference import chi2_quantile, confidence_set, projection_intervals, write_grid_csv
@@ -91,14 +91,15 @@ def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
 def _solve(config: ExperimentConfig, covariates: PairCovariates):
     """Utility index of the equilibrium at the configured truth and its fixed-point residual."""
     th = config.theta
-    return _iterate(covariates, config.support, th.externality, th.homophily, config.solver)[1:]
+    eq = solve_equilibrium(covariates, config.support, th.externality, th.homophily, config.solver)
+    return eq.index, eq.residual
 
 
-def _observe(config: ExperimentConfig, utility, children) -> tuple[Network, Network]:
+def _observe(config: ExperimentConfig, index, children) -> tuple[Network, Network]:
     """Latent network drawn from the equilibrium's utility index (shocks from
     ``children[1]``) and its misclassified record (flips from ``children[2]``)."""
     th = config.theta
-    true_net = _draw(utility, children[1])
+    true_net = draw_network(index, children[1])
     return true_net, apply_misclassification(true_net, th.fp_rate, th.fn_rate, seed=children[2])
 
 
@@ -106,8 +107,8 @@ def run_simulate(config: ExperimentConfig, out_dir) -> dict:
     """Draw one design, solve, simulate, misclassify, and write all files."""
     children = replication_seed(config.seed, 0).spawn(3)
     covariates = _design_for(config, children)
-    utility, residual = _solve(config, covariates)
-    true_net, observed = _observe(config, utility, children)
+    index, residual = _solve(config, covariates)
+    true_net, observed = _observe(config, index, children)
     out = Path(out_dir)
     paths = {
         "support": out / "support.csv",

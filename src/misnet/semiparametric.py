@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netio
-from .estimation import Dataset, CellEstimates, cell_estimates, _corrected_index
+from .estimation import Dataset, CellEstimates, MomentEvaluator
 from .inference import ThetaGrid
 from .model import Theta, theta_coordinates
 
@@ -61,9 +61,9 @@ def cell_summary(data: Dataset, theta: Theta, cells: CellEstimates | None = None
     computes once per dataset, so with ``cells`` given a call does no work of
     order n; only the index depends on ``theta``.
     """
-    cells = cell_estimates(data) if cells is None else cells
-    indices = _corrected_index(cells, data.support, [theta_coordinates(theta)])[0][0]
-    return CellSummary(means=cells.link_sums / cells.counts, indices=indices)
+    evaluator = MomentEvaluator(data, cells)
+    means = evaluator.cells.link_sums / evaluator.cells.counts
+    return CellSummary(means, evaluator.indices([theta_coordinates(theta)])[0])
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def membership(summary: CellSummary, theta: Theta) -> MembershipResult:
 
 def identified_set(data: Dataset, grid: ThetaGrid) -> list:
     """Membership verdicts over the grid from one batched index: [(theta, MembershipResult)]."""
-    cells = cell_estimates(data)
-    means = cells.link_sums / cells.counts
-    indices = _corrected_index(cells, data.support, grid.points)[0]
+    evaluator = MomentEvaluator(data)
+    means = evaluator.cells.link_sums / evaluator.cells.counts
+    indices = evaluator.indices(grid.points)
     return [(theta, membership(CellSummary(means, u), theta)) for theta, u in zip(grid, indices)]
 
 

@@ -66,6 +66,29 @@ def test_csv_format_only_in_netio():
                 ), f"{path.name}:{node.lineno} writes a delimited line by hand"
 
 
+def test_no_private_names_across_modules():
+    """A module uses only its own private names: no ``from .x import _name``,
+    and no attribute ``obj._name`` on anything but ``self`` or ``cls`` unless
+    the module defines ``_name`` itself.  Dunders are exempt."""
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for path in sorted(Path(misnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names if private(alias.name)]
+                assert not names, f"{where} imports private {names} from {node.module}"
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                owner = getattr(node.value, "id", None)
+                assert owner in ("self", "cls") or node.attr in own, (
+                    f"{where} reads {ast.unparse(node)}, another module's private name"
+                )
+
+
 def _misnet_name(module_name, name):
     """``from <module_name> import <name>`` as the benchmark runs it, or None."""
     source = importlib.import_module(module_name)

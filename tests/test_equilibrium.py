@@ -14,11 +14,10 @@ from misnet import (
 )
 from misnet.equilibrium import (
     BeliefMatrix,
-    _draw,
     _index,
-    _iterate,
     _step,
     best_response,
+    draw_network,
     equilibrium_residual,
 )
 from misnet.normal import norm_cdf
@@ -189,8 +188,9 @@ class TestSolver:
 
 class TestLoopMatchesReference:
     """The plain-array loop returns the same point as the loop that calls the
-    public best response and validates a BeliefMatrix at every step, and the
-    index and residual of the step that accepted it."""
+    public best response and validates a BeliefMatrix at every step, with the
+    index and residual of the step that accepted it; links drawn from that
+    index are the public simulation's."""
 
     SUPPORTS = {
         "scalar": (scalar_support(-0.5, 0.5), [0.8]),
@@ -205,16 +205,19 @@ class TestLoopMatchesReference:
         cov = random_assignment(rng, n, support.n_points)
         ext = default_theta().externality
         cfg = SolverConfig(damping=damping)
-        beliefs, index, residual = _iterate(cov, support, ext, hom, cfg)
+        eq = solve_equilibrium(cov, support, ext, hom, cfg)
         expected = reference_solve(cov, support, ext, hom, cfg)
-        assert np.array_equal(beliefs.probs, expected.probs)
-        assert np.array_equal(solve_equilibrium(cov, support, ext, hom, cfg).probs, expected.probs)
-        assert residual == equilibrium_residual(beliefs, cov, support, ext, hom)
-        assert residual <= cfg.tol
+        assert isinstance(eq, BeliefMatrix)
+        assert np.array_equal(eq.probs, expected.probs)
+        assert eq.residual == equilibrium_residual(eq, cov, support, ext, hom)
+        assert eq.residual <= cfg.tol
         xhom, ext_arr = cov.values(support) @ np.asarray(hom, float), np.asarray(ext, float)
-        assert np.array_equal(index, _index(beliefs.probs, xhom, ext_arr))
-        q = _step(beliefs.probs, xhom, ext_arr)[1]
-        assert np.array_equal(best_response(beliefs, cov, support, ext, hom).probs, q)
+        assert np.array_equal(eq.index, _index(eq.probs, xhom, ext_arr))
+        q = _step(eq.probs, xhom, ext_arr)[1]
+        assert np.array_equal(best_response(eq, cov, support, ext, hom).probs, q)
+        for seed in (0, 1):
+            public = simulate_true_network(eq, cov, support, ext, hom, seed=seed)
+            assert np.array_equal(draw_network(eq.index, seed).adj, public.adj)
 
     def test_same_nonconvergence(self, rng):
         # the oscillating map of TestSolver.test_nonconvergence_raised_for_oscillating_map
@@ -224,7 +227,7 @@ class TestLoopMatchesReference:
         cfg = SolverConfig(tol=1e-10, max_iter=50, damping=1.0)
         args = (cov, support, [-50.0, 0.0, 0.0], [0.0], cfg)
         with pytest.raises(NonConvergence) as lean:
-            _iterate(*args)
+            solve_equilibrium(*args)
         with pytest.raises(NonConvergence) as reference:
             reference_solve(*args)
         assert lean.value.residual == reference.value.residual
@@ -307,15 +310,18 @@ class TestSolveThenDraw:
         cov = PairCovariates(np.array(cells).reshape(n, n))
         cfg = SolverConfig(max_iter=500, damping=damping)
         try:
-            beliefs, index, residual = _iterate(cov, support, ext, [hom], cfg)
+            eq = solve_equilibrium(cov, support, ext, [hom], cfg)
         except NonConvergence:
             return
-        assert np.all(np.isfinite(beliefs.probs))
-        assert np.all((beliefs.probs >= 0) & (beliefs.probs <= 1))
-        assert residual <= cfg.tol
-        assert residual == equilibrium_residual(beliefs, cov, support, ext, [hom])
+        assert isinstance(eq, BeliefMatrix)
+        assert np.all(np.isfinite(eq.probs))
+        assert np.all((eq.probs >= 0) & (eq.probs <= 1))
+        assert eq.residual <= cfg.tol
+        assert eq.residual == equilibrium_residual(eq, cov, support, ext, [hom])
+        xhom, ext_arr = cov.values(support) @ np.asarray([hom], float), np.asarray(ext, float)
+        assert np.array_equal(eq.index, _index(eq.probs, xhom, ext_arr))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        net = _draw(index, seed)
+        net = draw_network(eq.index, seed)
         assert set(np.unique(net.adj)) <= {0, 1} and np.all(np.diagonal(net.adj) == 0)
-        public = simulate_true_network(beliefs, cov, support, ext, [hom], seed=seed)
+        public = simulate_true_network(eq, cov, support, ext, [hom], seed=seed)
         assert np.array_equal(public.adj, net.adj)

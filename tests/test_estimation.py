@@ -394,7 +394,7 @@ class TestStatistic:
             assert quadratic_form(m, S, 100) == pytest.approx(expected, rel=1e-10)
 
     def test_ill_conditioned_rejected(self, rng):
-        """``variance`` judges S: at zero externality c_j = (1, 0, 0, 0, 0), so
+        """``evaluate`` judges S: at zero externality c_j = (1, 0, 0, 0, 0), so
         a covariance with C[0,0,0,0] = 1e4 and C[1,0,1,0] = 1e-9 gives
         S = diag(1e4, 1e-9), above the eigenvalue floor but with condition
         number 1e13; a non-finite S is rejected as well."""
@@ -405,14 +405,14 @@ class TestStatistic:
         ev.cells = dataclasses.replace(ev.cells, cov=cov)
         assert estimation.MIN_VARIANCE_EIGENVALUE < 1e-9
         with pytest.raises(DegenerateVariance, match="condition number"):
-            ev.variance(theta)
+            ev.evaluate(theta)
         with pytest.raises(DegenerateVariance, match="condition number"):
             ev.statistic(theta)
         cov[1, 0, 1, 0] = 1e-3
-        assert np.array_equal(ev.variance(theta), np.diag([1e4, 1e-3]))
+        assert np.array_equal(ev.evaluate(theta)[1], np.diag([1e4, 1e-3]))
         cov[1, 0, 1, 0] = np.nan
         with pytest.raises(DegenerateVariance, match="not finite"):
-            ev.variance(theta)
+            ev.evaluate(theta)
 
     def test_one_correction_map_per_statistic(self, rng, monkeypatch):
         """One statistic evaluates the correction once: the moment and the
@@ -453,17 +453,19 @@ class TestStatistic:
             assert str(excinfo.value) == order[0][0]
 
     def test_evaluator_matches_direct_path(self, rng):
-        """The evaluator and the free functions run the same arithmetic on the
-        same inputs, and the statistic is the quadratic form of the two:
-        equal exactly."""
+        """One evaluator's ``evaluate`` and the free functions, each of which
+        builds its own cell estimates, run the same arithmetic on the same
+        inputs, and the statistic is the quadratic form of the free functions'
+        m and S: equal exactly."""
         for n, n_cells in [(20, 2), (45, 3)]:
             data = random_dataset(rng, n=n, n_cells=n_cells)
             theta = default_theta()
             ev = MomentEvaluator(data)
             m, S = moment(data, theta), moment_variance(data, theta)
-            assert np.array_equal(ev.moment(theta), m)
-            assert np.array_equal(ev.variance(theta), S)
-            assert ev.statistic(theta) == quadratic_form(m, S, data.n)
+            got_m, got_S, stat = ev.evaluate(theta)
+            assert np.array_equal(got_m, m)
+            assert np.array_equal(got_S, S)
+            assert stat == ev.statistic(theta) == quadratic_form(m, S, data.n)
 
     def test_statistic_nonnegative(self, rng):
         for _ in range(5):

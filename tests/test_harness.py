@@ -546,7 +546,7 @@ class TestCli:
         assert "statistic" in summary and summary["dof"] == 2
         variance = np.loadtxt(Path(est_dir) / "variance.csv", delimiter=",", skiprows=1)
         theta = parse_config_text(BASE_CONFIG).theta
-        assert np.array_equal(variance, MomentEvaluator(load_dataset(data_dir)).variance(theta))
+        assert np.array_equal(variance, MomentEvaluator(load_dataset(data_dir)).evaluate(theta)[1])
         ci_dir = str(tmp_path / "ci")
         assert main(["ci", "--config", cfg, "--data", data_dir, "--out", ci_dir]) == 0
         grid_lines = (Path(ci_dir) / "ci_grid.csv").read_text().strip().splitlines()

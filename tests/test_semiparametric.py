@@ -5,6 +5,7 @@ import numpy as np
 from misnet import (
     CellSummary,
     Dataset,
+    MomentEvaluator,
     Network,
     PairCovariates,
     Theta,
@@ -14,7 +15,7 @@ from misnet import (
     identified_set,
     membership,
 )
-from misnet.estimation import _corrected_index
+from misnet.model import theta_coordinates
 from misnet.normal import norm_cdf
 
 from conftest import default_theta, random_dataset, scalar_support
@@ -153,16 +154,19 @@ class TestIdentifiedSet:
             assert res.member == expected
 
     def test_grid_results_align_with_membership(self, rng):
-        """Each grid verdict is the per-point verdict: the batched index row
-        equals ``cell_summary``'s exactly, and so does every violation."""
+        """Each grid verdict is the per-point verdict: the evaluator's batched
+        index row equals its one-row call and ``cell_summary``'s exactly, and so
+        does every violation."""
         data = random_dataset(rng, n=12, n_cells=2)
         grid = ThetaGrid(([0.0, 0.5], [0.25, -1.0], [0.25], [0.8, -2.0], [0.0, 0.1, 0.7], [0.1, 0.55]))
         results = identified_set(data, grid)
-        indices = _corrected_index(cell_estimates(data), data.support, grid.points)[0]
+        evaluator = MomentEvaluator(data)
+        indices = evaluator.indices(grid.points)
         assert len(results) == len(grid) == len(indices)
         kinds = set()
         for (theta, res), expected, row in zip(results, grid, indices):
             assert theta == expected
+            assert np.array_equal(evaluator.indices([theta_coordinates(theta)])[0], row)
             summary = cell_summary(data, theta)
             assert np.array_equal(summary.indices, row)
             again = membership(summary, theta)
