@@ -14,8 +14,13 @@ Everything that does not depend on theta comes from one per-agent table per
 dataset, built once by :func:`cell_estimates`: the cell statistics are the
 agent means of its influence columns, the link sums the agent sums of its link
 counts, and C its covariance.  Per-cell sums over pairs read one 0/1 mask per
-cell, the pairs assigned to it with the diagonal zeroed.  Counts, link sums and
-the influence sums add 0/1 products, so they are exact in any summation order.
+cell, the pairs assigned to it with the diagonal zeroed.  The cells partition
+the off-diagonal pairs, so the last cell needs no mask: its count and columns
+are n(n - 1) and each agent's totals minus the other cells'.  Counts, link
+sums and the influence sums add 0/1 products, so they are exact integers in
+any summation order: the n^3 product ``g @ cell`` runs in float32, exact as
+its entries are at most n < 2^24, and the sums that reach n^2 accumulate in
+float64.  Each influence is scaled by its cell count last.
 
 Parameter points arrive as rows of theta in the ``theta_coordinates``
 layout; a single point is the one-row case.  :func:`_corrected_index` applies
@@ -99,39 +104,73 @@ class CellEstimates:
     cov: np.ndarray  # (J, 5, J, 5)
 
 
-def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
-    """Per agent k and cell j: k's links over its pairs (k, i) in the cell, then
-    k's four statistic influences, shape (n, J, 5).  The first influence is k's
-    links G_ki over the cell's pairs (i, k), scaled by n over the cell count: it
-    reads the label of the reverse pair (i, k), hence ``cell.T``.  The other
-    three are cell averages of k's terms in the inner sums.  Each row depends
-    only on that agent's links.
-    """
+def _cell_masks(data: Dataset) -> tuple[list[np.ndarray], np.ndarray]:
+    """Masks of the pairs in cells 0, ..., J - 2 (diagonal cleared) and all J
+    pair counts, the last as n(n - 1) minus the others'; raises ``EmptyCell``
+    for the first empty cell."""
     n, J = data.n, data.n_cells
-    g = data.network.adj.astype(float)
-    out = np.empty((n, J, 5))
-    for j in range(J):
-        cell = (data.covariates.assignment == j).astype(float)
-        np.fill_diagonal(cell, 0.0)
-        m_count = counts[j]
-        row_count, col_count = cell.sum(axis=1), cell.sum(axis=0)  # pairs per first/second index
-        out[:, j, 0] = (g * cell).sum(axis=1)  # G_ki over pairs (k, i)
-        out[:, j, 1] = n * (g * cell.T).sum(axis=1) / m_count  # G_ki over pairs (i, k)
-        out[:, j, 2] = (g @ col_count) / m_count
-        out[:, j, 3] = ((g @ cell) * g).sum(axis=1) / m_count
-        out[:, j, 4] = (g @ (row_count + col_count)) / m_count
-    return out
-
-
-def cell_estimates(data: Dataset) -> CellEstimates:
-    """Cell frequencies, statistics, link sums and C from the per-agent table; raises on empty cells."""
-    n, J = data.n, data.n_cells
-    off_diagonal = data.covariates.assignment[~np.eye(n, dtype=bool)]
-    counts = np.bincount(off_diagonal, minlength=J).astype(float)
+    masks = []
+    for j in range(J - 1):
+        mask = data.covariates.assignment == j
+        np.fill_diagonal(mask, False)
+        masks.append(mask)
+    counts = np.empty(J)
+    counts[:-1] = [np.count_nonzero(mask) for mask in masks]
+    counts[-1] = n * (n - 1) - counts[:-1].sum()
     for j in range(J):
         if counts[j] == 0:
             raise EmptyCell(j)
-    table = _agent_table(data, counts)
+    return masks, counts
+
+
+def _agent_table(data: Dataset, masks: list[np.ndarray], counts: np.ndarray) -> np.ndarray:
+    """Per agent k and cell j: k's links over its pairs (k, i) in the cell, then
+    k's four statistic influences, shape (n, J, 5).  The first influence is k's
+    links G_ki over the cell's pairs (i, k), scaled by n over the cell count: it
+    reads the label of the reverse pair (i, k), hence the transposed mask.  The
+    other three are cell averages of k's terms in the inner sums.  Each row
+    depends only on that agent's links.
+
+    Every column is an integer sum of 0/1 products, scaled last.  The masks of
+    cells 0, ..., J - 2 (:func:`_cell_masks`) give those cells' sums; the cells
+    partition the off-diagonal pairs, so the last cell's sums are k's totals
+    minus the others': with d_k the out-degree, d_k, d_k, (n - 1) d_k,
+    d_k (d_k - 1) and 2 (n - 1) d_k.  ``g @ cell`` runs in float32 on 0/1
+    arrays: its entries are at most n < 2^24, so it is exact; so are the other
+    sums bounded by n.  The sums that reach n^2 accumulate in float64.  All
+    are exact integers, so the table is the same in any summation order.
+    """
+    n = data.n
+    g = data.network.adj.astype(np.float32)
+    degree = g.sum(axis=1).astype(np.float64)
+    raw = np.empty((n, data.n_cells, 5))
+    for j, mask in enumerate(masks):
+        cell = mask.astype(np.float32)
+        col_count = cell.sum(axis=0)  # pairs per second index
+        pair_count = cell.sum(axis=1).astype(np.float64) + col_count  # ... plus per first index
+        raw[:, j, 0] = np.einsum("ij,ij->i", g, cell)  # G_ki over pairs (k, i)
+        raw[:, j, 1] = np.einsum("ij,ji->i", g, cell)  # G_ki over pairs (i, k)
+        raw[:, j, 2] = np.einsum("ij,j->i", g, col_count, dtype=np.float64)
+        raw[:, j, 3] = np.einsum("ij,ij->i", g @ cell, g, dtype=np.float64)
+        raw[:, j, 4] = np.einsum("ij,j->i", g, pair_count, dtype=np.float64)
+    totals = np.outer(degree, [1, 1, n - 1, 0, 2 * (n - 1)])
+    totals[:, 3] = degree * (degree - 1)
+    raw[:, -1] = totals - raw[:, :-1].sum(axis=1)
+    raw[:, :, 1] *= n
+    raw[:, :, 1:] /= counts[:, None]
+    return raw
+
+
+def cell_estimates(data: Dataset) -> CellEstimates:
+    """Cell frequencies, statistics, link sums and C from the per-agent table;
+    raises on empty cells before building it.  Only cells 0, ..., J - 2 are
+    masked: the cells partition the off-diagonal pairs, so the last cell's
+    count and columns are the totals minus the others'.  The table's one
+    product per masked cell is float32, exact for entries at most n < 2^24,
+    and its sums that reach n^2 accumulate in float64."""
+    n, J = data.n, data.n_cells
+    masks, counts = _cell_masks(data)
+    table = _agent_table(data, masks, counts)
     link_sums = table[:, :, 0].sum(axis=0)
     stats = table[:, :, 1:].mean(axis=0)
     # link shares (1/n) sum_{i != k} G_ki per cell, then the statistic influences
@@ -172,7 +211,7 @@ def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
     reads, recomputed from ``data`` with ``cells.counts``; the cell statistics
     are their agent means.
     """
-    return _agent_table(data, cells.counts)[:, :, 1:]
+    return _agent_table(data, _cell_masks(data)[0], cells.counts)[:, :, 1:]
 
 
 def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:

@@ -20,6 +20,15 @@ def random_assignment(rng, n, n_cells) -> PairCovariates:
             return PairCovariates(arr.astype(np.int64))
 
 
+def circulant_covariates(n: int) -> PairCovariates:
+    """Two-cell design indexed by the offset parity, so every agent is
+    exchangeable: each row and column hits both cells in the same counts."""
+    offsets = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    labels = (offsets % 2).astype(np.int64)
+    np.fill_diagonal(labels, 0)
+    return PairCovariates(labels)
+
+
 def random_network(rng, n, density=0.5) -> Network:
     adj = (rng.random((n, n)) < density).astype(np.int8)
     np.fill_diagonal(adj, 0)

@@ -11,7 +11,10 @@ must equal, and the extended statistics the forward-map checks need (both
 checked against :func:`brute_extended_stats`), the flip law's forward map at
 network size n with its inverse, against which the package's population
 correction is checked, and a writer for edge-list network files, which only
-the reader's tests need.
+the reader's tests need.  The per-agent table is also kept here in its
+float64 form, one n^3 product per cell with every cell masked, so that the
+package's float32 table, which takes the last cell from the agent totals, can
+be checked against it bit for bit.
 """
 
 import csv
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from misnet.equilibrium import BeliefMatrix, SolverConfig, best_response
-from misnet.exceptions import NonConvergence
+from misnet.estimation import CellEstimates, Dataset
+from misnet.exceptions import EmptyCell, NonConvergence
 from misnet.model import CovariateSupport, Network, PairCovariates, Theta
 from misnet.normal import norm_cdf, norm_pdf
 
@@ -258,6 +262,44 @@ def brute_cell_estimates(adj: np.ndarray, labels: np.ndarray, n_cells: int):
             sums[c] += (adj[j, i], v2, v3, v4)
     stats = sums / counts[:, None]
     return counts / n_pairs, stats, counts
+
+
+def reference_agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
+    """The (n, J, 5) per-agent table in float64, every cell from its own mask."""
+    n, J = data.n, data.n_cells
+    g = data.network.adj.astype(float)
+    out = np.empty((n, J, 5))
+    for j in range(J):
+        cell = (data.covariates.assignment == j).astype(float)
+        np.fill_diagonal(cell, 0.0)
+        m_count = counts[j]
+        row_count, col_count = cell.sum(axis=1), cell.sum(axis=0)
+        out[:, j, 0] = (g * cell).sum(axis=1)
+        out[:, j, 1] = n * (g * cell.T).sum(axis=1) / m_count
+        out[:, j, 2] = (g @ col_count) / m_count
+        out[:, j, 3] = ((g @ cell) * g).sum(axis=1) / m_count
+        out[:, j, 4] = (g @ (row_count + col_count)) / m_count
+    return out
+
+
+def reference_cell_estimates(data: Dataset) -> CellEstimates:
+    """Cell estimates from :func:`reference_agent_table`, the counts by a
+    ``bincount`` of the off-diagonal labels; raises ``EmptyCell`` for the first
+    empty cell."""
+    n, J = data.n, data.n_cells
+    off_diagonal = data.covariates.assignment[~np.eye(n, dtype=bool)]
+    counts = np.bincount(off_diagonal, minlength=J).astype(float)
+    for j in range(J):
+        if counts[j] == 0:
+            raise EmptyCell(j)
+    table = reference_agent_table(data, counts)
+    link_sums = table[:, :, 0].sum(axis=0)
+    stats = table[:, :, 1:].mean(axis=0)
+    table[:, :, 0] /= n
+    table = table.reshape(n, 5 * J)
+    table -= table.mean(axis=0)
+    cov = (table.T @ table / n).reshape(J, 5, J, 5)
+    return CellEstimates(counts / data.n_pairs, stats, counts, link_sums, cov)
 
 
 def cell_index_values(stats: np.ndarray, points: np.ndarray, theta) -> np.ndarray:

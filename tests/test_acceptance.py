@@ -34,7 +34,13 @@ from misnet.harness import run_mc_coverage
 from misnet.netio import write_covariates
 from misnet.normal import norm_cdf
 
-from conftest import random_assignment, random_dataset, report_statistics, scalar_support
+from conftest import (
+    circulant_covariates,
+    random_assignment,
+    random_dataset,
+    report_statistics,
+    scalar_support,
+)
 from oracles import (
     brute_cell_estimates,
     brute_moment,
@@ -50,15 +56,6 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
     suffix = f" - {detail}" if detail else ""
     print(f"ACCEPTANCE {number} ({name}): {verdict}{suffix}")
-
-
-def circulant_covariates(n: int) -> PairCovariates:
-    """Two-cell design indexed by the offset parity, so every agent is
-    exchangeable: each row and column hits both cells in the same counts."""
-    offsets = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    labels = (offsets % 2).astype(np.int64)
-    np.fill_diagonal(labels, 0)
-    return PairCovariates(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from misnet import (
 )
 from misnet import estimation
 from misnet.estimation import (
+    CellEstimates,
     _corrected_index,
     moment,
     moment_variance,
@@ -36,7 +37,13 @@ from misnet.estimation import (
 )
 from misnet.normal import norm_cdf
 
-from conftest import default_theta, random_dataset, random_network, scalar_support
+from conftest import (
+    circulant_covariates,
+    default_theta,
+    random_dataset,
+    random_network,
+    scalar_support,
+)
 from oracles import (
     brute_cell_estimates,
     brute_moment,
@@ -44,6 +51,8 @@ from oracles import (
     brute_variance,
     offdiag_mask,
     pair_stats,
+    reference_agent_table,
+    reference_cell_estimates,
 )
 
 
@@ -128,8 +137,116 @@ class TestCellEstimates:
                         per_agent[labels[i, j], i] += adj[i, j]
             cells = cell_estimates(data)
             assert np.array_equal(cells.link_sums, expected)
-            table = estimation._agent_table(data, cells.counts)
+            masks, _ = estimation._cell_masks(data)
+            table = estimation._agent_table(data, masks, cells.counts)
             assert np.array_equal(table[:, :, 0].T, per_agent)
+
+
+def labelled_dataset(adj, labels, n_cells):
+    return Dataset(
+        network=Network(adj),
+        covariates=PairCovariates(labels),
+        support=scalar_support(*np.linspace(-0.5, 0.5, n_cells)),
+    )
+
+
+def assert_bit_identical(data):
+    """The table and every ``CellEstimates`` field equal the float64 reference
+    bit for bit, or both raise ``EmptyCell`` for the same cell."""
+    try:
+        expected = reference_cell_estimates(data)
+    except EmptyCell as err:
+        with pytest.raises(EmptyCell) as excinfo:
+            cell_estimates(data)
+        assert excinfo.value.cell == err.cell
+        return
+    masks, counts = estimation._cell_masks(data)
+    assert np.array_equal(counts, expected.counts)
+    table = estimation._agent_table(data, masks, counts)
+    assert np.array_equal(table, reference_agent_table(data, counts))
+    cells = cell_estimates(data)
+    for field in dataclasses.fields(CellEstimates):
+        assert np.array_equal(getattr(cells, field.name), getattr(expected, field.name)), field.name
+
+
+class TestAgentTableBitExact:
+    """The float32 table with the last cell from the agent totals reproduces the
+    float64 table of every cell's own mask exactly, not only within rounding."""
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 5, 23, 200])
+    def test_random_designs(self, n, n_cells):
+        rng = np.random.default_rng(1000 * n + n_cells)
+        for density in (0.1, 0.5):
+            adj = (rng.random((n, n)) < density).astype(np.int8)
+            np.fill_diagonal(adj, 0)
+            assert_bit_identical(labelled_dataset(adj, rng.integers(0, n_cells, (n, n)), n_cells))
+
+    def test_circulant_design(self, rng):
+        """The fixed two-cell design of the ``mc_fixed`` benchmark."""
+        n = 200
+        for density in (0.02, 0.1, 0.5):
+            adj = random_network(rng, n, density).adj
+            assert_bit_identical(labelled_dataset(adj, circulant_covariates(n).assignment, 2))
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 3])
+    def test_empty_and_complete_networks(self, n_cells):
+        """Zero totals, and totals at their largest: with cell 0 holding all but
+        a few pairs of the complete network, the entries of ``g @ cell`` reach
+        n - 1."""
+        n = 23
+        labels = np.zeros((n, n), dtype=int)
+        labels[0, 1:n_cells] = np.arange(1, n_cells)
+        complete = np.ones((n, n), dtype=np.int8)
+        np.fill_diagonal(complete, 0)
+        for adj in (np.zeros((n, n), dtype=np.int8), complete):
+            assert_bit_identical(labelled_dataset(adj, labels, n_cells))
+        cell = (labels == 0).astype(float)
+        np.fill_diagonal(cell, 0.0)
+        assert (complete @ cell).max() == n - 1
+
+    def test_single_cell_from_totals(self, rng):
+        """At J = 1 there is no mask: the whole table is the agent totals."""
+        n = 23
+        data = labelled_dataset(random_network(rng, n, 0.3).adj, np.zeros((n, n), dtype=int), 1)
+        masks, counts = estimation._cell_masks(data)
+        assert masks == [] and counts.tolist() == [n * (n - 1)]
+        assert_bit_identical(data)
+
+    def test_diagonal_labels_are_ignored(self, rng):
+        """A label on the diagonal counts for no cell: the last cell's count is
+        n(n - 1) minus the others', not n^2 minus them."""
+        n, n_cells = 23, 3
+        adj = random_network(rng, n, 0.3).adj
+        for diagonal in range(n_cells):
+            labels = rng.integers(0, n_cells, (n, n))
+            np.fill_diagonal(labels, diagonal)
+            assert_bit_identical(labelled_dataset(adj, labels, n_cells))
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_label_only_on_the_diagonal_is_an_empty_cell(self, rng, empty):
+        """A cell index that appears only on the diagonal names an empty cell,
+        the last one included."""
+        n, n_cells = 23, 3
+        labels = rng.choice([j for j in range(n_cells) if j != empty], (n, n))
+        np.fill_diagonal(labels, empty)
+        data = labelled_dataset(random_network(rng, n, 0.3).adj, labels, n_cells)
+        assert_bit_identical(data)
+        with pytest.raises(EmptyCell) as excinfo:
+            cell_estimates(data)
+        assert excinfo.value.cell == empty
+
+    def test_empty_last_cell_raises_before_the_table(self, rng, monkeypatch):
+        n = 23
+        data = labelled_dataset(random_network(rng, n, 0.3).adj, rng.integers(0, 2, (n, n)), 3)
+
+        def no_table(*args):
+            raise AssertionError("the table was built for a design with an empty cell")
+
+        monkeypatch.setattr(estimation, "_agent_table", no_table)
+        with pytest.raises(EmptyCell) as excinfo:
+            cell_estimates(data)
+        assert excinfo.value.cell == 2
 
 
 class TestMoment:
