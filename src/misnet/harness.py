@@ -1,21 +1,22 @@
 """Monte Carlo driver: simulation runs, test inversion runs, coverage studies.
 
 Randomness follows one documented scheme built on numpy's SeedSequence /
-PCG64.  The fixed covariate design (x_mode = fixed) is drawn from
-``SeedSequence((master_seed, 0))``; replication r uses
-``SeedSequence((master_seed, 1, r))`` spawned into three child streams for
-the covariate draw, the link shocks and the misclassification flips, in that
-order.  Replication seeds are therefore distinct by construction and no state
-leaks across replications, so serial and pooled execution produce identical
-reports.
+PCG64.  Replication r uses ``SeedSequence((master_seed, 1, r))`` spawned into
+three child streams: 0 draws a fresh covariate design, 1 the link shocks, 2
+the misclassification flips.  A shared design (``x_file``, or x_mode = fixed
+drawn from ``SeedSequence((master_seed, 0))``) is solved once per run.
+``simulate`` writes replication 0 of the recipe each coverage replication
+tests.  No state leaks across replications, and serial and pooled runs map one
+task over the replication indices, so they produce identical reports.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2, kstest
+from scipy.special import chdtr
 
 from .config import ExperimentConfig
 from .equilibrium import draw_network, solve_equilibrium
@@ -23,7 +24,7 @@ from .estimation import Dataset, MomentEvaluator
 from .exceptions import ConfigError, FileFormatError, MisnetError, TooManyFailures
 from .inference import chi2_quantile, confidence_set, projection_intervals, write_grid_csv
 from .misclassification import apply_misclassification
-from .model import Network, PairCovariates
+from .model import PairCovariates
 from . import netio
 
 __all__ = [
@@ -75,40 +76,46 @@ class RunReport:
     n_failed: int
 
 
-def _design_for(config: ExperimentConfig, rep_children) -> PairCovariates:
+def _solved(config: ExperimentConfig, covariates: PairCovariates) -> tuple:
+    """The design with its equilibrium's utility index and fixed-point residual at the truth."""
+    th = config.theta
+    eq = solve_equilibrium(covariates, config.support, th.externality, th.homophily, config.solver)
+    return covariates, eq.index, eq.residual
+
+
+def _shared_design(config: ExperimentConfig) -> tuple | None:
+    """The design every replication shares, solved once: the ``x_file``
+    assignment or the draw from the fixed-design seed; None for a fresh design."""
     if config.x_file is not None:
         covariates = netio.read_covariates(config.x_file, config.support.n_points)
         if covariates.n != config.n:
             raise ConfigError(f"x_file holds n={covariates.n}, config says n={config.n}")
-        return covariates
-    if config.x_mode == "fixed":
+    elif config.x_mode == "fixed":
         rng = np.random.default_rng(fixed_design_seed(config.seed))
+        covariates = draw_pair_covariates(config.n, config.support_probs, rng)
     else:
-        rng = np.random.default_rng(rep_children[0])
-    return draw_pair_covariates(config.n, config.support_probs, rng)
+        return None
+    return _solved(config, covariates)
 
 
-def _solve(config: ExperimentConfig, covariates: PairCovariates):
-    """Utility index of the equilibrium at the configured truth and its fixed-point residual."""
-    th = config.theta
-    eq = solve_equilibrium(covariates, config.support, th.externality, th.homophily, config.solver)
-    return eq.index, eq.residual
-
-
-def _observe(config: ExperimentConfig, index, children) -> tuple[Network, Network]:
-    """Latent network drawn from the equilibrium's utility index (shocks from
-    ``children[1]``) and its misclassified record (flips from ``children[2]``)."""
-    th = config.theta
-    true_net = draw_network(index, children[1])
-    return true_net, apply_misclassification(true_net, th.fp_rate, th.fn_rate, seed=children[2])
+def _draw_dataset(config: ExperimentConfig, seed: np.random.SeedSequence, design):
+    """One replication's data from its seed's three children: the shared
+    design, or a fresh one drawn from child 0 and solved; the latent network
+    from child 1; its misclassified record from child 2."""
+    fresh, shocks, flips = seed.spawn(3)
+    if design is None:
+        covariates = draw_pair_covariates(config.n, config.support_probs, np.random.default_rng(fresh))
+        design = _solved(config, covariates)
+    covariates, index, residual = design
+    true_net = draw_network(index, shocks)
+    observed = apply_misclassification(true_net, config.theta.fp_rate, config.theta.fn_rate, seed=flips)
+    return covariates, residual, true_net, observed
 
 
 def run_simulate(config: ExperimentConfig, out_dir) -> dict:
-    """Draw one design, solve, simulate, misclassify, and write all files."""
-    children = replication_seed(config.seed, 0).spawn(3)
-    covariates = _design_for(config, children)
-    index, residual = _solve(config, covariates)
-    true_net, observed = _observe(config, index, children)
+    """Write replication 0 of the coverage recipe: design, latent and observed networks."""
+    seed = replication_seed(config.seed, 0)
+    covariates, residual, true_net, observed = _draw_dataset(config, seed, _shared_design(config))
     out = Path(out_dir)
     paths = {
         "support": out / "support.csv",
@@ -172,32 +179,25 @@ def run_ci(data: Dataset, grid, alpha: float, out_dir) -> dict:
     return {"grid": str(grid_path), "projection": str(projection_path), "summary": str(out / "summary.json")}
 
 
-def _replicate(args) -> ReplicationRecord:
+def _replicate(config: ExperimentConfig, critical: float, design, index: int) -> ReplicationRecord:
     """One coverage replication; pure given its derived seed."""
-    index, config, critical, fixed = args
-    seed_label = f"({config.seed};1;{index})"
-    children = replication_seed(config.seed, index).spawn(3)
+    seed = replication_seed(config.seed, index)
+    label = f"({';'.join(map(str, seed.entropy))})"
     try:
-        if fixed is not None:
-            covariates, utility, residual = fixed
-        else:
-            covariates = _design_for(config, children)
-            utility, residual = _solve(config, covariates)
-        _, observed = _observe(config, utility, children)
+        covariates, residual, _, observed = _draw_dataset(config, seed, design)
         data = Dataset(network=observed, covariates=covariates, support=config.support)
         stat = MomentEvaluator(data).statistic(config.theta)
-        return ReplicationRecord(
-            index=index,
-            seed=seed_label,
-            residual=residual,
-            statistic=stat,
-            accepted=stat <= critical,
-        )
+        return ReplicationRecord(index, label, residual, stat, accepted=stat <= critical)
     except MisnetError as exc:
-        return ReplicationRecord(
-            index=index, seed=seed_label, residual=float("nan"), statistic=float("nan"),
-            accepted=False, error=f"{type(exc).__name__}: {exc}",
-        )
+        nan = float("nan")
+        return ReplicationRecord(index, label, nan, nan, False, error=f"{type(exc).__name__}: {exc}")
+
+
+def _ks_distance(stats: np.ndarray, dof: int) -> float:
+    """``scipy.stats.kstest``'s distance of the sample to chi-square(dof), in its order of operations."""
+    cdf = chdtr(dof, np.sort(stats))
+    n = cdf.size
+    return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
 
 
 def run_mc_coverage(config: ExperimentConfig) -> RunReport:
@@ -206,25 +206,22 @@ def run_mc_coverage(config: ExperimentConfig) -> RunReport:
     Each replication simulates a network at the true parameter point,
     misclassifies it, and tests the truth; the report aggregates the coverage
     rate and the Kolmogorov-Smirnov distance of the statistic sample to the
-    chi-square reference.  A fixed design is solved once, and each replication
+    chi-square reference.  A shared design is solved once, and each replication
     draws from its index.  Failed replications are recorded, and the run
-    aborts only when their share exceeds ``failure_tolerance``.  With
-    ``config.threads`` above 1 the replications run in a process pool.
+    aborts only when their share exceeds ``failure_tolerance``.  One task maps
+    over the replication indices, in a process pool when ``config.threads``
+    is above 1.
     """
     dof = config.support.n_points
     critical = chi2_quantile(dof, 1.0 - config.alpha)
 
-    fixed = None
-    if config.x_mode == "fixed" or config.x_file is not None:
-        covariates = _design_for(config, None)
-        fixed = (covariates, *_solve(config, covariates))
-
-    tasks = [(r, config, critical, fixed) for r in range(config.replications)]
+    task = partial(_replicate, config, critical, _shared_design(config))
+    indices = range(config.replications)
     if config.threads > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(_replicate, tasks, chunksize=8))
+            records = list(pool.map(task, indices, chunksize=8))
     else:
-        records = [_replicate(task) for task in tasks]
+        records = list(map(task, indices))
 
     failed = [r for r in records if r.error]
     if len(failed) > config.failure_tolerance * config.replications:
@@ -235,7 +232,7 @@ def run_mc_coverage(config: ExperimentConfig) -> RunReport:
     ok = [r for r in records if not r.error]
     stats = np.array([r.statistic for r in ok])
     coverage = float(np.mean([r.accepted for r in ok])) if ok else float("nan")
-    ks = float(kstest(stats, chi2(dof).cdf).statistic) if ok else float("nan")
+    ks = _ks_distance(stats, dof) if ok else float("nan")
     return RunReport(
         records=records,
         alpha=config.alpha,

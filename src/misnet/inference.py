@@ -18,7 +18,7 @@ over-reject.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from . import netio
 from .estimation import Dataset, MomentEvaluator
@@ -43,12 +43,12 @@ REASON_DEGENERATE = "degenerate_variance"
 
 
 def chi2_quantile(dof: int, prob: float) -> float:
-    """1 - alpha style quantile of the chi-square distribution."""
+    """1 - alpha style quantile of the chi-square distribution, as ``scipy.stats.chi2.ppf`` has it."""
     if dof < 1:
         raise ValueError("dof must be at least 1")
     if not (0 < prob < 1):
         raise ValueError("prob must lie in (0, 1)")
-    return float(chi2.ppf(prob, dof))
+    return float(2 * gammaincinv(dof / 2, prob))
 
 
 @dataclass(frozen=True)

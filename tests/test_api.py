@@ -4,7 +4,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,17 @@ def test_public_names_resolve():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ lists missing names {missing}"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` is most of the cost of importing the package; the
+    chi-square quantile and the KS distance come from ``scipy.special``, so a
+    fresh process that imports the package and its CLI never loads it."""
+    src = str(Path(misnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, misnet, misnet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _comma_text(node) -> bool:

@@ -18,6 +18,7 @@ from misnet import (
     simulate_true_network,
     solve_equilibrium,
 )
+from misnet import harness
 from misnet.cli import main
 from misnet.config import parse_config_text
 from misnet.inference import theta_coordinates
@@ -32,7 +33,7 @@ from misnet.harness import (
 )
 from misnet import netio
 
-from conftest import report_statistics, scalar_support
+from conftest import circulant_covariates, report_statistics, scalar_support
 from oracles import write_network_edges
 
 BASE_CONFIG = """
@@ -427,6 +428,24 @@ class TestMcCoverage:
             residual = [r.residual for r in report.records]
             assert residual == pytest.approx(residuals, rel=1e-12, abs=0)
 
+    def test_ks_distance_bit_equal_to_kstest(self):
+        """The KS distance is ``kstest``'s against the chi-square cdf bit for bit,
+        on samples with zeros and ties and on a coverage report."""
+        from scipy.stats import chi2, kstest
+
+        rng = np.random.default_rng(31)
+        for k in range(500):
+            n, dof = int(rng.integers(1, 301)), int(rng.integers(1, 9))
+            sample = rng.chisquare(dof, n)
+            if k % 3 == 0:
+                sample[rng.random(n) < 0.2] = 0.0
+            if k % 4 == 0:
+                sample = np.round(sample, 1)
+            assert harness._ks_distance(sample, dof) == float(kstest(sample, chi2(dof).cdf).statistic)
+        report = run_mc_coverage(parse_config_text(BASE_CONFIG))
+        oracle = kstest(report_statistics(report), chi2(report.dof).cdf).statistic
+        assert report.ks_distance == float(oracle)
+
     def test_parallel_matches_serial(self):
         cfg = parse_config_text(BASE_CONFIG.replace("replications = 4", "replications = 6"))
         serial = run_mc_coverage(dataclasses.replace(cfg, threads=1))
@@ -526,6 +545,57 @@ x_mode = fresh
         failed = [r for r in report.records if r.error]
         assert all("EmptyCell" in r.error or "Degenerate" in r.error for r in failed)
         assert len(report.records) == 20
+
+
+class TestReplicationRecipe:
+    """``simulate`` and every coverage replication draw their data through one
+    recipe, and a design that replications share is solved once per run."""
+
+    DESIGNS = ["fixed", "fresh", "x_file"]
+
+    def _config_text(self, tmp_path, design):
+        if design == "x_file":
+            path = tmp_path / "design.csv"
+            netio.write_covariates(circulant_covariates(40), path)
+            return BASE_CONFIG + f"x_file = {path}\n"
+        return BASE_CONFIG.replace("x_mode = fixed", f"x_mode = {design}")
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_simulate_writes_replication_zero(self, tmp_path, design):
+        """``estimate`` on ``simulate``'s files gives row 0 of ``mc-coverage``
+        bit for bit, and so does the equilibrium residual."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self._config_text(tmp_path, design))
+        data, est, mc = (str(tmp_path / name) for name in ("data", "est", "mc"))
+        assert main(["simulate", "--config", str(cfg), "--out", data]) == 0
+        assert main(["estimate", "--config", str(cfg), "--data", data, "--out", est]) == 0
+        assert main(["mc-coverage", "--config", str(cfg), "--out", mc]) == 0
+        simulated = json.loads((Path(data) / "summary.json").read_text())
+        estimated = json.loads((Path(est) / "summary.json").read_text())
+        with open(Path(mc) / "replications.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["index"] == "0" and row["error"] == ""
+        assert estimated["statistic"] == float(row["statistic"])
+        assert simulated["equilibrium_residual"] == float(row["residual"])
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_one_solve_per_design(self, tmp_path, monkeypatch, design):
+        """A fixed or ``x_file`` design is solved once per coverage run, a fresh
+        one once per replication; ``simulate`` solves once."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_equilibrium(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_equilibrium", counted)
+        config = parse_config_text(self._config_text(tmp_path, design))
+        assert config.threads == 1 and config.replications == 4
+        assert run_mc_coverage(config).n_failed == 0
+        assert len(calls) == (4 if design == "fresh" else 1)
+        calls.clear()
+        run_simulate(config, tmp_path / "data")
+        assert len(calls) == 1
 
 
 class TestCli:

@@ -62,6 +62,15 @@ class TestChi2Quantile:
                 q = chi2_quantile(dof, prob)
                 assert chi2_cdf(q, dof) == pytest.approx(prob, abs=1e-10)
 
+    def test_bit_equal_to_scipy_stats(self):
+        """The closed form is what ``chi2.ppf`` evaluates, bit for bit."""
+        from scipy.stats import chi2
+
+        probs = np.concatenate([np.linspace(0.001, 0.999, 1000), [1e-12, 0.95, 1 - 1e-12]])
+        for dof in range(1, 9):
+            ours = [chi2_quantile(dof, float(p)) for p in probs]
+            assert ours == [float(chi2.ppf(p, dof)) for p in probs], dof
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             chi2_quantile(0, 0.5)
