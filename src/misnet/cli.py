@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _apply_overrides(parse_config(args.config), args)
-    except (ConfigError, FileFormatError) as exc:
+    except (ConfigError, FileFormatError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT
     try:

@@ -239,4 +239,10 @@ def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), base_dir=path.parent)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text") from exc
+    return parse_config_text(text, base_dir=path.parent)

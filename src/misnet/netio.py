@@ -10,8 +10,12 @@ n >= 2 agents.
 The dialect: fields are separated by commas and lines end in ``\\n``.
 Writers put floats as ``.17g`` (so they read back exactly) and booleans as
 0/1, and quote a field that contains a comma, a quote or a line break.
-Readers accept ``\\r\\n`` line ends, blank lines and spaces around fields.
-Every parse or domain error raises ``FileFormatError`` naming the line.
+Readers take files as UTF-8 and accept ``\\r\\n`` line ends, blank lines and
+spaces around fields.  A matrix file in the writers' own layout for one-digit
+values (n lines of n comma-separated digits, each ending in ``\\n``) is read
+as bytes; every other file goes through the general parser, and both feed the
+same checks.  Every parse, decoding or domain error raises ``FileFormatError``
+naming the line.
 Each command's ``summary.json`` is written by :func:`write_summary`, after its
 CSV files; the CSV writer makes the directory it writes into.
 """
@@ -77,14 +81,24 @@ def _parse(rows, dtype):
         return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=2)
 
 
+def _read_text(path) -> str:
+    """The file as UTF-8 text with universal newlines; a byte that does not
+    decode is an error at its line."""
+    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"byte 0x{raw[exc.start]:02x} is not UTF-8 text"
+        raise FileFormatError(path, raw.count(b"\n", 0, exc.start) + 1, message) from exc
+
+
 def _read_table(path, skip=0, dtype=np.int64):
     """The non-blank lines after the first ``skip`` as one array.
 
     Returns the first ``skip`` lines (padded with "" when the file is
     shorter), the array, and the 1-based line number of each of its rows.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path).split("\n")
     head = (lines + [""] * skip)[:skip]
     numbers = [k + 1 for k in range(skip, len(lines)) if lines[k].strip()]
     rows = [lines[k - 1] for k in numbers]
@@ -113,8 +127,30 @@ def _reject(path, numbers, bad_rows, message) -> None:
         raise FileFormatError(path, numbers[bad[0]], message)
 
 
+def _read_digits(path):
+    """The matrix of a file in the layout ``_write_rows`` gives one-digit
+    values, as uint8 digits, or None for any other file.
+
+    That layout is n >= 2 lines, each of n bytes ``0``-``9`` joined by ``,``
+    and ending in ``\\n``: 2n² bytes, checked and read as one byte array.
+    """
+    raw = np.fromfile(path, dtype=np.uint8)
+    n = math.isqrt(raw.size // 2)
+    if n < 2 or raw.size != 2 * n * n:
+        return None
+    lines = raw.reshape(n, 2 * n)
+    digits = lines[:, 0::2] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    ends = lines[:, 1::2]
+    if (digits > 9).any() or (ends[:, :-1] != ord(",")).any() or (ends[:, -1] != ord("\n")).any():
+        return None
+    return digits
+
+
 def _read_square(path):
     """A matrix CSV of integers for n >= 2 agents, with its row line numbers."""
+    table = _read_digits(path)
+    if table is not None:
+        return table, range(1, len(table) + 1)
     _, table, numbers = _read_table(path)
     n = table.shape[0]
     if n < 2:
@@ -131,8 +167,8 @@ def write_network_matrix(network: Network, path) -> None:
 def read_network(path) -> Network:
     """Read either format; edge lists are recognized by their ``n=`` first line."""
     path = Path(path)
-    with open(path) as fh:
-        edge_list = fh.readline().startswith("n=")
+    with open(path, "rb") as fh:
+        edge_list = fh.readline().startswith(b"n=")
     if edge_list:
         return _read_edge_list(path)
     table, numbers = _read_square(path)

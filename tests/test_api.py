@@ -46,11 +46,11 @@ def _comma_text(node) -> bool:
 
 def test_csv_format_only_in_netio():
     """``netio`` is the one module that knows the CSV format: no other module
-    imports ``csv``, reads or writes text tables through numpy (by attribute
-    or by a name imported from numpy), joins fields with ``","`` or writes
-    a literal line that holds a comma.  ``netio`` itself writes through
+    imports ``csv``, reads files or writes text tables through numpy (by
+    attribute or by a name imported from numpy), joins fields with ``","`` or
+    writes a literal line that holds a comma.  ``netio`` itself writes through
     ``csv.writer`` alone: it names no numpy text writer."""
-    numpy_io = {"loadtxt", "savetxt", "genfromtxt"}
+    numpy_io = {"loadtxt", "savetxt", "genfromtxt", "fromfile"}
     for path in sorted(Path(misnet.__file__).parent.glob("*.py")):
         if path.name == "netio.py":
             names = set()

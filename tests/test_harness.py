@@ -136,6 +136,68 @@ grid_x2 = -0.4:0.0:3
         assert MomentEvaluator(data).statistic(cfg.theta) >= 0.0
 
 
+def _matrix_bytes(table) -> bytes:
+    """A table in the matrix writers' layout: fields joined by commas, lines ended by \\n."""
+    return "".join(",".join(map(str, row)) + "\n" for row in table).encode()
+
+
+def _read_path_cases():
+    """Each case: a reader, the file's bytes, and whether the byte path takes the file."""
+    rng = np.random.default_rng(19)
+
+    def network(n):
+        adj = (rng.random((n, n)) < 0.4).astype(int)
+        np.fill_diagonal(adj, 0)
+        return adj
+
+    def read_network(path):
+        return netio.read_network(path).adj
+
+    def read_cells(n_cells):
+        return lambda path: netio.read_covariates(path, n_cells).assignment
+
+    net3 = _matrix_bytes(network(3))
+    with_two, with_loop = network(3), network(3)
+    with_two[1, 2], with_loop[2, 2] = 2, 1
+    outside = rng.integers(0, 2, (5, 5))
+    outside[3, 1] = 2
+    wide = rng.integers(0, 12, (4, 4))
+    wide[1, 2], wide[3, 0] = 10, 11
+    cases = {}
+    for n in [2, 3, 40]:
+        cases[f"network n={n}"] = (read_network, _matrix_bytes(network(n)), True)
+        cases[f"covariates n={n}"] = (read_cells(None), _matrix_bytes(rng.integers(0, 3, (n, n))), True)
+    cases |= {
+        "network with a 2": (read_network, _matrix_bytes(with_two), True),
+        "network with a diagonal 1": (read_network, _matrix_bytes(with_loop), True),
+        "cell index of J": (read_cells(2), _matrix_bytes(outside), True),
+        "no final newline": (read_network, net3[:-1], False),
+        "CRLF": (read_network, net3.replace(b"\n", b"\r\n"), False),
+        "misplaced comma": (read_network, net3[:1] + net3[2:3] + net3[1:2] + net3[3:], False),
+        "digit for a comma": (read_network, net3[:3] + net3[2:3] + net3[4:], False),
+        "line end moved": (read_network, net3[:5] + net3[7:8] + net3[6:7] + net3[5:6] + net3[8:], False),
+        "comma for a line end": (read_network, net3[:5] + b"," + net3[6:], False),
+        "one agent": (read_network, b"0\n", False),
+        "cells 10 and 11 of 12": (read_cells(12), _matrix_bytes(wide), False),
+    }
+    for byte in "-. /":
+        cases[f"{byte!r} at a digit"] = (read_network, net3[:2] + byte.encode() + net3[3:], False)
+    return cases
+
+
+_READ_PATH_CASES = _read_path_cases()
+
+
+def _outcome(read, path):
+    """What a read gives, in a form that ``==`` compares: the array's dtype
+    and values, or the error's line and message."""
+    try:
+        table = read(path)
+    except FileFormatError as exc:
+        return "error", exc.line, str(exc)
+    return "table", table.dtype.str, table.tolist()
+
+
 class TestNetIO:
     def test_matrix_roundtrip(self, tmp_path, rng):
         adj = (rng.random((7, 7)) < 0.4).astype(int)
@@ -206,6 +268,71 @@ class TestNetIO:
             with pytest.raises(FileFormatError) as excinfo:
                 read(path)
             assert excinfo.value.line == 3, text
+
+    @pytest.mark.parametrize("case", list(_READ_PATH_CASES))
+    def test_byte_path_reads_like_the_general_parser(self, tmp_path, monkeypatch, case):
+        """A matrix file gives the same table values, line numbers and domain
+        result, or the same error line and message, whether or not the byte
+        path may take it; the byte path takes exactly the writers' one-digit
+        layout, whose digits it keeps as uint8."""
+        read, content, byte_path = _READ_PATH_CASES[case]
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(content)
+        assert (netio._read_digits(path) is not None) == byte_path
+        readers = [
+            lambda p: netio._read_square(p)[0].astype(np.int64),
+            lambda p: np.asarray(netio._read_square(p)[1]),
+            read,
+        ]
+        fast = [_outcome(r, path) for r in readers]
+        monkeypatch.setattr(netio, "_read_digits", lambda path: None)
+        assert fast == [_outcome(r, path) for r in readers]
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_writer_output_skips_loadtxt(self, tmp_path, rng, monkeypatch, n):
+        """The matrices that the writers and ``run_simulate`` write are read
+        without ``np.loadtxt``: with its wrapper failing on integer tables,
+        ``read_network``, ``read_covariates`` and ``load_dataset`` still read
+        them as the general parser does (``support.csv`` is a float table and
+        still parses through it)."""
+        adj = (rng.random((n, n)) < 0.4).astype(int)
+        np.fill_diagonal(adj, 0)
+        assignment = rng.integers(0, 3, (n, n))
+        netio.write_network_matrix(Network(adj), tmp_path / "net.csv")
+        netio.write_covariates(PairCovariates(assignment), tmp_path / "cov.csv")
+        run_simulate(parse_config_text(BASE_CONFIG.replace("n = 40", f"n = {n}")), tmp_path / "data")
+        with monkeypatch.context() as general:
+            general.setattr(netio, "_read_digits", lambda path: None)
+            expected = load_dataset(tmp_path / "data")
+        parse = netio._parse
+
+        def parse_floats_only(rows, dtype):
+            assert dtype is float, "an integer matrix was parsed by np.loadtxt"
+            return parse(rows, dtype)
+
+        monkeypatch.setattr(netio, "_parse", parse_floats_only)
+        assert np.array_equal(netio.read_network(tmp_path / "net.csv").adj, adj)
+        assert np.array_equal(netio.read_covariates(tmp_path / "cov.csv").assignment, assignment)
+        data = load_dataset(tmp_path / "data")
+        assert data.n == n
+        assert np.array_equal(data.network.adj, expected.network.adj)
+        assert np.array_equal(data.covariates.assignment, expected.covariates.assignment)
+
+    def test_undecodable_byte_named_at_its_line(self, tmp_path):
+        """A byte that is not UTF-8 is a format error at its line, in every
+        reader and with any line ends."""
+        path = tmp_path / "bad.csv"
+        for read, content, line in [
+            (netio.read_network, b"\xff\xfe0,1\n1,0\n", 1),
+            (netio.read_network, b"0,1,0\r\n1,0,1\r\n\r\n0,\xe9,0\r\n", 4),
+            (netio.read_covariates, b"0,1\n\xff,0\n", 2),
+            (netio.read_network, b"n=3\ni,j\n0,1\n\x80\n", 4),
+            (netio.read_support, b"x1\n-0.5\n0.5\xc3\n", 3),
+        ]:
+            path.write_bytes(content)
+            with pytest.raises(FileFormatError, match="is not UTF-8 text") as excinfo:
+                read(path)
+            assert excinfo.value.line == line, content
 
     def test_ragged_matrix_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -679,6 +806,31 @@ class TestCli:
         out = str(tmp_path / "mc")
         for flag, value in [("--seed", "-1"), ("--seed", str(2**64)), ("--threads", "0")]:
             assert main(["mc-coverage", "--config", cfg, "--out", out, flag, value]) == 2
+
+    def test_config_directory_exit_code(self, tmp_path, capsys):
+        """A config path that cannot be opened as a file is a config error."""
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:") and not out.exists()
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(BASE_CONFIG.encode() + b"# caf\xe9\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        line = BASE_CONFIG.count("\n") + 1
+        assert f"line {line}: byte 0xe9" in capsys.readouterr().err and not out.exists()
+
+    def test_non_utf8_data_file_exit_code(self, tmp_path):
+        """A data file that starts with a UTF-16 byte-order mark is an input error."""
+        cfg = self._write_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(data_dir)]) == 0
+        (data_dir / "observed_network.csv").write_bytes(b"\xff\xfe0\x00,\x001\x00\n\x00")
+        for command in ["estimate", "ci", "sp-set"]:
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--data", str(data_dir), "--out", str(out)]) == 2
+            assert not out.exists(), command
 
     def test_missing_config_file(self, tmp_path):
         out = str(tmp_path / "o")
