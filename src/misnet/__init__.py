@@ -11,7 +11,6 @@ from .equilibrium import (
     BeliefMatrix,
     SolverConfig,
     draw_network,
-    simulate_true_network,
     solve_equilibrium,
 )
 from .estimation import (
@@ -81,6 +80,5 @@ __all__ = [
     "membership",
     "population_correction",
     "projection_intervals",
-    "simulate_true_network",
     "solve_equilibrium",
 ]

@@ -22,7 +22,7 @@ Keys:
     x_mode              ``fresh`` draws covariates per replication,
                         ``fixed`` reuses one draw (default fresh)
     x_file              explicit covariate assignment CSV (overrides drawing)
-    threads             worker processes for replication pools (default 1)
+    threads             worker threads that run the replications (default 1)
     failure_tolerance   tolerated share of failed replications (default 0.05)
     grid_recip, grid_indeg, grid_common, grid_x1..grid_xd, grid_fp, grid_fn
                         axes of the inversion grid (default: fixed at theta)
@@ -216,7 +216,8 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
     try:
         grid = ThetaGrid(tuple(axes))
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        given = ", ".join(key for key in grid_keys if key in values)
+        raise ConfigError(f"grid keys {given}: {exc}") from exc
 
     return ExperimentConfig(
         n=n,

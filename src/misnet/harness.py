@@ -6,11 +6,11 @@ three child streams: 0 draws a fresh covariate design, 1 the link shocks, 2
 the misclassification flips.  A shared design (``x_file``, or x_mode = fixed
 drawn from ``SeedSequence((master_seed, 0))``) is solved once per run.
 ``simulate`` writes replication 0 of the recipe each coverage replication
-tests.  No state leaks across replications, and serial and pooled runs map one
-task over the replication indices, so they produce identical reports.
+tests.  No state leaks across replications, so a run's report is the same for
+any number of worker ``threads``.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -208,20 +208,17 @@ def run_mc_coverage(config: ExperimentConfig) -> RunReport:
     rate and the Kolmogorov-Smirnov distance of the statistic sample to the
     chi-square reference.  A shared design is solved once, and each replication
     draws from its index.  Failed replications are recorded, and the run
-    aborts only when their share exceeds ``failure_tolerance``.  One task maps
-    over the replication indices, in a process pool when ``config.threads``
-    is above 1.
+    aborts only when their share exceeds ``failure_tolerance``.  A pool of
+    ``config.threads`` threads maps one task over the replication indices; an
+    error that is not a ``MisnetError``, or an interrupt, cancels the ones not
+    yet started.
     """
     dof = config.support.n_points
     critical = chi2_quantile(dof, 1.0 - config.alpha)
 
     task = partial(_replicate, config, critical, _shared_design(config))
-    indices = range(config.replications)
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(task, indices, chunksize=8))
-    else:
-        records = list(map(task, indices))
+    with ThreadPoolExecutor(config.threads) as pool:
+        records = list(pool.map(task, range(config.replications)))
 
     failed = [r for r in records if r.error]
     if len(failed) > config.failure_tolerance * config.replications:

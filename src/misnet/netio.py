@@ -219,13 +219,16 @@ def write_support(support: CovariateSupport, path) -> None:
 
 def read_support(path) -> CovariateSupport:
     path = Path(path)
-    head, points, _ = _read_table(path, skip=1, dtype=float)
+    head, points, numbers = _read_table(path, skip=1, dtype=float)
     if not head[0].startswith("x1"):
         raise FileFormatError(path, 1, "expected header row starting with x1")
     width = len(head[0].split(","))
     if points.size and points.shape[1] != width:
         raise FileFormatError(path, 1, f"header names {width} columns, points have {points.shape[1]}")
+    _reject(path, numbers, ~np.isfinite(points).all(axis=1), "support points must be finite")
+    unordered = [tuple(a) >= tuple(b) for a, b in zip(points[:-1], points[1:])]
+    _reject(path, numbers[1:], unordered, "support points must be distinct and lexicographically increasing")
     try:
         return CovariateSupport(points)
-    except ValueError as exc:
+    except ValueError as exc:  # no points: the first belongs on line 2
         raise FileFormatError(path, 2, str(exc)) from exc

@@ -24,11 +24,10 @@ from misnet import (
     confidence_set,
     membership,
     population_correction,
-    simulate_true_network,
     solve_equilibrium,
 )
 from misnet.config import parse_config_text
-from misnet.equilibrium import SolverConfig, equilibrium_residual
+from misnet.equilibrium import SolverConfig, equilibrium_residual, simulate_true_network
 from misnet.estimation import moment, moment_variance, stat_influence_all
 from misnet.harness import run_mc_coverage
 from misnet.netio import write_covariates

@@ -9,7 +9,6 @@ from misnet import (
     NonConvergence,
     PairCovariates,
     SolverConfig,
-    simulate_true_network,
     solve_equilibrium,
 )
 from misnet.equilibrium import (
@@ -19,6 +18,7 @@ from misnet.equilibrium import (
     best_response,
     draw_network,
     equilibrium_residual,
+    simulate_true_network,
 )
 from misnet.normal import norm_cdf
 

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import shutil
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +17,12 @@ from misnet import (
     MomentEvaluator,
     Network,
     PairCovariates,
-    simulate_true_network,
     solve_equilibrium,
 )
 from misnet import harness
 from misnet.cli import main
 from misnet.config import parse_config_text
+from misnet.equilibrium import simulate_true_network
 from misnet.inference import theta_coordinates
 from misnet.harness import (
     fixed_design_seed,
@@ -404,6 +406,21 @@ class TestNetIO:
                 netio.read_support(path)
             assert excinfo.value.line == 1, text
 
+    def test_support_error_named_at_its_line(self, tmp_path):
+        """A repeated or non-finite support point is reported by ``load_dataset``
+        at its own line, not at the first point's."""
+        run_simulate(parse_config_text(BASE_CONFIG), tmp_path)
+        for text, line, message in [
+            ("x1\n-0.5\n-0.5\n", 3, "distinct and lexicographically increasing"),
+            ("x1\n-0.5\nnan\n", 3, "must be finite"),
+            ("x1\n-0.5\n\n0.5\n0.25\n", 5, "distinct and lexicographically increasing"),
+        ]:
+            (tmp_path / "support.csv").write_text(text)
+            with pytest.raises(FileFormatError, match=message) as excinfo:
+                load_dataset(tmp_path)
+            assert excinfo.value.line == line, text
+            assert Path(excinfo.value.path).name == "support.csv"
+
     def test_cell_outside_support_named_at_its_line(self, tmp_path, rng):
         """A covariate cell index of J or more is reported at its own line,
         by ``read_covariates`` given J and by ``load_dataset``; without J the
@@ -580,6 +597,51 @@ class TestMcCoverage:
         assert [r.statistic for r in serial.records] == [r.statistic for r in pooled.records]
         assert serial.coverage == pooled.coverage
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("x_mode", ["fixed", "fresh"])
+    def test_pooled_runs_bit_identical(self, tmp_path, x_mode, threads):
+        """Every record field, the residual included, and the report files of a
+        pooled run equal the one-worker run's while the threads switch often;
+        on a fresh design the workers solve concurrently, where concurrent BLAS
+        calls would show."""
+        text = BASE_CONFIG.replace("n = 40", "n = 200").replace("replications = 4", "replications = 6")
+        cfg = parse_config_text(text.replace("x_mode = fixed", f"x_mode = {x_mode}"))
+        serial = run_mc_coverage(dataclasses.replace(cfg, threads=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that a race between workers shows
+        try:
+            pooled = run_mc_coverage(dataclasses.replace(cfg, threads=threads))
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial.n_failed == 0
+        assert [dataclasses.astuple(r) for r in pooled.records] == [
+            dataclasses.astuple(r) for r in serial.records
+        ]
+        files = [write_report(report, tmp_path / name) for name, report in [("1", serial), ("n", pooled)]]
+        for key in ["replications", "summary"]:
+            assert Path(files[1][key]).read_bytes() == Path(files[0][key]).read_bytes(), key
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_stops_the_pool(self, monkeypatch, threads):
+        """An error that is not a ``MisnetError`` is re-raised, and the
+        replications not yet started are cancelled instead of run."""
+        started = []
+        draw = harness._draw_dataset
+
+        def failing(config, seed, design):
+            index = seed.entropy[-1]
+            started.append(index)
+            if index == 3:
+                raise RuntimeError("replication 3 broke")
+            time.sleep(0.02)  # each replication outlasts the pool's reaction to the error
+            return draw(config, seed, design)
+
+        monkeypatch.setattr(harness, "_draw_dataset", failing)
+        cfg = parse_config_text(BASE_CONFIG.replace("replications = 4", "replications = 40"))
+        with pytest.raises(RuntimeError, match="replication 3 broke"):
+            run_mc_coverage(dataclasses.replace(cfg, threads=threads))
+        assert 3 in started and len(started) < 10, sorted(started)
+
     def test_fresh_x_mode_runs(self):
         cfg = parse_config_text(BASE_CONFIG.replace("x_mode = fixed", "x_mode = fresh"))
         report = run_mc_coverage(cfg)
@@ -725,6 +787,46 @@ class TestReplicationRecipe:
         assert len(calls) == 1
 
 
+def _config_with(line):
+    """``BASE_CONFIG`` with the key of ``line`` given the value of ``line``."""
+    key = line.partition("=")[0].strip()
+    kept = [row for row in BASE_CONFIG.splitlines() if row.partition("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
+# a config line that is refused, and the message that names its key
+_CONFIG_ERRORS = {
+    "n not a number": ("n = abc", "key n: cannot parse 'abc'"),
+    "tol negative": ("tol = -1", "tol must be positive"),
+    "max_iter zero": ("max_iter = 0", "max_iter must be at least 1"),
+    "damping zero": ("damping = 0", "damping must lie in (0, 1]"),
+    "x_mode unknown": ("x_mode = both", "x_mode must be 'fresh' or 'fixed'"),
+    "support_points ragged": ("support_points = -0.5 | 0.5, 1", "support_points rows have inconsistent"),
+    "support_points empty": ("support_points = |", "support_points is empty"),
+    "support_points unordered": ("support_points = 0.5 | -0.5", "support_points: support points must"),
+    "grid_fp two parts": ("grid_fp = 0:1", "key grid_fp: axis must be lo:hi:count"),
+    "grid_fp bad bounds": ("grid_fp = a:b:3", "key grid_fp: cannot parse axis 'a:b:3'"),
+    "grid_fp no points": ("grid_fp = 0:1:0", "key grid_fp: axis count must be at least 1"),
+    "grid_fp nan": ("grid_fp = nan", "grid keys grid_fp: grid axes must be non-empty and finite"),
+    "grid_fp negative": ("grid_fp = -0.1, 0.1", "grid keys grid_fp: rate axes must be non-negative"),
+    "support_probs length": ("support_probs = 0.2, 0.3, 0.5", "support_probs needs 2 entries, got 3"),
+    "theta_externality size": ("theta_externality = 0.5, 0.25", "theta_externality needs exactly 3"),
+    "theta_homophily size": ("theta_homophily = 0.8, 0.1", "theta_homophily needs 1 components"),
+    "theta_homophily not a number": ("theta_homophily = high", "key theta_homophily: cannot parse 'high'"),
+}
+
+# a data file's replacement text, and the line and message its error names
+_DATA_ERRORS = {
+    "matrix not square": ("observed_network.csv", "0,1,0\n1,0,1\n", 1, "expected 2 columns, got 3"),
+    "support without header": ("support.csv", "-0.5\n0.5\n", 1, "expected header row starting with x1"),
+    "support without points": ("support.csv", "x1\n", 2, "support must be a non-empty"),
+    "support with nan": ("support.csv", "x1\n-0.5\nnan\n", 3, "support points must be finite"),
+    "edge list count": ("observed_network.csv", "n=abc\ni,j\n0,1\n", 1, "cannot parse agent count"),
+    "edge list header": ("observed_network.csv", "n=40\na,b\n0,1\n", 2, "expected 'i,j' header"),
+    "edge list fields": ("observed_network.csv", "n=40\ni,j\n0,1,2\n", 3, "expected two fields 'i,j'"),
+}
+
+
 class TestCli:
     def _write_config(self, tmp_path, text=BASE_CONFIG):
         """Each call writes its own file, so a path kept from an earlier call
@@ -806,6 +908,35 @@ class TestCli:
         out = str(tmp_path / "mc")
         for flag, value in [("--seed", "-1"), ("--seed", str(2**64)), ("--threads", "0")]:
             assert main(["mc-coverage", "--config", cfg, "--out", out, flag, value]) == 2
+
+    @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+    def test_config_value_error_exit_code(self, tmp_path, capsys, case):
+        """A config value that cannot be used exits 2 with a message naming
+        its key, and creates no --out."""
+        line, message = _CONFIG_ERRORS[case]
+        cfg = self._write_config(tmp_path, _config_with(line))
+        out = tmp_path / "o"
+        assert main(["mc-coverage", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(_DATA_ERRORS))
+    def test_data_error_names_path_and_line(self, tmp_path, capsys, case):
+        """A malformed data file makes every data command exit 2 with its
+        ``path:line`` in the message, and create no --out."""
+        name, text, line, message = _DATA_ERRORS[case]
+        cfg = self._write_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", cfg, "--out", str(data_dir)]) == 0
+        (data_dir / name).write_text(text)
+        capsys.readouterr()
+        for command in ["estimate", "ci", "sp-set"]:
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--data", str(data_dir), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{data_dir / name}:{line}: {message}" in err, (command, err)
+            assert not out.exists(), command
 
     def test_config_directory_exit_code(self, tmp_path, capsys):
         """A config path that cannot be opened as a file is a config error."""

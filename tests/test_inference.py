@@ -215,7 +215,8 @@ class TestConfidenceSet:
     def test_huge_signal_point_accepted(self, rng):
         """Single-point grid at the data-generating parameter on a large
         simulated sample should be accepted."""
-        from misnet import apply_misclassification, simulate_true_network, solve_equilibrium
+        from misnet import apply_misclassification, solve_equilibrium
+        from misnet.equilibrium import simulate_true_network
         from conftest import random_assignment
 
         n = 120
@@ -234,7 +235,8 @@ class TestConfidenceSet:
 
 class TestProjection:
     def test_single_point_degenerate_interval(self, rng):
-        from misnet import apply_misclassification, simulate_true_network, solve_equilibrium
+        from misnet import apply_misclassification, solve_equilibrium
+        from misnet.equilibrium import simulate_true_network
         from conftest import random_assignment
 
         n = 60

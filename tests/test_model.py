@@ -6,10 +6,61 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from misnet import CovariateSupport, InvalidRates, Network, PairCovariates, Theta
+from misnet import (
+    CellSummary,
+    CovariateSupport,
+    Dataset,
+    InvalidRates,
+    Network,
+    PairCovariates,
+    Theta,
+    ThetaGrid,
+    confidence_set,
+)
 from misnet.equilibrium import BeliefMatrix, _index
 
-from conftest import default_theta, scalar_support
+from conftest import default_theta, random_dataset, scalar_support, singleton_grid
+
+
+def _dataset():
+    return random_dataset(np.random.default_rng(3), 6)
+
+
+# a call the library refuses with a ValueError, and a part of its message
+_INVALID = {
+    "support empty": (lambda: CovariateSupport(np.empty((0, 1))), "non-empty (J, d) array"),
+    "support not finite": (lambda: CovariateSupport([[0.0], [np.inf]]), "must be finite"),
+    "beliefs not square": (lambda: BeliefMatrix(np.zeros((2, 3))), "square (n, n) array"),
+    "beliefs above 1": (lambda: BeliefMatrix([[0, 1.5], [0, 0]]), "must lie in [0, 1]"),
+    "beliefs nan": (lambda: BeliefMatrix([[0, np.nan], [0, 0]]), "must lie in [0, 1]"),
+    "beliefs diagonal": (lambda: BeliefMatrix([[0.5, 0], [0, 0]]), "diagonal beliefs must be zero"),
+    "theta externality size": (lambda: Theta([0, 0], [0], 0, 0), "exactly 3 components"),
+    "theta no homophily": (lambda: Theta([0, 0, 0], [], 0, 0), "at least one component"),
+    "theta not finite": (lambda: Theta([0, 0, np.nan], [0], 0, 0), "parameters must be finite"),
+    "network not square": (lambda: Network(np.zeros((2, 3))), "square (n, n) array"),
+    "assignment not square": (lambda: PairCovariates(np.zeros((2, 3), dtype=int)), "square (n, n) array"),
+    "assignment not integer": (lambda: PairCovariates(np.zeros((2, 2))), "integer cell indices"),
+    "assignment negative": (lambda: PairCovariates([[0, -1], [0, 0]]), "must be non-negative"),
+    "assignment outside support": (
+        lambda: PairCovariates([[0, 2], [0, 0]]).values(scalar_support(-0.5, 0.5)),
+        "outside the support",
+    ),
+    "cell summary lengths": (lambda: CellSummary([0.5, 0.5], [0.0]), "equal length"),
+    "cell summary mean": (lambda: CellSummary([0.5, 1.5], [0.0, 1.0]), "must lie in [0, 1]"),
+    "grid axes": (lambda: ThetaGrid(([0.0],) * 5), "3 externality, at least 1 homophily"),
+    "grid axis empty": (lambda: ThetaGrid(([0.0],) * 5 + ([],)), "non-empty and finite"),
+    "grid rate negative": (lambda: ThetaGrid(([0.0],) * 4 + ([-0.1], [0.0])), "non-negative"),
+    "confidence alpha 0": (lambda: confidence_set(_dataset(), singleton_grid(default_theta()), 0.0), "alpha"),
+    "confidence alpha 1": (lambda: confidence_set(_dataset(), singleton_grid(default_theta()), 1.0), "alpha"),
+    "dataset sizes": (
+        lambda: Dataset(_dataset().network, PairCovariates(np.zeros((5, 5), dtype=int)), scalar_support(0.0)),
+        "sizes differ",
+    ),
+    "dataset cell outside support": (
+        lambda: Dataset(_dataset().network, _dataset().covariates, scalar_support(0.0)),
+        "outside the support",
+    ),
+}
 from oracles import decide_link, total_utility, utility_index
 
 
@@ -36,6 +87,13 @@ class TestTypes:
             Theta(externality=[0, 0, 0], homophily=[0], fp_rate=0.6, fn_rate=0.4)
         with pytest.raises(InvalidRates):
             Theta(externality=[0, 0, 0], homophily=[0], fp_rate=-0.1, fn_rate=0.0)
+
+    @pytest.mark.parametrize("case", list(_INVALID))
+    def test_constructors_reject_invalid_values(self, case):
+        call, message = _INVALID[case]
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert message in str(excinfo.value)
 
     def test_immutability(self):
         net = Network(np.zeros((3, 3), dtype=int))
