@@ -161,6 +161,8 @@ def projection_intervals(cs: ConfidenceSet) -> dict:
 
 def write_grid_csv(cs: ConfidenceSet, path) -> None:
     """Per-point statistics as CSV: coordinates, statistic, accepted, reason."""
+    records = cs.records
+    coords = np.array([theta_coordinates(r.theta) for r in records]).T
+    stats, accepted = np.array([r.statistic for r in records]), np.array([r.accepted for r in records])
     header = [*cs.coordinate_names, "statistic", "accepted", "reason"]
-    rows = ([*theta_coordinates(r.theta), r.statistic, r.accepted, r.reason] for r in cs.records)
-    netio.write_table(path, header, rows)
+    netio.write_columns(path, header, [*coords, stats, accepted, [r.reason for r in records]])

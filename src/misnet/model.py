@@ -6,6 +6,7 @@ index is linear in three expected network statistics (reciprocity, target
 in-degree, common in-neighbors) and in the pair covariate vector.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,29 +118,32 @@ class Theta:
         )
 
     def __post_init__(self):
-        ext = np.asarray(self.externality, dtype=float).reshape(-1)
-        hom = np.asarray(self.homophily, dtype=float).reshape(-1)
+        # flatten always copies: the caller's array can change, this one cannot
+        ext = np.asarray(self.externality, dtype=float).flatten()
+        hom = np.asarray(self.homophily, dtype=float).flatten()
         if ext.shape != (3,):
             raise ValueError("externality must have exactly 3 components")
         if hom.size < 1:
             raise ValueError("homophily must have at least one component")
-        if not (np.all(np.isfinite(ext)) and np.all(np.isfinite(hom))):
+        if not all(map(math.isfinite, ext.tolist() + hom.tolist())):
             raise ValueError("parameters must be finite")
         validate_rates(self.fp_rate, self.fn_rate)
-        object.__setattr__(self, "externality", _frozen_array(ext))
-        object.__setattr__(self, "homophily", _frozen_array(hom))
+        ext.setflags(write=False)
+        hom.setflags(write=False)
+        object.__setattr__(self, "externality", ext)
+        object.__setattr__(self, "homophily", hom)
         object.__setattr__(self, "fp_rate", float(self.fp_rate))
         object.__setattr__(self, "fn_rate", float(self.fn_rate))
 
 
 def theta_coordinates(theta: Theta) -> list:
     """The row layout of a parameter point: externality, homophily, fp, fn."""
-    return [*theta.externality, *theta.homophily, theta.fp_rate, theta.fn_rate]
+    return [*theta.externality.tolist(), *theta.homophily.tolist(), theta.fp_rate, theta.fn_rate]
 
 
 def validate_rates(fp_rate: float, fn_rate: float) -> None:
     """Reject rates outside {r0, r1 >= 0, r0 + r1 < 1}."""
-    if not (np.isfinite(fp_rate) and np.isfinite(fn_rate)):
+    if not (math.isfinite(fp_rate) and math.isfinite(fn_rate)):
         raise InvalidRates("rates must be finite")
     if fp_rate < 0 or fn_rate < 0:
         raise InvalidRates(f"rates must be non-negative, got ({fp_rate}, {fn_rate})")

@@ -39,6 +39,7 @@ __all__ = [
     "write_support",
     "read_support",
     "write_table",
+    "write_columns",
     "write_summary",
 ]
 
@@ -59,9 +60,25 @@ def _write_rows(path, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def _column(values) -> list:
+    """The fields of one column; a bool or float array has :func:`_field` called
+    once per distinct value, told apart by bits so -0.0 is not 0.0."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "bf"):
+        return [_field(v) for v in values]
+    keys, where = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return np.array([_field(v) for v in keys.view(values.dtype)], dtype=object)[where].tolist()
+
+
+def write_columns(path, header, columns) -> None:
+    """Write a header row and then one line per row of equal-length
+    ``columns``, in the dialect above; columns of different lengths raise
+    ``ValueError``."""
+    _write_rows(path, [header, *zip(*map(_column, columns), strict=True)])
+
+
 def write_table(path, header, rows) -> None:
     """Write a header row and then one line per row, in the dialect above."""
-    _write_rows(path, [header, *([_field(v) for v in row] for row in rows)])
+    write_columns(path, header, list(zip(*rows, strict=True)))
 
 
 def write_summary(path, payload: dict) -> None:

@@ -81,45 +81,49 @@ class MembershipResult:
     violations: list
 
 
+def _verdicts(means: np.ndarray, indices: np.ndarray, rates: np.ndarray) -> list:
+    """One ``MembershipResult`` per row of rates (fp, fn) (P, 2) and corrected
+    index (P, J), against the cell means (J,).  ``Violation`` text is made only
+    for the failed entries of the bound mask (P, J, 2) and the rank mask
+    (P, J, J), in row-major order: cell by cell, fp before fn, then the rank
+    pairs (a, b) where cell a has the larger mean but not the larger index."""
+    over = np.stack([rates[:, :1] > means, rates[:, 1:] > 1.0 - means], axis=-1)
+    unranked = (means[:, None] > means) & ~(indices[:, :, None] > indices[:, None, :])
+    r, m, u = rates.tolist(), means.tolist(), indices.tolist()
+    found = [[] for _ in r]
+    for p, j, fn in np.argwhere(over).tolist():
+        found[p].append(
+            Violation("fn_bound", (j,), f"fn_rate {r[p][1]:g} > 1 - mean {1 - m[j]:g}") if fn
+            else Violation("fp_bound", (j,), f"fp_rate {r[p][0]:g} > mean {m[j]:g}")
+        )
+    for p, a, b in np.argwhere(unranked).tolist():
+        found[p].append(Violation(
+            "rank", (a, b),
+            f"mean[{a}] {m[a]:g} > mean[{b}] {m[b]:g} but index[{a}] {u[p][a]:g} <= index[{b}] {u[p][b]:g}",
+        ))
+    return [MembershipResult(member=not violations, violations=violations) for violations in found]
+
+
 def membership(summary: CellSummary, theta: Theta) -> MembershipResult:
-    """Check the two bound conditions and the monotone-index rank condition."""
-    violations = []
-    means, indices = summary.means, summary.indices
-    for j, mean in enumerate(means):
-        if theta.fp_rate > mean:
-            violations.append(
-                Violation("fp_bound", (j,), f"fp_rate {theta.fp_rate:g} > mean {mean:g}")
-            )
-        if theta.fn_rate > 1.0 - mean:
-            violations.append(
-                Violation("fn_bound", (j,), f"fn_rate {theta.fn_rate:g} > 1 - mean {1 - mean:g}")
-            )
-    for a in range(summary.n_cells):
-        for b in range(summary.n_cells):
-            if means[a] > means[b] and not (indices[a] > indices[b]):
-                violations.append(
-                    Violation(
-                        "rank",
-                        (a, b),
-                        f"mean[{a}] {means[a]:g} > mean[{b}] {means[b]:g} "
-                        f"but index[{a}] {indices[a]:g} <= index[{b}] {indices[b]:g}",
-                    )
-                )
-    return MembershipResult(member=not violations, violations=violations)
+    """Check the two bound conditions and the monotone-index rank condition:
+    the one-row case of :func:`identified_set`'s verdict pass."""
+    rates = np.array([[theta.fp_rate, theta.fn_rate]])
+    return _verdicts(summary.means, summary.indices[None], rates)[0]
 
 
 def identified_set(data: Dataset, grid: ThetaGrid) -> list:
     """Membership verdicts over the grid from one batched index: [(theta, MembershipResult)]."""
     evaluator = MomentEvaluator(data)
     means = evaluator.cells.link_sums / evaluator.cells.counts
-    indices = evaluator.indices(grid.points)
-    return [(theta, membership(CellSummary(means, u), theta)) for theta, u in zip(grid, indices)]
+    verdicts = _verdicts(means, evaluator.indices(grid.points), grid.points[:, -2:])
+    return list(zip(grid, verdicts))
 
 
 def write_membership_csv(results: list, names: list, path) -> None:
     """Verdicts and violation diagnostics as CSV."""
-    rows = []
-    for theta, res in results:
-        detail = "; ".join(f"{v.condition}{v.cells}: {v.detail}" for v in res.violations)
-        rows.append([*theta_coordinates(theta), res.member, detail])
-    netio.write_table(path, [*names, "member", "violations"], rows)
+    coords = np.array([theta_coordinates(theta) for theta, _ in results]).T
+    member = np.array([res.member for _, res in results])
+    details = [
+        "; ".join(f"{v.condition}{v.cells}: {v.detail}" for v in res.violations) for _, res in results
+    ]
+    netio.write_columns(path, [*names, "member", "violations"], [*coords, member, details])

@@ -44,6 +44,17 @@ def random_dataset(rng, n, n_cells=2, density=0.5) -> Dataset:
     )
 
 
+def tournament_dataset(n=10) -> Dataset:
+    """Every cell mean is exactly one half: one direction of each unordered
+    pair is linked (a tournament), and the label is symmetric in (i, j), so
+    both directions of a pair fall in the same cell."""
+    adj = np.zeros((n, n), dtype=int)
+    adj[np.triu_indices(n, 1)] = 1
+    idx = np.arange(n)
+    labels = (idx[:, None] + idx[None, :]) % 2
+    return Dataset(Network(adj), PairCovariates(labels), scalar_support(-0.5, 0.5))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -14,20 +14,25 @@ correction is checked, and a writer for edge-list network files, which only
 the reader's tests need.  The per-agent table is also kept here in its
 float64 form, one n^3 product per cell with every cell masked, so that the
 package's float32 table, which takes the last cell from the agent totals, can
-be checked against it bit for bit.
+be checked against it bit for bit.  The grid writers and the membership check
+are kept here in their row-wise form, one formatted row and one Python loop
+per grid point, against which the column writers and the batched verdict
+pass are checked byte for byte.
 """
 
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from misnet.equilibrium import BeliefMatrix, SolverConfig, best_response
-from misnet.estimation import CellEstimates, Dataset
+from misnet.estimation import CellEstimates, Dataset, MomentEvaluator
 from misnet.exceptions import EmptyCell, NonConvergence
-from misnet.model import CovariateSupport, Network, PairCovariates, Theta
+from misnet.model import CovariateSupport, Network, PairCovariates, Theta, theta_coordinates
 from misnet.normal import norm_cdf, norm_pdf
+from misnet.semiparametric import CellSummary, MembershipResult, Violation
 
 
 # ---------------------------------------------------------------------------
@@ -527,3 +532,74 @@ def isotonic_sse(indices: np.ndarray, means: np.ndarray) -> float:
             for idx in members:
                 fitted[idx] = value
     return float(np.sum((y - fitted) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# the grid commands row by row: membership loop and row-wise CSV writers
+
+
+def reference_membership(summary: CellSummary, theta: Theta) -> MembershipResult:
+    """The two bound conditions and the rank condition as one loop per cell and cell pair."""
+    violations = []
+    means, indices = summary.means, summary.indices
+    for j, mean in enumerate(means):
+        if theta.fp_rate > mean:
+            violations.append(
+                Violation("fp_bound", (j,), f"fp_rate {theta.fp_rate:g} > mean {mean:g}")
+            )
+        if theta.fn_rate > 1.0 - mean:
+            violations.append(
+                Violation("fn_bound", (j,), f"fn_rate {theta.fn_rate:g} > 1 - mean {1 - mean:g}")
+            )
+    for a in range(summary.n_cells):
+        for b in range(summary.n_cells):
+            if means[a] > means[b] and not (indices[a] > indices[b]):
+                violations.append(
+                    Violation(
+                        "rank",
+                        (a, b),
+                        f"mean[{a}] {means[a]:g} > mean[{b}] {means[b]:g} "
+                        f"but index[{a}] {indices[a]:g} <= index[{b}] {indices[b]:g}",
+                    )
+                )
+    return MembershipResult(member=not violations, violations=violations)
+
+
+def reference_identified_set(data: Dataset, grid) -> list:
+    """One ``CellSummary`` and one :func:`reference_membership` per grid point."""
+    evaluator = MomentEvaluator(data)
+    means = evaluator.cells.link_sums / evaluator.cells.counts
+    indices = evaluator.indices(grid.points)
+    return [(theta, reference_membership(CellSummary(means, u), theta)) for theta, u in zip(grid, indices)]
+
+
+def reference_write_table(path, header, rows) -> None:
+    """The row-wise table writer: each field formatted on its own (floats as
+    ``.17g``, booleans as 0/1), one row at a time, into a directory it makes."""
+
+    def field(value):
+        if isinstance(value, (bool, np.bool_)):
+            return int(value)
+        if isinstance(value, (float, np.floating)):
+            return f"{value:.17g}"
+        return value
+
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *([field(v) for v in row] for row in rows)])
+
+
+def reference_write_grid_csv(cs, path) -> None:
+    """``ci_grid.csv`` as one formatted row per grid record."""
+    header = [*cs.coordinate_names, "statistic", "accepted", "reason"]
+    rows = ([*theta_coordinates(r.theta), r.statistic, r.accepted, r.reason] for r in cs.records)
+    reference_write_table(path, header, rows)
+
+
+def reference_write_membership_csv(results: list, names: list, path) -> None:
+    """``sp_grid.csv`` as one formatted row per verdict."""
+    rows = []
+    for theta, res in results:
+        detail = "; ".join(f"{v.condition}{v.cells}: {v.detail}" for v in res.violations)
+        rows.append([*theta_coordinates(theta), res.member, detail])
+    reference_write_table(path, [*names, "member", "violations"], rows)

@@ -63,6 +63,36 @@ _INVALID = {
 }
 from oracles import decide_link, total_utility, utility_index
 
+# an invalid Theta: externality, homophily, fp and fn, the exception and its whole message
+_THETA_INVALID = {
+    "externality size": (([0, 0], [0], 0.0, 0.0), ValueError, "externality must have exactly 3 components"),
+    "no homophily": (([0, 0, 0], [], 0.0, 0.0), ValueError, "homophily must have at least one component"),
+    "externality nan": (([0, 0, np.nan], [0], 0.0, 0.0), ValueError, "parameters must be finite"),
+    "homophily inf": (([0, 0, 0], [0, -np.inf], 0.0, 0.0), ValueError, "parameters must be finite"),
+    "fp nan": (([0, 0, 0], [0], np.nan, 0.0), InvalidRates, "rates must be finite"),
+    "fn inf": (([0, 0, 0], [0], 0.0, np.inf), InvalidRates, "rates must be finite"),
+    "fp negative": (([0, 0, 0], [0], -0.1, 0.0), InvalidRates, "rates must be non-negative, got (-0.1, 0.0)"),
+    "rates sum to one": (
+        ([0, 0, 0], [0], 0.6, 0.4), InvalidRates, "rates must satisfy fp + fn < 1, got 0.6 + 0.4 = 1.0",
+    ),
+}
+
+
+def _read_only_view(values, dtype=float):
+    """``values`` as a read-only view into a larger array, as a grid row's slices are."""
+    base = np.array([0.0, *values, 0.0], dtype=dtype)
+    base.setflags(write=False)
+    return base[1:-1]
+
+
+# how a caller may pass Theta's vectors and rates
+_THETA_FORMS = {
+    "list": (list, float),
+    "writeable array": (lambda v: np.array(v, dtype=float), lambda r: np.array(r)),
+    "read-only view": (_read_only_view, lambda r: _read_only_view([r])[0]),
+    "numpy scalar": (lambda v: [np.float64(x) for x in v], np.float64),
+}
+
 
 class TestTypes:
     def test_support_requires_lexicographic_order(self):
@@ -94,6 +124,41 @@ class TestTypes:
         with pytest.raises(ValueError) as excinfo:
             call()
         assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("form", list(_THETA_FORMS))
+    @pytest.mark.parametrize("case", list(_THETA_INVALID))
+    def test_theta_checks_keep_type_and_message(self, case, form):
+        (ext, hom, fp, fn), error, message = _THETA_INVALID[case]
+        vector, rate = _THETA_FORMS[form]
+        with pytest.raises(error) as excinfo:
+            Theta(vector(ext), vector(hom), rate(fp), rate(fn))
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    @pytest.mark.parametrize("form", list(_THETA_FORMS))
+    def test_theta_accepts_every_form_alike(self, form):
+        vector, rate = _THETA_FORMS[form]
+        theta = Theta(vector([0.5, 0.25, -0.0]), vector([0.8, 1e308]), rate(0.05), rate(0.1))
+        assert theta == Theta([0.5, 0.25, -0.0], [0.8, 1e308], 0.05, 0.1)
+        assert type(theta.fp_rate) is float and type(theta.fn_rate) is float
+        assert np.signbit(theta.externality[2])
+        assert theta.externality.dtype == theta.homophily.dtype == np.float64
+
+    def test_theta_does_not_follow_the_callers_array(self):
+        """A Theta holds its own read-only copies: writing to the arrays it was
+        built from, a grid-like row or a (3, 1) column, leaves it unchanged."""
+        rows = np.array([[0.5, 0.25, 0.25, 0.8, 0.05, 0.1]])
+        column = np.array([[0.5], [0.25], [0.25]])
+        from_row = Theta(rows[0, :3], rows[0, 3:-2], rows[0, -2], rows[0, -1])
+        from_column = Theta(column, rows[0, 3:-2], 0.05, 0.1)
+        rows[:] = 7.0
+        column[:] = 7.0
+        for theta in (from_row, from_column):
+            assert theta.externality.tolist() == [0.5, 0.25, 0.25]
+            assert theta.homophily.tolist() == [0.8]
+            assert (theta.fp_rate, theta.fn_rate) == (0.05, 0.1)
+            for values in (theta.externality, theta.homophily):
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
 
     def test_immutability(self):
         net = Network(np.zeros((3, 3), dtype=int))

@@ -4,10 +4,7 @@ import numpy as np
 
 from misnet import (
     CellSummary,
-    Dataset,
     MomentEvaluator,
-    Network,
-    PairCovariates,
     Theta,
     ThetaGrid,
     cell_estimates,
@@ -18,8 +15,8 @@ from misnet import (
 from misnet.model import theta_coordinates
 from misnet.normal import norm_cdf
 
-from conftest import default_theta, random_dataset, scalar_support
-from oracles import isotonic_sse
+from conftest import default_theta, random_dataset, tournament_dataset
+from oracles import isotonic_sse, reference_membership
 
 
 def theta_with_rates(fp, fn, d=1):
@@ -67,6 +64,22 @@ class TestMembership:
     def test_monotone_configuration_is_member(self):
         summary = CellSummary(means=[0.2, 0.5, 0.8], indices=[-1.0, 0.0, 2.0])
         assert membership(summary, theta_with_rates(0.1, 0.1)).member
+
+    def test_one_row_case_matches_the_loop(self, rng):
+        """``membership`` gives the oracle loop's verdict and violations, in its
+        order and with its text, on random cells with ties, rounded values that
+        make the bounds bind exactly, and NaN or infinite indices."""
+        for _ in range(300):
+            J = int(rng.integers(0, 6))
+            means = np.round(rng.random(J), 1)
+            indices = np.round(rng.standard_normal(J), 1)
+            if J and rng.random() < 0.3:
+                indices[rng.integers(0, J)] = rng.choice([np.nan, np.inf, -np.inf])
+            fp, fn = np.floor(rng.random(2) * 5) / 10  # 0, 0.1, ..., 0.4
+            summary, theta = CellSummary(means, indices), theta_with_rates(fp, fn)
+            got, expected = membership(summary, theta), reference_membership(summary, theta)
+            assert got.member == expected.member
+            assert got.violations == expected.violations
 
 
 class TestIsotonicEquivalence:
@@ -128,22 +141,8 @@ class TestPopulationLogic:
 class TestIdentifiedSet:
     def test_flat_network_reduces_to_rate_bounds(self, rng):
         """A data set whose cells all have mean one half accepts exactly the
-        grid points with both rates at or below one half.
-
-        A tournament (exactly one direction linked per unordered pair) with
-        label symmetric in (i, j) puts both directions in the same cell, so
-        every cell mean is exactly one half.
-        """
-        n = 10
-        adj = np.zeros((n, n), dtype=int)
-        adj[np.triu_indices(n, 1)] = 1
-        idx = np.arange(n)
-        labels = (idx[:, None] + idx[None, :]) % 2
-        data = Dataset(
-            network=Network(adj),
-            covariates=PairCovariates(labels),
-            support=scalar_support(-0.5, 0.5),
-        )
+        grid points with both rates at or below one half."""
+        data = tournament_dataset()
         means = cell_summary(data, theta_with_rates(0.0, 0.0)).means
         assert np.allclose(means, 0.5)
         rates = [0.1, 0.4, 0.6]
@@ -154,9 +153,10 @@ class TestIdentifiedSet:
             assert res.member == expected
 
     def test_grid_results_align_with_membership(self, rng):
-        """Each grid verdict is the per-point verdict: the evaluator's batched
-        index row equals its one-row call and ``cell_summary``'s exactly, and so
-        does every violation."""
+        """Each grid verdict is the row-by-row oracle's: the evaluator's batched
+        index row equals its one-row call and ``cell_summary``'s exactly, and the
+        oracle's membership loop on that summary gives the same verdict and the
+        same violations in the same order."""
         data = random_dataset(rng, n=12, n_cells=2)
         grid = ThetaGrid(([0.0, 0.5], [0.25, -1.0], [0.25], [0.8, -2.0], [0.0, 0.1, 0.7], [0.1, 0.55]))
         results = identified_set(data, grid)
@@ -169,7 +169,7 @@ class TestIdentifiedSet:
             assert np.array_equal(evaluator.indices([theta_coordinates(theta)])[0], row)
             summary = cell_summary(data, theta)
             assert np.array_equal(summary.indices, row)
-            again = membership(summary, theta)
+            again = reference_membership(summary, theta)
             assert again.member == res.member
             assert [(v.condition, v.cells, v.detail) for v in res.violations] == [
                 (v.condition, v.cells, v.detail) for v in again.violations
