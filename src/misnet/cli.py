@@ -7,7 +7,6 @@ cells, degenerate variance, excessive replication failures).
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,37 +18,6 @@ from .inference import chi2_quantile
 
 _CONFIG_EXIT = 2
 _NUMERICAL_EXIT = 3
-# config keys a command line may override, each only on the commands that read it
-_OVERRIDES = {"seed": int, "alpha": float, "threads": int}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="misnet",
-        description="Simulation and inference for network formation with misclassified links",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, summary, overrides=(), data=False):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default="out", help="output directory")
-        if data:
-            p.add_argument("--data", required=True, help="directory with simulate outputs")
-        for key in overrides:
-            p.add_argument(f"--{key}", type=_OVERRIDES[key], help=f"override the config's {key}")
-
-    command("simulate", "draw covariates, solve, simulate, misclassify", ["seed"])
-    command("estimate", "cell estimates, moment, variance and statistic", ["alpha"], data=True)
-    command("ci", "invert the test over the configured grid", ["alpha"], data=True)
-    command("mc-coverage", "Monte Carlo coverage study", ["seed", "alpha", "threads"])
-    command("sp-set", "semiparametric membership over the grid", data=True)
-    return parser
-
-
-def _apply_overrides(config, args):
-    updates = {key: v for key in _OVERRIDES if (v := getattr(args, key, None)) is not None}
-    return dataclasses.replace(config, **updates) if updates else config
 
 
 def _cmd_simulate(config, args) -> None:
@@ -116,24 +84,41 @@ def _cmd_sp_set(config, args) -> None:
     print(f"{n_member} of {len(results)} grid points are members; wrote {table}")
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "ci": _cmd_ci,
-    "mc-coverage": _cmd_mc_coverage,
-    "sp-set": _cmd_sp_set,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="misnet",
+        description="Simulation and inference for network formation with misclassified links",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, summary, overrides=(), data=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, overrides=overrides)
+        p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--out", default="out", help="output directory")
+        if data:
+            p.add_argument("--data", required=True, help="directory with simulate outputs")
+        for key in overrides:
+            p.add_argument(f"--{key}", help=f"override the config's {key}")
+
+    command("simulate", _cmd_simulate, "draw covariates, solve, simulate, misclassify", ["seed"])
+    command("estimate", _cmd_estimate, "cell estimates, moment, variance and statistic", ["alpha"], data=True)
+    command("ci", _cmd_ci, "invert the test over the configured grid", ["alpha"], data=True)
+    command("mc-coverage", _cmd_mc_coverage, "Monte Carlo coverage study", ["seed", "alpha", "threads"])
+    command("sp-set", _cmd_sp_set, "semiparametric membership over the grid", data=True)
+    return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: value for key in args.overrides if (value := getattr(args, key)) is not None}
     try:
-        config = _apply_overrides(parse_config(args.config), args)
+        config = parse_config(args.config, overrides)
     except (ConfigError, FileFormatError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT
     try:
-        _COMMANDS[args.command](config, args)
+        args.handler(config, args)
     except (ConfigError, FileFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return _CONFIG_EXIT

@@ -27,7 +27,10 @@ Keys:
     grid_recip, grid_indeg, grid_common, grid_x1..grid_xd, grid_fp, grid_fn
                         axes of the inversion grid (default: fixed at theta)
 
-Any other key, ``grid_x{k}`` with k > d included, is an error.
+Any other key, ``grid_x{k}`` with k > d included, is an error.  Overrides,
+such as the command line's ``--seed``, ``--alpha`` and ``--threads``, are raw
+value strings that replace the file's value for their key, and are parsed as
+the file's own lines are.
 """
 
 from dataclasses import dataclass
@@ -76,7 +79,7 @@ class ExperimentConfig:
     grid: ThetaGrid
 
     def __post_init__(self):
-        """Range checks, run again by ``dataclasses.replace`` on command-line overrides."""
+        """Range checks of the scalar keys."""
         in_range = {
             "n": self.n >= 2,
             "replications": self.replications >= 1,
@@ -134,7 +137,7 @@ def _scalar(values: dict, key: str, cast):
         raise ConfigError(f"key {key}: cannot parse '{raw}'") from exc
 
 
-def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
+def parse_config_text(text: str, base_dir: Path | str = ".", overrides=None) -> ExperimentConfig:
     values = dict(_DEFAULTS)
     seen = {}  # key -> line it was given on
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -148,6 +151,7 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
             raise ConfigError(f"key {key} given twice, on lines {seen[key]} and {lineno}")
         seen[key] = lineno
         values[key] = raw
+    values.update(overrides or {})
 
     missing = [key for key in _REQUIRED if key not in values]
     if missing:
@@ -236,7 +240,7 @@ def parse_config_text(text: str, base_dir: Path | str = ".") -> ExperimentConfig
     )
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, overrides=None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -246,4 +250,4 @@ def parse_config(path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text") from exc
-    return parse_config_text(text, base_dir=path.parent)
+    return parse_config_text(text, base_dir=path.parent, overrides=overrides)

@@ -99,8 +99,13 @@ def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:
 
 
 def _arrays(covariates, support, externality, homophily):
-    """x'hom (n, n) and the externality weights as float arrays."""
-    return covariates.values(support) @ np.asarray(homophily, float), np.asarray(externality, float)
+    """x'hom (n, n), formed per support point and gathered by cell index, and the
+    externality weights as float arrays.  The points get a spare copy of the
+    first: numpy takes a one-row product through its dot kernel, whose last
+    bit can differ from the matrix-vector kernel that a per-pair product uses."""
+    covariates.check_cells(support)
+    points = np.concatenate([support.points, support.points[:1]])
+    return (points @ np.asarray(homophily, float))[covariates.assignment], np.asarray(externality, float)
 
 
 def _step(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray):

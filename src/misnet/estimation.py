@@ -65,8 +65,7 @@ class Dataset:
     def __post_init__(self):
         if self.covariates.n != self.network.n:
             raise ValueError("covariate assignment and network sizes differ")
-        if int(self.covariates.assignment.max()) >= self.support.n_points:
-            raise ValueError("assignment references a cell outside the support")
+        self.covariates.check_cells(self.support)
 
     @property
     def n(self) -> int:

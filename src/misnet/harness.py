@@ -49,8 +49,7 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 
 def draw_pair_covariates(n: int, probs: np.ndarray, rng: np.random.Generator) -> PairCovariates:
     """i.i.d. cell assignment over the support; diagonal drawn but unused."""
-    assignment = rng.choice(probs.size, size=(n, n), p=probs)
-    return PairCovariates(assignment.astype(np.int64))
+    return PairCovariates(rng.choice(probs.size, size=(n, n), p=probs))
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,9 @@ def confidence_set(data: Dataset, grid: ThetaGrid, alpha: float = 0.05) -> Confi
 
 
 def projection_intervals(cs: ConfidenceSet) -> dict:
-    """Coordinatewise [min, max] of the accepted set; conservative by projection."""
+    """Coordinatewise [min, max] of the accepted grid points: an inner approximation
+    of the set's projection, each end up to one grid step inside the true end, and
+    a set thinner than the grid can accept no point (``EmptySet``)."""
     accepted = [theta_coordinates(theta) for theta, _ in cs.accepted]
     if not accepted:
         raise EmptySet(f"no parameter point accepted at level {cs.alpha}")

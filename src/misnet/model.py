@@ -85,11 +85,10 @@ class PairCovariates:
     def n(self) -> int:
         return self.assignment.shape[0]
 
-    def values(self, support: CovariateSupport) -> np.ndarray:
-        """Covariate vectors per pair, shape (n, n, d)."""
+    def check_cells(self, support: CovariateSupport) -> None:
+        """Raise ValueError unless every cell index names a point of ``support``."""
         if self.assignment.max() >= support.n_points:
             raise ValueError("assignment references a cell outside the support")
-        return support.points[self.assignment]
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,10 +49,6 @@ class CellSummary:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "indices", indices)
 
-    @property
-    def n_cells(self) -> int:
-        return self.means.shape[0]
-
 
 def cell_summary(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> CellSummary:
     """Sample cell link means plus the corrected index under ``theta``.

@@ -4,7 +4,8 @@ Everything here is written as plain loops straight off the estimator
 definitions, deliberately sharing no code path with the package internals
 (except the normal cdf, whose accuracy is checked separately against mpmath).
 It also holds the model's link utility, against which the link rule is
-checked by enumeration, a solver loop written through the public best
+checked by enumeration, the covariate vector of every pair, whose per-pair
+x'hom the solver's per-point one must equal, a solver loop written through the public best
 response, against which the package's plain-array loop is checked, the
 belief statistics as an (n, n, 3) stack, whose weighted sum the solver's index
 must equal, and the extended statistics the forward-map checks need (both
@@ -396,6 +397,12 @@ def brute_variance(adj, labels, points, theta, stats, n_cells) -> np.ndarray:
 # the link decision of one agent, written off the model's utility
 
 
+def pair_covariates(covariates: PairCovariates, support: CovariateSupport) -> np.ndarray:
+    """Covariate vector of every pair, shape (n, n, d): the per-pair form of
+    x'hom that the solver, which forms x'hom once per support point, must equal."""
+    return support.points[covariates.assignment]
+
+
 def utility_index(true_stats, x, externality, homophily) -> float:
     """Marginal utility index of a link: stats'ext + x'hom."""
     return float(
@@ -437,7 +444,7 @@ def total_utility(
     recip = g[:, agent]  # g[j, agent] for each target j
     in_deg = (col - g[agent, :]) / n  # sum over k != agent of g[k, j]
     common = (g[:, agent] @ g) / n  # k = agent term vanishes (zero diagonal)
-    x = covariates.values(support)[agent]  # (n, d)
+    x = pair_covariates(covariates, support)[agent]  # (n, d)
 
     marginal = (
         recip * theta.externality[0]
@@ -463,8 +470,7 @@ def reference_solve(
     """Damped fixed-point iteration that calls ``best_response`` and builds a
     validated ``BeliefMatrix`` at every step; the package's solver must
     return the same point bit for bit."""
-    xvals = covariates.values(support)
-    p = norm_cdf(xvals @ np.asarray(homophily, float))
+    p = norm_cdf(pair_covariates(covariates, support) @ np.asarray(homophily, float))
     np.fill_diagonal(p, 0.0)
     residual = np.inf
     for _ in range(config.max_iter):
@@ -551,8 +557,8 @@ def reference_membership(summary: CellSummary, theta: Theta) -> MembershipResult
             violations.append(
                 Violation("fn_bound", (j,), f"fn_rate {theta.fn_rate:g} > 1 - mean {1 - mean:g}")
             )
-    for a in range(summary.n_cells):
-        for b in range(summary.n_cells):
+    for a in range(len(means)):
+        for b in range(len(means)):
             if means[a] > means[b] and not (indices[a] > indices[b]):
                 violations.append(
                     Violation(

@@ -48,6 +48,7 @@ from oracles import (
     chi2_quantile_bisect,
     extended_stats_from_beliefs,
     flip_law_maps,
+    pair_covariates,
 )
 
 
@@ -278,7 +279,7 @@ def test_criterion_4_population_moment_zero_at_truth():
     ext = extended_stats_from_beliefs(beliefs)
     idx_star = (
         ext[..., :3] @ theta.externality
-        + cov.values(support) @ theta.homophily
+        + pair_covariates(cov, support) @ theta.homophily
     )
     lam = 1.0 - theta.fp_rate - theta.fn_rate
     off = ~np.eye(n, dtype=bool)

@@ -102,6 +102,24 @@ def test_no_private_names_across_modules():
                 )
 
 
+# names that only the benchmark in ``perfbench/`` keeps alive
+_BENCHMARK_ONLY = {
+    "best_response", "equilibrium_residual", "simulate_true_network", "moment",
+    "moment_variance", "stat_influence_all", "cell_summary", "membership",
+}
+
+
+def test_benchmark_only_names_uncalled_in_src():
+    """No module of the package calls a name that only the benchmark keeps
+    alive, by its plain name or as an attribute, so each stays deletable
+    once the benchmark stops naming it."""
+    for path in sorted(Path(misnet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert name not in _BENCHMARK_ONLY, f"{path.name}:{node.lineno} calls {name}"
+
+
 def _misnet_name(module_name, name):
     """``from <module_name> import <name>`` as the benchmark runs it, or None."""
     source = importlib.import_module(module_name)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from misnet import (
     CovariateSupport,
+    Dataset,
+    Network,
     NonConvergence,
     PairCovariates,
     SolverConfig,
@@ -28,6 +30,7 @@ from oracles import (
     brute_network_stats,
     extended_stats_from_beliefs,
     network_stats,
+    pair_covariates,
     reference_solve,
 )
 
@@ -111,7 +114,7 @@ class TestBestResponse:
         hom = [0.8]
         out1 = best_response(uniform_beliefs(n, 0.1), cov, self.support, [0, 0, 0], hom)
         out2 = best_response(uniform_beliefs(n, 0.9), cov, self.support, [0, 0, 0], hom)
-        expected = norm_cdf(cov.values(self.support) @ np.array(hom))
+        expected = norm_cdf(pair_covariates(cov, self.support) @ np.array(hom))
         np.fill_diagonal(expected, 0.0)
         assert np.allclose(out1.probs, expected, atol=1e-15)
         assert np.allclose(out2.probs, out1.probs, atol=1e-15)
@@ -136,7 +139,7 @@ class TestSolver:
         cov = random_assignment(rng, n, 2)
         cfg = SolverConfig(max_iter=1)
         beliefs = solve_equilibrium(cov, self.support, [0, 0, 0], [0.8], cfg)
-        expected = norm_cdf(cov.values(self.support) @ np.array([0.8]))
+        expected = norm_cdf(pair_covariates(cov, self.support) @ np.array([0.8]))
         np.fill_diagonal(expected, 0.0)
         assert np.allclose(beliefs.probs, expected, atol=1e-15)
 
@@ -211,7 +214,7 @@ class TestLoopMatchesReference:
         assert np.array_equal(eq.probs, expected.probs)
         assert eq.residual == equilibrium_residual(eq, cov, support, ext, hom)
         assert eq.residual <= cfg.tol
-        xhom, ext_arr = cov.values(support) @ np.asarray(hom, float), np.asarray(ext, float)
+        xhom, ext_arr = pair_covariates(cov, support) @ np.asarray(hom, float), np.asarray(ext, float)
         assert np.array_equal(eq.index, _index(eq.probs, xhom, ext_arr))
         q = _step(eq.probs, xhom, ext_arr)[1]
         assert np.array_equal(best_response(eq, cov, support, ext, hom).probs, q)
@@ -232,6 +235,58 @@ class TestLoopMatchesReference:
             reference_solve(*args)
         assert lean.value.residual == reference.value.residual
         assert lean.value.iterations == reference.value.iterations == cfg.max_iter
+
+
+class TestPerPointHomophily:
+    """The solver forms x'hom once per support point; its point, index and
+    residual equal, bit for bit, those of the same iteration run on the
+    per-pair x'hom of the oracle, and a cell index with no support point is
+    refused with one ValueError by every solver entry and by ``Dataset``."""
+
+    @staticmethod
+    def _per_pair_solve(xhom, ext, cfg):
+        p = norm_cdf(xhom)
+        np.fill_diagonal(p, 0.0)
+        for _ in range(cfg.max_iter):
+            index, q, residual = _step(p, xhom, ext)
+            if residual <= cfg.tol:
+                return p, index, residual
+            p = q
+        raise NonConvergence(residual, cfg.max_iter)
+
+    @pytest.mark.parametrize("n", [2, 5, 200])
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_solve_equals_the_per_pair_solve(self, rng, d, J, n):
+        ext = default_theta().externality
+        for _ in range(5):  # a last-bit difference shows on some draws only
+            points = rng.standard_normal((J, d)) * 10.0 ** rng.uniform(-2, 0, size=(J, d))
+            support = CovariateSupport(points[np.lexsort(points.T[::-1])])
+            hom = rng.standard_normal(d) * 10.0 ** rng.uniform(-2, 0, size=d)
+            cov = PairCovariates(rng.integers(0, J, size=(n, n)))
+            eq = solve_equilibrium(cov, support, ext, hom)
+            xhom = pair_covariates(cov, support) @ hom
+            probs, index, residual = self._per_pair_solve(xhom, ext, SolverConfig())
+            assert np.array_equal(eq.probs, probs)
+            assert np.array_equal(eq.index, index)
+            assert eq.residual == residual
+
+    @pytest.mark.parametrize("label", [2, 3])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cov, s: solve_equilibrium(cov, s, [0, 0, 0], [0.8]),
+            lambda cov, s: best_response(uniform_beliefs(cov.n, 0.5), cov, s, [0, 0, 0], [0.8]),
+            lambda cov, s: equilibrium_residual(uniform_beliefs(cov.n, 0.5), cov, s, [0, 0, 0], [0.8]),
+            lambda cov, s: simulate_true_network(uniform_beliefs(cov.n, 0.5), cov, s, [0, 0, 0], [0.8], 0),
+            lambda cov, s: Dataset(Network(np.zeros((cov.n, cov.n), dtype=int)), cov, s),
+        ],
+        ids=["solve_equilibrium", "best_response", "equilibrium_residual", "simulate_true_network", "Dataset"],
+    )
+    def test_label_outside_the_support_refused(self, call, label):
+        cov = PairCovariates(np.array([[0, 1, 0], [1, 0, label], [0, 1, 0]]))
+        with pytest.raises(ValueError, match="^assignment references a cell outside the support$"):
+            call(cov, scalar_support(-0.5, 0.5))
 
 
 class TestSimulation:
@@ -318,7 +373,7 @@ class TestSolveThenDraw:
         assert np.all((eq.probs >= 0) & (eq.probs <= 1))
         assert eq.residual <= cfg.tol
         assert eq.residual == equilibrium_residual(eq, cov, support, ext, [hom])
-        xhom, ext_arr = cov.values(support) @ np.asarray([hom], float), np.asarray(ext, float)
+        xhom, ext_arr = pair_covariates(cov, support) @ np.asarray([hom], float), np.asarray(ext, float)
         assert np.array_equal(eq.index, _index(eq.probs, xhom, ext_arr))
         seed = data.draw(st.integers(0, 2**32 - 1))
         net = draw_network(eq.index, seed)

@@ -902,12 +902,37 @@ class TestCli:
         path.write_text("n = 10\n")  # missing required keys
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
-    def test_out_of_range_override_exit_code(self, tmp_path):
-        """Command-line overrides pass the same range checks as the config file."""
+    def test_out_of_range_override_exit_code(self, tmp_path, capsys):
+        """Command-line overrides are parsed and range-checked as the config
+        file's lines are: each bad one exits 2 with a message naming its key,
+        and creates no --out."""
         cfg = self._write_config(tmp_path)
-        out = str(tmp_path / "mc")
-        for flag, value in [("--seed", "-1"), ("--seed", str(2**64)), ("--threads", "0")]:
-            assert main(["mc-coverage", "--config", cfg, "--out", out, flag, value]) == 2
+        out = tmp_path / "mc"
+        for key, value in [
+            ("seed", "-1"), ("seed", str(2**64)), ("threads", "0"),
+            ("seed", "abc"), ("seed", "1.5"), ("alpha", "1.5"),
+        ]:
+            assert main(["mc-coverage", "--config", cfg, "--out", str(out), f"--{key}", value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: key {key}:"), err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-coverage"])
+    def test_seed_override_equals_the_file_value(self, tmp_path, command):
+        """``--seed 5`` over a file with ``seed = 0`` writes the same bytes as
+        a file with ``seed = 5``; only the output paths in ``simulate``'s
+        summary differ."""
+        overridden, direct = tmp_path / "overridden", tmp_path / "direct"
+        for line, out, flags in [("seed = 0", overridden, ["--seed", "5"]), ("seed = 5", direct, [])]:
+            cfg = self._write_config(tmp_path, _config_with(line))
+            assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        names = sorted(path.name for path in direct.iterdir())
+        assert names == sorted(path.name for path in overridden.iterdir())
+        for name in names:
+            ours, theirs = (overridden / name).read_bytes(), (direct / name).read_bytes()
+            if command == "simulate" and name == "summary.json":
+                ours = ours.replace(str(overridden).encode(), str(direct).encode())
+            assert ours == theirs, name
 
     @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
     def test_config_value_error_exit_code(self, tmp_path, capsys, case):

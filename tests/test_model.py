@@ -16,6 +16,7 @@ from misnet import (
     Theta,
     ThetaGrid,
     confidence_set,
+    solve_equilibrium,
 )
 from misnet.equilibrium import BeliefMatrix, _index
 
@@ -42,7 +43,7 @@ _INVALID = {
     "assignment not integer": (lambda: PairCovariates(np.zeros((2, 2))), "integer cell indices"),
     "assignment negative": (lambda: PairCovariates([[0, -1], [0, 0]]), "must be non-negative"),
     "assignment outside support": (
-        lambda: PairCovariates([[0, 2], [0, 0]]).values(scalar_support(-0.5, 0.5)),
+        lambda: solve_equilibrium(PairCovariates([[0, 2], [0, 0]]), scalar_support(-0.5, 0.5), [0, 0, 0], [0.0]),
         "outside the support",
     ),
     "cell summary lengths": (lambda: CellSummary([0.5, 0.5], [0.0]), "equal length"),
@@ -61,7 +62,7 @@ _INVALID = {
         "outside the support",
     ),
 }
-from oracles import decide_link, total_utility, utility_index
+from oracles import decide_link, pair_covariates, total_utility, utility_index
 
 # an invalid Theta: externality, homophily, fp and fn, the exception and its whole message
 _THETA_INVALID = {
@@ -288,7 +289,7 @@ def test_componentwise_rule_maximizes_expected_utility(rng):
                 expected[key] = expected.get(key, 0.0) + weight * value
 
         best = max(expected.values())
-        xhom = cov.values(support) @ theta.homophily
+        xhom = pair_covariates(cov, support) @ theta.homophily
         index = _index(beliefs.probs, xhom, theta.externality)[agent]
         rule = np.zeros(n, dtype=int)
         for j in range(n):
