@@ -99,21 +99,28 @@ def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:
 
 
 def _arrays(covariates, support, externality, homophily):
-    """x'hom (n, n), formed per support point and gathered by cell index, and the
-    externality weights as float arrays.  The points get a spare copy of the
-    first: numpy takes a one-row product through its dot kernel, whose last
-    bit can differ from the matrix-vector kernel that a per-pair product uses."""
+    """x'hom (n, n), formed per support point and gathered by the cell labels
+    in whatever integer dtype they are held, and the externality weights as
+    float arrays.  The points get a spare copy of the first: numpy takes a
+    one-row product through its dot kernel, whose last bit can differ from the
+    matrix-vector kernel that a per-pair product uses."""
     covariates.check_cells(support)
     points = np.concatenate([support.points, support.points[:1]])
     return (points @ np.asarray(homophily, float))[covariates.assignment], np.asarray(externality, float)
 
 
 def _step(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray):
-    """The index of p, the best response q = Phi(index) with a zero diagonal, and max |q - p|."""
+    """The index of p, the best response q = Phi(index) with a zero diagonal, and max |q - p|.
+
+    The residual takes one n x n difference and no absolute value of it: its
+    largest entry or its smallest negated, which is max |q - p| bit for bit
+    (NaN when an entry is NaN).  Adding 0.0 turns a zero that reads -0.0 into
+    the 0.0 that |q - p| gives."""
     index = _index(p, xhom, ext)
     q = norm_cdf(index)
     np.fill_diagonal(q, 0.0)
-    return index, q, float(np.max(np.abs(q - p)))
+    d = q - p
+    return index, q, float(max(d.max(), -d.min()) + 0.0)
 
 
 def draw_network(index: np.ndarray, seed) -> Network:
@@ -160,6 +167,7 @@ def solve_equilibrium(
             return Equilibrium(p, index, residual)
         # p and q have zero diagonals, and at damping 1 the blend equals q exactly
         p = q if config.damping == 1.0 else (1.0 - config.damping) * p + config.damping * q
+        del index, q  # the next step's index is not allocated beside this one
     raise NonConvergence(residual, config.max_iter)
 
 

@@ -13,14 +13,18 @@ C the 5J x 5J covariance of that table, S(theta) = c(theta)' C c(theta).
 Everything that does not depend on theta comes from one per-agent table per
 dataset, built once by :func:`cell_estimates`: the cell statistics are the
 agent means of its influence columns, the link sums the agent sums of its link
-counts, and C its covariance.  Per-cell sums over pairs read one 0/1 mask per
-cell, the pairs assigned to it with the diagonal zeroed.  The cells partition
-the off-diagonal pairs, so the last cell needs no mask: its count and columns
-are n(n - 1) and each agent's totals minus the other cells'.  Counts, link
-sums and the influence sums add 0/1 products, so they are exact integers in
-any summation order: the n^3 product ``g @ cell`` runs in float32, exact as
-its entries are at most n < 2^24, and the sums that reach n^2 accumulate in
-float64.  Each influence is scaled by its cell count last.
+counts, and C its covariance.  Per-cell sums over pairs read one float32 0/1
+mask per cell, the pairs assigned to it with the diagonal zeroed, built from
+the one-byte labels one cell at a time.  The cells partition the off-diagonal
+pairs, so the last cell needs no mask: its count and columns are n(n - 1) and
+each agent's totals minus the other cells'.  The table is filled in blocks of
+``ROW_BLOCK`` agents, each block's int8 links converted to float32 in turn, so
+besides the labels and the links the only n x n array it holds is one mask.
+Counts, link sums and the influence sums add 0/1 products, so they are exact
+integers in any summation order and blocking: the n^3 product ``g @ cell``
+runs in float32, exact as its entries are at most n < 2^24, and the sums that
+reach n^2 accumulate in float64.  Each influence is scaled by its cell count
+last.
 
 Parameter points arrive as rows of theta in the ``theta_coordinates``
 layout; a single point is the one-row case.  :func:`_corrected_index` applies
@@ -52,6 +56,7 @@ __all__ = [
 
 MIN_VARIANCE_EIGENVALUE = 1e-10
 MAX_CONDITION_NUMBER = 1e12
+ROW_BLOCK = 256  # agents per block of the per-agent table
 
 
 @dataclass(frozen=True)
@@ -103,26 +108,22 @@ class CellEstimates:
     cov: np.ndarray  # (J, 5, J, 5)
 
 
-def _cell_masks(data: Dataset) -> tuple[list[np.ndarray], np.ndarray]:
-    """Masks of the pairs in cells 0, ..., J - 2 (diagonal cleared) and all J
-    pair counts, the last as n(n - 1) minus the others'; raises ``EmptyCell``
-    for the first empty cell."""
+def _cell_counts(data: Dataset) -> np.ndarray:
+    """All J off-diagonal pair counts, the last as n(n - 1) minus the others';
+    raises ``EmptyCell`` for the first empty cell."""
     n, J = data.n, data.n_cells
-    masks = []
-    for j in range(J - 1):
-        mask = data.covariates.assignment == j
-        np.fill_diagonal(mask, False)
-        masks.append(mask)
+    labels = data.covariates.assignment
     counts = np.empty(J)
-    counts[:-1] = [np.count_nonzero(mask) for mask in masks]
+    for j in range(J - 1):
+        counts[j] = np.count_nonzero(labels == j) - np.count_nonzero(np.diagonal(labels) == j)
     counts[-1] = n * (n - 1) - counts[:-1].sum()
     for j in range(J):
         if counts[j] == 0:
             raise EmptyCell(j)
-    return masks, counts
+    return counts
 
 
-def _agent_table(data: Dataset, masks: list[np.ndarray], counts: np.ndarray) -> np.ndarray:
+def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
     """Per agent k and cell j: k's links over its pairs (k, i) in the cell, then
     k's four statistic influences, shape (n, J, 5).  The first influence is k's
     links G_ki over the cell's pairs (i, k), scaled by n over the cell count: it
@@ -130,28 +131,37 @@ def _agent_table(data: Dataset, masks: list[np.ndarray], counts: np.ndarray) -> 
     other three are cell averages of k's terms in the inner sums.  Each row
     depends only on that agent's links.
 
-    Every column is an integer sum of 0/1 products, scaled last.  The masks of
-    cells 0, ..., J - 2 (:func:`_cell_masks`) give those cells' sums; the cells
-    partition the off-diagonal pairs, so the last cell's sums are k's totals
-    minus the others': with d_k the out-degree, d_k, d_k, (n - 1) d_k,
-    d_k (d_k - 1) and 2 (n - 1) d_k.  ``g @ cell`` runs in float32 on 0/1
+    Every column is an integer sum of 0/1 products, scaled last.  Cells
+    0, ..., J - 2 are read from their float32 0/1 masks (diagonal cleared),
+    one at a time; the cells partition the off-diagonal pairs, so the last
+    cell's sums are k's totals minus the others': with d_k the out-degree,
+    d_k, d_k, (n - 1) d_k, d_k (d_k - 1) and 2 (n - 1) d_k.  The columns are
+    computed over blocks of ``ROW_BLOCK`` agents, each block's int8 links
+    converted to float32 in turn, so neither a float32 copy of the adjacency
+    nor the whole ``g @ cell`` is held.  ``g @ cell`` runs in float32 on 0/1
     arrays: its entries are at most n < 2^24, so it is exact; so are the other
     sums bounded by n.  The sums that reach n^2 accumulate in float64.  All
-    are exact integers, so the table is the same in any summation order.
+    are exact integers, so the table is the same in any summation order and
+    blocking.
     """
-    n = data.n
-    g = data.network.adj.astype(np.float32)
-    degree = g.sum(axis=1).astype(np.float64)
+    n, adj = data.n, data.network.adj
+    degree = adj.sum(axis=1, dtype=np.float64)
     raw = np.empty((n, data.n_cells, 5))
-    for j, mask in enumerate(masks):
-        cell = mask.astype(np.float32)
+    for j in range(data.n_cells - 1):
+        # written from the labels with no boolean mask beside it
+        cell = np.equal(data.covariates.assignment, j, out=np.empty((n, n), dtype=np.float32))
+        np.fill_diagonal(cell, 0.0)
         col_count = cell.sum(axis=0)  # pairs per second index
-        pair_count = cell.sum(axis=1).astype(np.float64) + col_count  # ... plus per first index
-        raw[:, j, 0] = np.einsum("ij,ij->i", g, cell)  # G_ki over pairs (k, i)
-        raw[:, j, 1] = np.einsum("ij,ji->i", g, cell)  # G_ki over pairs (i, k)
-        raw[:, j, 2] = np.einsum("ij,j->i", g, col_count, dtype=np.float64)
-        raw[:, j, 3] = np.einsum("ij,ij->i", g @ cell, g, dtype=np.float64)
-        raw[:, j, 4] = np.einsum("ij,j->i", g, pair_count, dtype=np.float64)
+        pair_count = cell.sum(axis=1, dtype=np.float64) + col_count  # ... plus per first index
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            g, out = adj[rows].astype(np.float32), raw[rows, j]
+            out[:, 0] = np.einsum("ij,ij->i", g, cell[rows])  # G_ki over pairs (k, i)
+            out[:, 1] = np.einsum("ij,ji->i", g, cell[:, rows])  # G_ki over pairs (i, k)
+            out[:, 2] = np.einsum("ij,j->i", g, col_count, dtype=np.float64)
+            out[:, 3] = np.einsum("ij,ij->i", g @ cell, g, dtype=np.float64)
+            out[:, 4] = np.einsum("ij,j->i", g, pair_count, dtype=np.float64)
+        del cell  # the next cell's mask is not allocated beside this one
     totals = np.outer(degree, [1, 1, n - 1, 0, 2 * (n - 1)])
     totals[:, 3] = degree * (degree - 1)
     raw[:, -1] = totals - raw[:, :-1].sum(axis=1)
@@ -168,8 +178,8 @@ def cell_estimates(data: Dataset) -> CellEstimates:
     product per masked cell is float32, exact for entries at most n < 2^24,
     and its sums that reach n^2 accumulate in float64."""
     n, J = data.n, data.n_cells
-    masks, counts = _cell_masks(data)
-    table = _agent_table(data, masks, counts)
+    counts = _cell_counts(data)
+    table = _agent_table(data, counts)
     link_sums = table[:, :, 0].sum(axis=0)
     stats = table[:, :, 1:].mean(axis=0)
     # link shares (1/n) sum_{i != k} G_ki per cell, then the statistic influences
@@ -210,7 +220,7 @@ def stat_influence_all(data: Dataset, cells: CellEstimates) -> np.ndarray:
     reads, recomputed from ``data`` with ``cells.counts``; the cell statistics
     are their agent means.
     """
-    return _agent_table(data, _cell_masks(data)[0], cells.counts)[:, :, 1:]
+    return _agent_table(data, cells.counts)[:, :, 1:]
 
 
 def moment_variance(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> np.ndarray:

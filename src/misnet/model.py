@@ -66,20 +66,24 @@ class PairCovariates:
     """Assignment of every ordered pair (i, j) to a support cell index.
 
     Diagonal entries are carried for array regularity but never enter any
-    model computation.
+    model computation.  The labels are held in the smallest unsigned dtype
+    that holds the largest of them (``np.min_scalar_type``): uint8 for up to
+    256 cells, so the (n, n) array takes n^2 bytes.
     """
 
-    assignment: np.ndarray  # (n, n) integer cell indices
+    assignment: np.ndarray  # (n, n) unsigned integer cell indices
 
     def __post_init__(self):
         arr = np.asarray(self.assignment)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("assignment must be a square (n, n) array")
+        if arr.size == 0:
+            raise ValueError("assignment must hold at least one agent")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("assignment must hold integer cell indices")
         if arr.min() < 0:
             raise ValueError("cell indices must be non-negative")
-        object.__setattr__(self, "assignment", _frozen_array(arr, dtype=np.int64))
+        object.__setattr__(self, "assignment", _frozen_array(arr, dtype=np.min_scalar_type(arr.max())))
 
     @property
     def n(self) -> int:

@@ -1,5 +1,7 @@
 """Shared builders for test designs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,19 @@ def report_statistics(report) -> np.ndarray:
 def singleton_grid(theta: Theta) -> ThetaGrid:
     """Degenerate grid holding exactly one parameter point."""
     return ThetaGrid(tuple([v] for v in theta_coordinates(theta)))
+
+
+def peak_bytes(fn) -> int:
+    """The most bytes ``fn()`` held at once above what was held when it
+    started, as ``tracemalloc`` counts them (numpy's array buffers included)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -13,6 +13,7 @@ from misnet import (
     SolverConfig,
     solve_equilibrium,
 )
+from misnet import equilibrium
 from misnet.equilibrium import (
     BeliefMatrix,
     _index,
@@ -24,7 +25,7 @@ from misnet.equilibrium import (
 )
 from misnet.normal import norm_cdf
 
-from conftest import default_theta, random_assignment, scalar_support
+from conftest import default_theta, peak_bytes, random_assignment, scalar_support
 from oracles import (
     brute_extended_stats,
     brute_network_stats,
@@ -287,6 +288,72 @@ class TestPerPointHomophily:
         cov = PairCovariates(np.array([[0, 1, 0], [1, 0, label], [0, 1, 0]]))
         with pytest.raises(ValueError, match="^assignment references a cell outside the support$"):
             call(cov, scalar_support(-0.5, 0.5))
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+class TestResidual:
+    """The step's residual, one difference and no absolute value of it, equals
+    ``np.max(np.abs(q - p))`` bit for bit, signed zeros and NaN included."""
+
+    @staticmethod
+    def _residual(monkeypatch, q, p):
+        """The step's q (``q`` with its diagonal cleared) and residual against ``p``."""
+        monkeypatch.setattr(equilibrium, "norm_cdf", lambda index: q.copy())
+        n = p.shape[0]
+        _, q_out, residual = _step(p, np.zeros((n, n)), np.zeros(3))
+        return q_out, residual
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_equals_the_max_of_abs(self, monkeypatch, rng, n):
+        for draw in range(20):
+            q, p = rng.random((n, n)), rng.random((n, n))
+            if draw % 4 == 1:  # signed zeros among ordinary entries
+                q[rng.random((n, n)) < 0.3], p[rng.random((n, n)) < 0.3] = -0.0, 0.0
+            if draw % 4 == 2:  # every difference a zero, some of them -0.0
+                q, p = (np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) for _ in range(2))
+            if draw % 4 == 3:  # differences of one sign only
+                q, p = np.minimum(q, p), np.maximum(q, p)
+            q_out, residual = self._residual(monkeypatch, q, p)
+            assert type(residual) is float
+            assert _bits(residual) == _bits(np.max(np.abs(q_out - p))), draw
+
+    def test_all_zero_difference_is_positive_zero(self, monkeypatch):
+        q = np.full((3, 3), -0.0)
+        q_out, residual = self._residual(monkeypatch, q, np.zeros((3, 3)))
+        assert np.signbit(q_out).any()  # q - p holds -0.0 off the diagonal
+        assert residual == 0.0 and not np.signbit(residual)
+
+    @pytest.mark.parametrize("where", [(0, 1), (2, 0)])
+    def test_nan_gives_nan(self, monkeypatch, rng, where):
+        for nan_in in ("q", "p"):
+            q, p = rng.random((3, 3)), rng.random((3, 3))
+            (q if nan_in == "q" else p)[where] = np.nan
+            q_out, residual = self._residual(monkeypatch, q, p)
+            assert np.isnan(residual) and np.isnan(np.max(np.abs(q_out - p))), nan_in
+
+    def test_nan_residual_is_nonconvergence(self, rng):
+        cov, support = random_assignment(rng, 6, 2), scalar_support(-0.5, 0.5)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_equilibrium(cov, support, [np.nan, 0.0, 0.0], [0.8], SolverConfig(max_iter=4))
+        assert np.isnan(excinfo.value.residual) and excinfo.value.iterations == 4
+
+
+class TestSolverMemory:
+    def test_solve_holds_five_float64_matrices(self, rng):
+        """At n = 300 the solve holds at most x'hom, p, the index, q and one
+        difference at a time: five float64 n x n arrays (40 n^2 bytes), within
+        44 n^2 bytes; the labels made before it are not counted.  The
+        absolute value of the difference, and the previous step's index held
+        into the next step, would take it to 56 n^2."""
+        n = 300
+        cov = random_assignment(rng, n, 2)
+        support, theta = scalar_support(-0.5, 0.5), default_theta()
+        solve = lambda: solve_equilibrium(cov, support, theta.externality, theta.homophily)
+        solve()
+        assert peak_bytes(solve) <= 44 * n * n
 
 
 class TestSimulation:

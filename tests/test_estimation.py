@@ -26,7 +26,7 @@ from misnet import (
     cell_estimates,
     population_correction,
 )
-from misnet import estimation
+from misnet import equilibrium, estimation
 from misnet.estimation import (
     CellEstimates,
     _corrected_index,
@@ -40,6 +40,8 @@ from misnet.normal import norm_cdf
 from conftest import (
     circulant_covariates,
     default_theta,
+    peak_bytes,
+    random_assignment,
     random_dataset,
     random_network,
     scalar_support,
@@ -50,6 +52,7 @@ from oracles import (
     brute_stat_influence,
     brute_variance,
     offdiag_mask,
+    pair_covariates,
     pair_stats,
     reference_agent_table,
     reference_cell_estimates,
@@ -137,8 +140,7 @@ class TestCellEstimates:
                         per_agent[labels[i, j], i] += adj[i, j]
             cells = cell_estimates(data)
             assert np.array_equal(cells.link_sums, expected)
-            masks, _ = estimation._cell_masks(data)
-            table = estimation._agent_table(data, masks, cells.counts)
+            table = estimation._agent_table(data, cells.counts)
             assert np.array_equal(table[:, :, 0].T, per_agent)
 
 
@@ -160,9 +162,9 @@ def assert_bit_identical(data):
             cell_estimates(data)
         assert excinfo.value.cell == err.cell
         return
-    masks, counts = estimation._cell_masks(data)
+    counts = estimation._cell_counts(data)
     assert np.array_equal(counts, expected.counts)
-    table = estimation._agent_table(data, masks, counts)
+    table = estimation._agent_table(data, counts)
     assert np.array_equal(table, reference_agent_table(data, counts))
     cells = cell_estimates(data)
     for field in dataclasses.fields(CellEstimates):
@@ -206,12 +208,15 @@ class TestAgentTableBitExact:
         assert (complete @ cell).max() == n - 1
 
     def test_single_cell_from_totals(self, rng):
-        """At J = 1 there is no mask: the whole table is the agent totals."""
+        """At J = 1 there is no mask: the whole table is the agent totals, and
+        the estimates hold no n x n array (a float32 mask would take 4 n^2 bytes)."""
         n = 23
         data = labelled_dataset(random_network(rng, n, 0.3).adj, np.zeros((n, n), dtype=int), 1)
-        masks, counts = estimation._cell_masks(data)
-        assert masks == [] and counts.tolist() == [n * (n - 1)]
+        assert estimation._cell_counts(data).tolist() == [n * (n - 1)]
         assert_bit_identical(data)
+        n = 600
+        data = labelled_dataset(random_network(rng, n, 0.3).adj, np.zeros((n, n), dtype=int), 1)
+        assert peak_bytes(lambda: cell_estimates(data)) < n * n
 
     def test_diagonal_labels_are_ignored(self, rng):
         """A label on the diagonal counts for no cell: the last cell's count is
@@ -247,6 +252,56 @@ class TestAgentTableBitExact:
         with pytest.raises(EmptyCell) as excinfo:
             cell_estimates(data)
         assert excinfo.value.cell == 2
+
+
+def labels_held_as(covariates: PairCovariates, dtype) -> PairCovariates:
+    """``covariates`` with its labels held in ``dtype``, past the constructor's narrowing."""
+    held = PairCovariates(covariates.assignment)
+    labels = covariates.assignment.astype(dtype)
+    labels.setflags(write=False)
+    object.__setattr__(held, "assignment", labels)
+    return held
+
+
+class TestNarrowLabels:
+    """The labels as the constructor holds them (uint8 up to 256 cells, uint16
+    at 257) and the same labels held as int64 give the per-pair oracle's x'hom
+    and the float64 oracle's counts and cell estimates, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "J, narrow", [(1, np.uint8), (2, np.uint8), (3, np.uint8), (4, np.uint8), (257, np.uint16)]
+    )
+    def test_either_width_matches_the_oracles(self, J, narrow):
+        rng = np.random.default_rng(J)
+        n = 40 if J == 257 else 23
+        points = rng.standard_normal((J, 2))
+        support = CovariateSupport(points[np.lexsort(points.T[::-1])])
+        hom = rng.standard_normal(2)
+        covariates = random_assignment(rng, n, J)
+        assert covariates.assignment.dtype == narrow
+        adj = random_network(rng, n, 0.3).adj
+        expected = reference_cell_estimates(Dataset(Network(adj), covariates, support))
+        for dtype in (narrow, np.int64):
+            held = labels_held_as(covariates, dtype)
+            assert held.assignment.dtype == dtype
+            xhom = equilibrium._arrays(held, support, np.zeros(3), hom)[0]
+            assert np.array_equal(xhom, pair_covariates(held, support) @ hom), dtype
+            data = Dataset(Network(adj), held, support)
+            assert np.array_equal(estimation._cell_counts(data), expected.counts), dtype
+            assert_bit_identical(data)
+
+
+class TestTableMemory:
+    def test_cell_estimates_peak(self, rng):
+        """At n = 600 and two cells the table holds one float32 mask (4 n^2
+        bytes) and float32 blocks of ``ROW_BLOCK`` rows of the links and of
+        ``g @ cell`` (3.4 n^2 at 256 rows), within 9 n^2 bytes.  A bool mask
+        beside the float32 one, or a float32 copy of the whole adjacency, would
+        not fit."""
+        n = 600
+        data = random_dataset(rng, n)
+        cell_estimates(data)
+        assert peak_bytes(lambda: cell_estimates(data)) <= 9 * n * n
 
 
 class TestMoment:

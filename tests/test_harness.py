@@ -35,7 +35,7 @@ from misnet.harness import (
 )
 from misnet import netio
 
-from conftest import circulant_covariates, report_statistics, scalar_support
+from conftest import circulant_covariates, peak_bytes, report_statistics, scalar_support
 from oracles import write_network_edges
 
 BASE_CONFIG = """
@@ -360,6 +360,22 @@ class TestNetIO:
         netio.write_covariates(cov, path)
         assert np.array_equal(netio.read_covariates(path).assignment, cov.assignment)
 
+    def test_covariates_read_as_narrow_labels(self, tmp_path, rng, monkeypatch):
+        """A one-digit file's uint8 bytes become the labels with no wider copy,
+        within 6 n^2 bytes at n = 300 where an int64 copy alone takes 8 n^2;
+        the general parser's table is narrowed alike."""
+        n = 300
+        assignment = rng.integers(0, 10, (n, n))
+        path = tmp_path / "cov.csv"
+        netio.write_covariates(PairCovariates(assignment), path)
+        read = lambda: netio.read_covariates(path, 10).assignment
+        assert read().dtype == np.uint8 and np.array_equal(read(), assignment)
+        assert peak_bytes(read) <= 6 * n * n
+        monkeypatch.setattr(netio, "_read_digits", lambda path: None)
+        assert read().dtype == np.uint8 and np.array_equal(read(), assignment)
+        path.write_text("0, 256\n1, 0\n")
+        assert netio.read_covariates(path).assignment.dtype == np.uint16
+
     def test_support_roundtrip(self, tmp_path):
         support = scalar_support(-0.5, 0.5)
         path = tmp_path / "support.csv"
@@ -368,14 +384,14 @@ class TestNetIO:
 
     @pytest.mark.parametrize("n", [2, 40])
     def test_matrix_writers_match_savetxt(self, tmp_path, rng, n):
-        """An int8 network and an int64 design with a non-zero diagonal are
+        """An int8 network and a uint8 design with a non-zero diagonal are
         written as ``np.savetxt(path, a, fmt="%d", delimiter=",")`` writes them."""
         adj = (rng.random((n, n)) < 0.4).astype(np.int8)
         np.fill_diagonal(adj, 0)
         assignment = rng.integers(0, 3, (n, n))
         np.fill_diagonal(assignment, 2)
         network, covariates = Network(adj), PairCovariates(assignment)
-        assert network.adj.dtype == np.int8 and covariates.assignment.dtype == np.int64
+        assert network.adj.dtype == np.int8 and covariates.assignment.dtype == np.uint8
         for write, value, array in [
             (netio.write_network_matrix, network, network.adj),
             (netio.write_covariates, covariates, covariates.assignment),

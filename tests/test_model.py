@@ -41,6 +41,7 @@ _INVALID = {
     "network not square": (lambda: Network(np.zeros((2, 3))), "square (n, n) array"),
     "assignment not square": (lambda: PairCovariates(np.zeros((2, 3), dtype=int)), "square (n, n) array"),
     "assignment not integer": (lambda: PairCovariates(np.zeros((2, 2))), "integer cell indices"),
+    "assignment empty": (lambda: PairCovariates(np.zeros((0, 0), dtype=int)), "at least one agent"),
     "assignment negative": (lambda: PairCovariates([[0, -1], [0, 0]]), "must be non-negative"),
     "assignment outside support": (
         lambda: solve_equilibrium(PairCovariates([[0, 2], [0, 0]]), scalar_support(-0.5, 0.5), [0, 0, 0], [0.0]),
@@ -160,6 +161,26 @@ class TestTypes:
             for values in (theta.externality, theta.homophily):
                 with pytest.raises(ValueError):
                     values[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "largest, dtype",
+        [(0, np.uint8), (1, np.uint8), (255, np.uint8),
+         (256, np.uint16), (65535, np.uint16), (65536, np.uint32)],
+    )
+    @pytest.mark.parametrize("given", [np.int64, np.uint64, np.int32, list])
+    def test_labels_take_the_smallest_unsigned_dtype(self, largest, dtype, given):
+        """Labels are held in the smallest unsigned dtype of their largest
+        value, read-only and equal to the given ones, whatever their type."""
+        labels = np.array([[0, largest, 1], [largest, 0, 0], [0, 1, 0]]).clip(max=largest)
+        cov = PairCovariates(labels.tolist() if given is list else labels.astype(given))
+        assert cov.assignment.dtype == dtype
+        assert np.array_equal(cov.assignment, labels) and not cov.assignment.flags.writeable
+
+    def test_labels_are_a_copy(self):
+        labels = np.zeros((3, 3), dtype=np.uint8)
+        cov = PairCovariates(labels)
+        labels[0, 1] = 1
+        assert cov.assignment[0, 1] == 0
 
     def test_immutability(self):
         net = Network(np.zeros((3, 3), dtype=int))
