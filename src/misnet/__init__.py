@@ -44,14 +44,13 @@ from .model import (
     PairCovariates,
     Theta,
 )
-from .semiparametric import CellSummary, cell_summary, identified_set, membership
+from .semiparametric import identified_set
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BeliefMatrix",
     "CellEstimates",
-    "CellSummary",
     "ConfidenceSet",
     "ConfigError",
     "CovariateSupport",
@@ -72,12 +71,10 @@ __all__ = [
     "TooManyFailures",
     "apply_misclassification",
     "cell_estimates",
-    "cell_summary",
     "chi2_quantile",
     "confidence_set",
     "draw_network",
     "identified_set",
-    "membership",
     "population_correction",
     "projection_intervals",
     "solve_equilibrium",

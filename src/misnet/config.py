@@ -1,7 +1,8 @@
 """Flat key-value experiment configuration.
 
 A config file holds one ``key = value`` pair per line; ``#`` starts a
-comment.  Every key has a default except the design size ``n``, the support
+comment, and a leading byte-order mark (as Notepad writes one) is skipped.
+Every key has a default except the design size ``n``, the support
 definition and the four ``theta_*`` components.  Vector values are
 comma-separated; support points are separated by ``|`` with comma-separated
 coordinates; grid axes are ``lo:hi:count`` ranges (``count`` evenly spaced
@@ -45,18 +46,24 @@ from .model import CovariateSupport, Theta, theta_coordinates
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_text"]
 
+# scalar key -> (default, cast, range check); ``n`` has no default
+_SCALARS = {
+    "n": (None, int, lambda v: v >= 2),
+    "replications": ("100", int, lambda v: v >= 1),
+    "alpha": ("0.05", float, lambda v: 0 < v < 1),
+    "seed": ("0", int, lambda v: 0 <= v < 2**64),
+    "threads": ("1", int, lambda v: v >= 1),
+    "failure_tolerance": ("0.05", float, lambda v: 0 <= v <= 1),
+}
+
 _DEFAULTS = {
     "support_probs": None,
-    "replications": "100",
-    "alpha": "0.05",
-    "seed": "0",
     "tol": "1e-10",
     "max_iter": "10000",
     "damping": "1.0",
     "x_mode": "fresh",
     "x_file": "",
-    "threads": "1",
-    "failure_tolerance": "0.05",
+    **{key: default for key, (default, _, _) in _SCALARS.items() if default is not None},
 }
 
 _REQUIRED = ("n", "support_points", "theta_externality", "theta_homophily", "theta_fp", "theta_fn")
@@ -80,16 +87,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Range checks of the scalar keys."""
-        in_range = {
-            "n": self.n >= 2,
-            "replications": self.replications >= 1,
-            "alpha": 0 < self.alpha < 1,
-            "seed": 0 <= self.seed < 2**64,
-            "threads": self.threads >= 1,
-            "failure_tolerance": 0 <= self.failure_tolerance <= 1,
-        }
-        for key, ok in in_range.items():
-            if not ok:
+        for key, (_, _, in_range) in _SCALARS.items():
+            if not in_range(getattr(self, key)):
                 raise ConfigError(f"key {key}: value {getattr(self, key)} out of range")
 
 
@@ -140,7 +139,7 @@ def _scalar(values: dict, key: str, cast):
 def parse_config_text(text: str, base_dir: Path | str = ".", overrides=None) -> ExperimentConfig:
     values = dict(_DEFAULTS)
     seen = {}  # key -> line it was given on
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -157,7 +156,7 @@ def parse_config_text(text: str, base_dir: Path | str = ".", overrides=None) -> 
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    n = _scalar(values, "n", int)
+    n = _scalar(values, "n", _SCALARS["n"][1])  # before the support, whose errors come after
     try:
         support = CovariateSupport(_parse_points(values["support_points"]))
     except ValueError as exc:
@@ -229,14 +228,10 @@ def parse_config_text(text: str, base_dir: Path | str = ".", overrides=None) -> 
         support_probs=probs,
         theta=theta,
         solver=solver,
-        replications=_scalar(values, "replications", int),
-        alpha=_scalar(values, "alpha", float),
-        seed=_scalar(values, "seed", int),
         x_mode=x_mode,
         x_file=x_file,
-        threads=_scalar(values, "threads", int),
-        failure_tolerance=_scalar(values, "failure_tolerance", float),
         grid=grid,
+        **{key: _scalar(values, key, cast) for key, (_, cast, _) in _SCALARS.items() if key != "n"},
     )
 
 

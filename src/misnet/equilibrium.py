@@ -99,14 +99,10 @@ def _index(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray) -> np.ndarray:
 
 
 def _arrays(covariates, support, externality, homophily):
-    """x'hom (n, n), formed per support point and gathered by the cell labels
-    in whatever integer dtype they are held, and the externality weights as
-    float arrays.  The points get a spare copy of the first: numpy takes a
-    one-row product through its dot kernel, whose last bit can differ from the
-    matrix-vector kernel that a per-pair product uses."""
+    """x'hom (n, n), :meth:`CovariateSupport.homophily_index` gathered by the cell
+    labels in any integer dtype, and the externality weights as a float array."""
     covariates.check_cells(support)
-    points = np.concatenate([support.points, support.points[:1]])
-    return (points @ np.asarray(homophily, float))[covariates.assignment], np.asarray(externality, float)
+    return support.homophily_index(homophily)[covariates.assignment], np.asarray(externality, float)
 
 
 def _step(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray):

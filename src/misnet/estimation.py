@@ -197,14 +197,15 @@ def _corrected_index(cells: CellEstimates, support: CovariateSupport, points):
     population (n = inf) correction of each row's rates.  The inner sums of the
     cell statistics run over every k, so the finite-n terms of the flip law's
     k != i convention would not describe them exactly; either way the residual
-    is O(1/n).  Infeasible rates raise ``InvalidRates``.
+    is O(1/n).  x'hom is :meth:`CovariateSupport.homophily_index`, as in the
+    solver.  Infeasible rates raise ``InvalidRates``.
     """
     points = np.asarray(points, dtype=float)
-    ext, hom, fp, fn = points[:, :3, None], points[:, 3:-2, None], points[:, -2], points[:, -1]
+    ext, fp, fn = points[:, :3, None], points[:, -2], points[:, -1]
     offset, matrix = population_correction(fp, fn)
     matrix_t = np.ascontiguousarray(matrix.swapaxes(1, 2))  # (P, 4, 3)
     corrected = cells.stats @ matrix_t + offset[:, None]  # (P, J, 3)
-    u = (corrected @ ext)[..., 0] + (support.points @ hom)[..., 0]
+    u = (corrected @ ext)[..., 0] + support.homophily_index(points[:, 3:-2])
     return u, 1.0 - fp - fn, (matrix_t @ ext)[..., 0]
 
 

@@ -60,6 +60,15 @@ class CovariateSupport:
     def dimension(self) -> int:
         return self.points.shape[1]
 
+    def homophily_index(self, homophily) -> np.ndarray:
+        """x'hom per point, (J,) for weights (d,) or (..., J) for rows (..., d):
+        the one product of points and weights, which the solver and the
+        estimator share.  It runs over the points plus a spare copy of the
+        first, dropped after: numpy takes a one-row product through its dot
+        kernel, whose last bit can differ from the matrix-vector kernel."""
+        hom = np.asarray(homophily, dtype=float)
+        return (np.concatenate([self.points, self.points[:1]]) @ hom[..., None])[..., :-1, 0]
+
 
 @dataclass(frozen=True)
 class PairCovariates:

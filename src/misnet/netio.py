@@ -10,16 +10,17 @@ n >= 2 agents.
 The dialect: fields are separated by commas and lines end in ``\\n``.
 Writers put floats as ``.17g`` (so they read back exactly) and booleans as
 0/1, and quote a field that contains a comma, a quote or a line break.
-Readers take files as UTF-8 and accept ``\\r\\n`` line ends, blank lines and
-spaces around fields.  A matrix file in the writers' own layout for one-digit
-values (n lines of n comma-separated digits, each ending in ``\\n``) is read
-as bytes; every other file goes through the general parser, and both feed the
-same checks.  Every parse, decoding or domain error raises ``FileFormatError``
-naming the line.
+Readers take files as UTF-8, with or without a leading byte-order mark, and
+accept ``\\r\\n`` line ends, blank lines and spaces around fields.  A matrix
+file in the writers' own layout for one-digit values (n lines of n
+comma-separated digits, each ending in ``\\n``) is read as bytes; every other
+file goes through the general parser, and both feed the same checks.  Every
+parse, decoding or domain error raises ``FileFormatError`` naming the line.
 Each command's ``summary.json`` is written by :func:`write_summary`, after its
 CSV files; the CSV writer makes the directory it writes into.
 """
 
+import codecs
 import csv
 import json
 import math
@@ -99,9 +100,9 @@ def _parse(rows, dtype):
 
 
 def _read_text(path) -> str:
-    """The file as UTF-8 text with universal newlines; a byte that does not
-    decode is an error at its line."""
-    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    """The file as UTF-8 text with universal newlines and no leading byte-order
+    mark; a byte that does not decode is an error at its line."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -185,7 +186,7 @@ def read_network(path) -> Network:
     """Read either format; edge lists are recognized by their ``n=`` first line."""
     path = Path(path)
     with open(path, "rb") as fh:
-        edge_list = fh.readline().startswith(b"n=")
+        edge_list = fh.readline().removeprefix(codecs.BOM_UTF8).startswith(b"n=")
     if edge_list:
         return _read_edge_list(path)
     table, numbers = _read_square(path)

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 from misnet import (
-    CellSummary,
     Dataset,
     PairCovariates,
     Theta,
@@ -22,12 +21,12 @@ from misnet import (
     cell_estimates,
     chi2_quantile,
     confidence_set,
-    membership,
     population_correction,
     solve_equilibrium,
 )
 from misnet.config import parse_config_text
 from misnet.equilibrium import SolverConfig, equilibrium_residual, simulate_true_network
+from misnet.semiparametric import CellSummary, membership
 from misnet.estimation import moment, moment_variance, stat_influence_all
 from misnet.harness import run_mc_coverage
 from misnet.netio import write_covariates

@@ -79,6 +79,57 @@ def test_csv_format_only_in_netio():
                 ), f"{path.name}:{node.lineno} writes a delimited line by hand"
 
 
+_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "multiply", "outer"}
+
+
+def _support_points(node) -> bool:
+    """``<...>support.points``: the points of a covariate support."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "points"):
+        return False
+    owner = node.value
+    return getattr(owner, "id", getattr(owner, "attr", None)) == "support"
+
+
+def _reads_points(node, tainted) -> bool:
+    """Whether ``node`` reads the support points or a name in ``tainted``."""
+    return any(_support_points(n) or (isinstance(n, ast.Name) and n.id in tainted) for n in ast.walk(node))
+
+
+def test_homophily_index_only_in_model():
+    """``CovariateSupport.homophily_index`` is the one place that multiplies
+    support points by weights: no other module has a product (``@``, ``*`` or
+    a numpy product call) with an operand that reads ``support.points`` or a
+    name bound, directly or through other names, from an expression that does."""
+    for path in sorted(Path(misnet.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text())
+        tainted, grown = set(), True
+        while grown:
+            grown = False
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr, ast.For)):
+                    source = node.iter if isinstance(node, ast.For) else node.value
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    if source is None or not _reads_points(source, tainted):
+                        continue
+                    names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                    grown |= bool(names - tainted)
+                    tainted |= names
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.MatMult, ast.Mult)):
+                operands = [node.left, node.right]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _PRODUCTS:
+                operands = [*node.args, node.func.value]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _PRODUCTS:
+                operands = node.args
+            else:
+                continue
+            assert not any(_reads_points(o, tainted) for o in operands), (
+                f"{path.name}:{node.lineno} multiplies the support points: {ast.unparse(node)}"
+            )
+
+
 def test_no_private_names_across_modules():
     """A module uses only its own private names: no ``from .x import _name``,
     and no attribute ``obj._name`` on anything but ``self`` or ``cls`` unless
@@ -111,8 +162,11 @@ _BENCHMARK_ONLY = {
 
 def test_benchmark_only_names_uncalled_in_src():
     """No module of the package calls a name that only the benchmark keeps
-    alive, by its plain name or as an attribute, so each stays deletable
-    once the benchmark stops naming it."""
+    alive, by its plain name or as an attribute, and the package root exports
+    none of them nor ``CellSummary``, the type ``cell_summary`` returns, so
+    each stays deletable once the benchmark stops naming it."""
+    exported = (_BENCHMARK_ONLY | {"CellSummary"}) & (set(misnet.__all__) | set(vars(misnet)))
+    assert not exported, f"the package root exports {sorted(exported)}"
     for path in sorted(Path(misnet.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):

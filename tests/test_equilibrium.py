@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from misnet import (
     CovariateSupport,
     Dataset,
+    MomentEvaluator,
     Network,
     NonConvergence,
     PairCovariates,
@@ -25,7 +26,7 @@ from misnet.equilibrium import (
 )
 from misnet.normal import norm_cdf
 
-from conftest import default_theta, peak_bytes, random_assignment, scalar_support
+from conftest import default_theta, peak_bytes, random_assignment, random_network, scalar_support
 from oracles import (
     brute_extended_stats,
     brute_network_stats,
@@ -241,8 +242,9 @@ class TestLoopMatchesReference:
 class TestPerPointHomophily:
     """The solver forms x'hom once per support point; its point, index and
     residual equal, bit for bit, those of the same iteration run on the
-    per-pair x'hom of the oracle, and a cell index with no support point is
-    refused with one ValueError by every solver entry and by ``Dataset``."""
+    per-pair x'hom of the oracle and the estimator's x'hom at zero externality,
+    and a cell index with no support point is refused with one ValueError by
+    every solver entry and by ``Dataset``."""
 
     @staticmethod
     def _per_pair_solve(xhom, ext, cfg):
@@ -271,6 +273,28 @@ class TestPerPointHomophily:
             assert np.array_equal(eq.probs, probs)
             assert np.array_equal(eq.index, index)
             assert eq.residual == residual
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_estimator_index_equals_the_solver_index(self, rng, d, J, n):
+        """At zero externality and zero rates both indices are x'hom alone, so
+        the evaluator's per-cell index over rows of theta, gathered by the cell
+        labels, equals each row's solver index and the oracle's per-pair x'hom
+        bit for bit.  The evaluator's dataset has every cell filled (n = 40,
+        whatever the solve's n)."""
+        for _ in range(4):
+            points = rng.standard_normal((J, d)) * 10.0 ** rng.uniform(-2, 0, size=(J, d))
+            support = CovariateSupport(points[np.lexsort(points.T[::-1])])
+            rows = np.zeros((10, 5 + d))  # strided homophily columns, as in ``grid.points``
+            rows[:, 3:-2] = rng.standard_normal((10, d)) * 10.0 ** rng.uniform(-2, 0, size=(10, d))
+            data = Dataset(random_network(rng, 40), random_assignment(rng, 40, J), support)
+            indices = MomentEvaluator(data).indices(rows)
+            cov = PairCovariates(rng.integers(0, J, size=(n, n)))
+            for row, u in zip(rows, indices):
+                eq = solve_equilibrium(cov, support, row[:3], row[3:-2])
+                assert np.array_equal(u[cov.assignment], eq.index), (row, u)
+                assert np.array_equal(eq.index, pair_covariates(cov, support) @ row[3:-2]), row
 
     @pytest.mark.parametrize("label", [2, 3])
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Config parsing, file formats, the Monte Carlo driver, and the CLI."""
 
+import codecs
 import csv
 import dataclasses
 import json
@@ -21,7 +22,7 @@ from misnet import (
 )
 from misnet import harness
 from misnet.cli import main
-from misnet.config import parse_config_text
+from misnet.config import parse_config, parse_config_text
 from misnet.equilibrium import simulate_true_network
 from misnet.inference import theta_coordinates
 from misnet.harness import (
@@ -108,6 +109,18 @@ class TestConfig:
         bad = BASE_CONFIG.replace("theta_fp = 0.05", "theta_fp = 0.95")
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        """A config file that starts with a UTF-8 byte-order mark, as Notepad
+        writes it, parses as the same file without one, and so does config
+        text that starts with the mark; the mark is not part of the first key."""
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        text = BASE_CONFIG.lstrip().partition("\n")[2]  # no comment line: ``n`` follows the mark
+        assert text.startswith("n = ")
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert repr(parse_config(marked)) == repr(parse_config(plain))
+        assert repr(parse_config_text("\ufeff" + text)) == repr(parse_config_text(text))
 
     def test_missing_x_file(self, tmp_path):
         with pytest.raises(ConfigError, match="x_file"):
@@ -254,6 +267,28 @@ class TestNetIO:
                 path = tmp_path / f"variant_{name}"
                 path.write_text(variant, newline="")
                 assert np.array_equal(read(path), expected), (name, variant)
+
+    def test_byte_order_mark_skipped(self, tmp_path, rng):
+        """A matrix network, an edge list, a covariates file and a support file
+        that start with a UTF-8 byte-order mark read to the same arrays as the
+        same files without one."""
+        adj = (rng.random((5, 5)) < 0.5).astype(int)
+        np.fill_diagonal(adj, 0)
+        netio.write_network_matrix(Network(adj), tmp_path / "net.csv")
+        write_network_edges(Network(adj), tmp_path / "edges.csv")
+        netio.write_covariates(PairCovariates(rng.integers(0, 3, (5, 5))), tmp_path / "cov.csv")
+        netio.write_support(scalar_support(-0.5, 0.25, 0.5), tmp_path / "support.csv")
+        for name, read in [
+            ("net.csv", lambda p: netio.read_network(p).adj),
+            ("edges.csv", lambda p: netio.read_network(p).adj),
+            ("cov.csv", lambda p: netio.read_covariates(p).assignment),
+            ("support.csv", lambda p: netio.read_support(p).points),
+        ]:
+            marked = tmp_path / f"marked_{name}"
+            marked.write_bytes(codecs.BOM_UTF8 + (tmp_path / name).read_bytes())
+            expected = read(tmp_path / name)
+            got = read(marked)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
 
     def test_malformed_row_names_line(self, tmp_path):
         """Each bad row, placed after a blank line, is named by its own line."""

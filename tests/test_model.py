@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from misnet import (
-    CellSummary,
     CovariateSupport,
     Dataset,
     InvalidRates,
@@ -19,6 +18,7 @@ from misnet import (
     solve_equilibrium,
 )
 from misnet.equilibrium import BeliefMatrix, _index
+from misnet.semiparametric import CellSummary
 
 from conftest import default_theta, random_dataset, scalar_support, singleton_grid
 

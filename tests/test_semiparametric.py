@@ -2,18 +2,10 @@
 
 import numpy as np
 
-from misnet import (
-    CellSummary,
-    MomentEvaluator,
-    Theta,
-    ThetaGrid,
-    cell_estimates,
-    cell_summary,
-    identified_set,
-    membership,
-)
+from misnet import MomentEvaluator, Theta, ThetaGrid, cell_estimates, identified_set
 from misnet.model import theta_coordinates
 from misnet.normal import norm_cdf
+from misnet.semiparametric import CellSummary, cell_summary, membership
 
 from conftest import default_theta, random_dataset, tournament_dataset
 from oracles import isotonic_sse, reference_membership
