@@ -13,18 +13,8 @@ C the 5J x 5J covariance of that table, S(theta) = c(theta)' C c(theta).
 Everything that does not depend on theta comes from one per-agent table per
 dataset, built once by :func:`cell_estimates`: the cell statistics are the
 agent means of its influence columns, the link sums the agent sums of its link
-counts, and C its covariance.  Per-cell sums over pairs read one float32 0/1
-mask per cell, the pairs assigned to it with the diagonal zeroed, built from
-the one-byte labels one cell at a time.  The cells partition the off-diagonal
-pairs, so the last cell needs no mask: its count and columns are n(n - 1) and
-each agent's totals minus the other cells'.  The table is filled in blocks of
-``ROW_BLOCK`` agents, each block's int8 links converted to float32 in turn, so
-besides the labels and the links the only n x n array it holds is one mask.
-Counts, link sums and the influence sums add 0/1 products, so they are exact
-integers in any summation order and blocking: the n^3 product ``g @ cell``
-runs in float32, exact as its entries are at most n < 2^24, and the sums that
-reach n^2 accumulate in float64.  Each influence is scaled by its cell count
-last.
+counts, and C its covariance.  The table does not depend on summation order
+or blocking; :func:`_agent_table` says why.
 
 Parameter points arrive as rows of theta in the ``theta_coordinates``
 layout; a single point is the one-row case.  :func:`_corrected_index` applies
@@ -172,11 +162,7 @@ def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
 
 def cell_estimates(data: Dataset) -> CellEstimates:
     """Cell frequencies, statistics, link sums and C from the per-agent table;
-    raises on empty cells before building it.  Only cells 0, ..., J - 2 are
-    masked: the cells partition the off-diagonal pairs, so the last cell's
-    count and columns are the totals minus the others'.  The table's one
-    product per masked cell is float32, exact for entries at most n < 2^24,
-    and its sums that reach n^2 accumulate in float64."""
+    raises on empty cells before building it."""
     n, J = data.n, data.n_cells
     counts = _cell_counts(data)
     table = _agent_table(data, counts)

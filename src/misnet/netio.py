@@ -1,21 +1,23 @@
 """The package's CSV format: every table it reads or writes goes through here.
 
 Network files come in two formats: a matrix CSV (n rows of n comma-separated
-0/1 values, no header) and an edge list (first line ``n=<count>``, then a
-``i,j`` header and one 0-based link per line).  Covariates are a matrix CSV
-of 0-based support indices; the support definition is a CSV with one
-``x1..xd`` header row and one point per line.  Networks and covariates need
-n >= 2 agents.
+0/1 values, no header) and an edge list (``n=<count>``, then an ``i,j``
+header and one 0-based link per line).  Covariates are a matrix CSV of
+0-based support indices; the support definition is a CSV with one ``x1..xd``
+header row and one point per line.  Networks and covariates need n >= 2
+agents.
 
 The dialect: fields are separated by commas and lines end in ``\\n``.
 Writers put floats as ``.17g`` (so they read back exactly) and booleans as
 0/1, and quote a field that contains a comma, a quote or a line break.
-Readers take files as UTF-8, with or without a leading byte-order mark, and
-accept ``\\r\\n`` line ends, blank lines and spaces around fields.  A matrix
-file in the writers' own layout for one-digit values (n lines of n
-comma-separated digits, each ending in ``\\n``) is read as bytes; every other
-file goes through the general parser, and both feed the same checks.  Every
-parse, decoding or domain error raises ``FileFormatError`` naming the line.
+Readers read each file once, as UTF-8 with or without a leading byte-order
+mark, and accept ``\\r\\n`` line ends, blank lines anywhere and spaces around
+fields, header rows included; a header row must name exactly ``i,j`` or
+``x1..xd``.  A matrix file in the writers' own layout for one-digit values (n
+lines of n comma-separated digits, each ending in ``\\n``), with a byte-order
+mark or without, is read as bytes; every other file goes through the general
+parser, and both feed the same checks.  Every parse, decoding or domain error
+raises ``FileFormatError`` naming the line.
 Each command's ``summary.json`` is written by :func:`write_summary`, after its
 CSV files; the CSV writer makes the directory it writes into.
 """
@@ -99,10 +101,15 @@ def _parse(rows, dtype):
         return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=2)
 
 
-def _read_text(path) -> str:
-    """The file as UTF-8 text with universal newlines and no leading byte-order
-    mark; a byte that does not decode is an error at its line."""
-    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+def _read_file(path) -> bytes:
+    """The one read of a data file: its bytes, without a leading UTF-8 byte-order mark."""
+    return Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+
+
+def _read_text(path, raw) -> str:
+    """A file's bytes as UTF-8 text with universal newlines; a byte that does
+    not decode is an error at its line."""
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -110,15 +117,18 @@ def _read_text(path) -> str:
         raise FileFormatError(path, raw.count(b"\n", 0, exc.start) + 1, message) from exc
 
 
-def _read_table(path, skip=0, dtype=np.int64):
-    """The non-blank lines after the first ``skip`` as one array.
+def _read_table(path, raw, skip=0, dtype=np.int64):
+    """The non-blank lines after the first ``skip`` of them as one array.
 
-    Returns the first ``skip`` lines (padded with "" when the file is
-    shorter), the array, and the 1-based line number of each of its rows.
+    Returns those first ``skip`` lines as (line number, text) pairs (padded
+    with "" on the line after the last one when the file has fewer), the
+    array, and the 1-based line number of each of its rows.
     """
-    lines = _read_text(path).split("\n")
-    head = (lines + [""] * skip)[:skip]
-    numbers = [k + 1 for k in range(skip, len(lines)) if lines[k].strip()]
+    lines = _read_text(path, raw).split("\n")
+    numbers = [k + 1 for k, line in enumerate(lines) if line.strip()]
+    head = [(k, lines[k - 1]) for k in numbers[:skip]]
+    head += [(head[-1][0] + 1 if head else 1, "")] * (skip - len(head))
+    numbers = numbers[skip:]
     rows = [lines[k - 1] for k in numbers]
     if not rows:
         return head, np.empty((0, 0), dtype=dtype), numbers
@@ -145,14 +155,20 @@ def _reject(path, numbers, bad_rows, message) -> None:
         raise FileFormatError(path, numbers[bad[0]], message)
 
 
-def _read_digits(path):
+def _header(path, number, row, names) -> None:
+    """The one header-row rule: its comma-separated fields, spaces stripped, are ``names``."""
+    if [field.strip() for field in row.split(",")] != names:
+        raise FileFormatError(path, number, f"expected header row {','.join(names)!r}")
+
+
+def _read_digits(raw):
     """The matrix of a file in the layout ``_write_rows`` gives one-digit
     values, as uint8 digits, or None for any other file.
 
     That layout is n >= 2 lines, each of n bytes ``0``-``9`` joined by ``,``
-    and ending in ``\\n``: 2n² bytes, checked and read as one byte array.
+    and ending in ``\\n``: 2n² bytes, checked and viewed as one byte array.
     """
-    raw = np.fromfile(path, dtype=np.uint8)
+    raw = np.frombuffer(raw, dtype=np.uint8)
     n = math.isqrt(raw.size // 2)
     if n < 2 or raw.size != 2 * n * n:
         return None
@@ -164,12 +180,12 @@ def _read_digits(path):
     return digits
 
 
-def _read_square(path):
+def _read_square(path, raw):
     """A matrix CSV of integers for n >= 2 agents, with its row line numbers."""
-    table = _read_digits(path)
+    table = _read_digits(raw)
     if table is not None:
         return table, range(1, len(table) + 1)
-    _, table, numbers = _read_table(path)
+    _, table, numbers = _read_table(path, raw)
     n = table.shape[0]
     if n < 2:
         raise FileFormatError(path, numbers[0] if numbers else 1, f"agent count {n} is below 2")
@@ -183,28 +199,26 @@ def write_network_matrix(network: Network, path) -> None:
 
 
 def read_network(path) -> Network:
-    """Read either format; edge lists are recognized by their ``n=`` first line."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        edge_list = fh.readline().removeprefix(codecs.BOM_UTF8).startswith(b"n=")
-    if edge_list:
-        return _read_edge_list(path)
-    table, numbers = _read_square(path)
+    """Read either format; an edge list's first non-blank line is ``n=<count>``."""
+    raw = _read_file(path)
+    if raw.lstrip().startswith(b"n="):
+        return _read_edge_list(path, raw)
+    table, numbers = _read_square(path, raw)
+    del raw  # not held beside the network's own copy
     _reject(path, numbers, ~((table == 0) | (table == 1)).all(axis=1), "expected 0/1 entries")
     _reject(path, numbers, np.diagonal(table) != 0, "diagonal must be zero")
     return Network(table)
 
 
-def _read_edge_list(path) -> Network:
-    head, edges, numbers = _read_table(path, skip=2)
+def _read_edge_list(path, raw) -> Network:
+    ((count_line, count), header), edges, numbers = _read_table(path, raw, skip=2)
     try:
-        n = int(head[0].partition("=")[2])
+        n = int(count.partition("=")[2])
     except ValueError as exc:
-        raise FileFormatError(path, 1, "cannot parse agent count") from exc
+        raise FileFormatError(path, count_line, "cannot parse agent count") from exc
     if n < 2:
-        raise FileFormatError(path, 1, f"agent count {n} is below 2")
-    if head[1].strip() != "i,j":
-        raise FileFormatError(path, 2, "expected 'i,j' header")
+        raise FileFormatError(path, count_line, f"agent count {n} is below 2")
+    _header(path, *header, ["i", "j"])
     if numbers and edges.shape[1] != 2:
         raise FileFormatError(path, numbers[0], "expected two fields 'i,j'")
     i, j = edges.reshape(-1, 2).T
@@ -221,8 +235,7 @@ def write_covariates(covariates: PairCovariates, path) -> None:
 
 def read_covariates(path, n_cells: int | None = None) -> PairCovariates:
     """Cell indices, each below ``n_cells`` (the support size) when it is given."""
-    path = Path(path)
-    table, numbers = _read_square(path)
+    table, numbers = _read_square(path, _read_file(path))
     _reject(path, numbers, (table < 0).any(axis=1), "cell indices must be non-negative")
     if n_cells is not None:
         _reject(path, numbers, (table >= n_cells).any(axis=1),
@@ -236,17 +249,15 @@ def write_support(support: CovariateSupport, path) -> None:
 
 
 def read_support(path) -> CovariateSupport:
-    path = Path(path)
-    head, points, numbers = _read_table(path, skip=1, dtype=float)
-    if not head[0].startswith("x1"):
-        raise FileFormatError(path, 1, "expected header row starting with x1")
-    width = len(head[0].split(","))
+    [(line, header)], points, numbers = _read_table(path, _read_file(path), skip=1, dtype=float)
+    width = header.count(",") + 1
+    _header(path, line, header, [f"x{k + 1}" for k in range(width)])
     if points.size and points.shape[1] != width:
-        raise FileFormatError(path, 1, f"header names {width} columns, points have {points.shape[1]}")
+        raise FileFormatError(path, line, f"header names {width} columns, points have {points.shape[1]}")
     _reject(path, numbers, ~np.isfinite(points).all(axis=1), "support points must be finite")
     unordered = [tuple(a) >= tuple(b) for a, b in zip(points[:-1], points[1:])]
     _reject(path, numbers[1:], unordered, "support points must be distinct and lexicographically increasing")
     try:
         return CovariateSupport(points)
-    except ValueError as exc:  # no points: the first belongs on line 2
-        raise FileFormatError(path, 2, str(exc)) from exc
+    except ValueError as exc:  # no points: the first belongs after the header
+        raise FileFormatError(path, line + 1, str(exc)) from exc

@@ -79,6 +79,24 @@ def test_csv_format_only_in_netio():
                 ), f"{path.name}:{node.lineno} writes a delimited line by hand"
 
 
+def test_one_read_per_data_file():
+    """No module names ``fromfile``, and ``netio`` names ``BOM_UTF8`` and
+    ``read_bytes`` once each, in the same function: the one read of a data
+    file is the one place that strips a byte-order mark."""
+    package = Path(misnet.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(ast.parse(path.read_text()))}
+        assert "fromfile" not in names, f"{path.name} calls np.fromfile"
+    tree = ast.parse((package / "netio.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    owners = []
+    for name in ["BOM_UTF8", "read_bytes"]:
+        uses = [node for node in ast.walk(tree) if getattr(node, "attr", None) == name]
+        owners.append({f.name for f in functions if any(node in uses for node in ast.walk(f))})
+        assert len(uses) == 1 and len(owners[-1]) == 1, (name, len(uses), owners[-1])
+    assert owners[0] == owners[1], owners
+
+
 _PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "multiply", "outer"}
 
 

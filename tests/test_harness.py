@@ -1,9 +1,12 @@
 """Config parsing, file formats, the Monte Carlo driver, and the CLI."""
 
+import builtins
 import codecs
 import csv
 import dataclasses
+import io
 import json
+import os
 import shutil
 import sys
 import time
@@ -14,6 +17,7 @@ import pytest
 
 from misnet import (
     ConfigError,
+    CovariateSupport,
     FileFormatError,
     MomentEvaluator,
     Network,
@@ -244,51 +248,122 @@ class TestNetIO:
         assert np.array_equal(netio.read_network(path).adj, np.zeros((4, 4)))
 
     def test_dialect_variants_read_alike(self, tmp_path, rng):
-        """A copy with CRLF line ends, one with spaces around the fields and
-        one with a trailing blank line read to the same arrays."""
+        """A copy with CRLF line ends, one with spaces around the fields, one
+        with a trailing blank line, one with spaces around the fields of its
+        header row (``i, j`` or `` x1 , x2``) and one with a blank line before
+        each head row and the first data row read to the same arrays."""
         adj = (rng.random((5, 5)) < 0.5).astype(int)
         np.fill_diagonal(adj, 0)
         netio.write_network_matrix(Network(adj), tmp_path / "net.csv")
         write_network_edges(Network(adj), tmp_path / "edges.csv")
         netio.write_covariates(PairCovariates(rng.integers(0, 3, (5, 5))), tmp_path / "cov.csv")
         netio.write_support(scalar_support(-0.5, 0.25, 0.5), tmp_path / "support.csv")
-        cases = [  # file, reader, header lines
-            ("net.csv", lambda p: netio.read_network(p).adj, 0),
-            ("edges.csv", lambda p: netio.read_network(p).adj, 2),
-            ("cov.csv", lambda p: netio.read_covariates(p).assignment, 0),
-            ("support.csv", lambda p: netio.read_support(p).points, 1),
+        plane = CovariateSupport(np.array([[-0.5, 0.0], [-0.5, 1.0], [0.5, 0.0]]))
+        netio.write_support(plane, tmp_path / "plane.csv")
+        cases = [  # file, reader, head lines, the header row with spaces around its fields
+            ("net.csv", lambda p: netio.read_network(p).adj, 0, None),
+            ("edges.csv", lambda p: netio.read_network(p).adj, 2, "i, j"),
+            ("cov.csv", lambda p: netio.read_covariates(p).assignment, 0, None),
+            ("support.csv", lambda p: netio.read_support(p).points, 1, " x1 "),
+            ("plane.csv", lambda p: netio.read_support(p).points, 1, " x1 , x2"),
         ]
-        for name, read, head in cases:
+        for name, read, head, spaced in cases:
             text = (tmp_path / name).read_text()
             lines = text.splitlines()
             padded = lines[:head] + [f" {line.replace(',', ' , ')} " for line in lines[head:]]
+            variants = [text.replace("\n", "\r\n"), "\n".join(padded) + "\n", text + "\n"]
+            if spaced:
+                variants.append("\n".join(lines[: head - 1] + [spaced] + lines[head:]) + "\n")
+            variants.append("".join(f"\n{line}\n" if k <= head else f"{line}\n" for k, line in enumerate(lines)))
             expected = read(tmp_path / name)
-            for variant in [text.replace("\n", "\r\n"), "\n".join(padded) + "\n", text + "\n"]:
+            for variant in variants:
                 path = tmp_path / f"variant_{name}"
                 path.write_text(variant, newline="")
                 assert np.array_equal(read(path), expected), (name, variant)
 
-    def test_byte_order_mark_skipped(self, tmp_path, rng):
+    def test_byte_order_mark_skipped(self, tmp_path, rng, monkeypatch):
         """A matrix network, an edge list, a covariates file and a support file
         that start with a UTF-8 byte-order mark read to the same arrays as the
-        same files without one."""
+        same files without one; the one-digit matrices are still read as
+        bytes, with ``np.loadtxt``'s wrapper failing."""
         adj = (rng.random((5, 5)) < 0.5).astype(int)
         np.fill_diagonal(adj, 0)
         netio.write_network_matrix(Network(adj), tmp_path / "net.csv")
         write_network_edges(Network(adj), tmp_path / "edges.csv")
         netio.write_covariates(PairCovariates(rng.integers(0, 3, (5, 5))), tmp_path / "cov.csv")
         netio.write_support(scalar_support(-0.5, 0.25, 0.5), tmp_path / "support.csv")
-        for name, read in [
-            ("net.csv", lambda p: netio.read_network(p).adj),
-            ("edges.csv", lambda p: netio.read_network(p).adj),
-            ("cov.csv", lambda p: netio.read_covariates(p).assignment),
-            ("support.csv", lambda p: netio.read_support(p).points),
+
+        def no_parse(rows, dtype):
+            raise AssertionError("parsed by np.loadtxt")
+
+        for name, read, one_digit in [
+            ("net.csv", lambda p: netio.read_network(p).adj, True),
+            ("edges.csv", lambda p: netio.read_network(p).adj, False),
+            ("cov.csv", lambda p: netio.read_covariates(p).assignment, True),
+            ("support.csv", lambda p: netio.read_support(p).points, False),
         ]:
             marked = tmp_path / f"marked_{name}"
             marked.write_bytes(codecs.BOM_UTF8 + (tmp_path / name).read_bytes())
             expected = read(tmp_path / name)
-            got = read(marked)
+            with monkeypatch.context() as patch:
+                if one_digit:
+                    patch.setattr(netio, "_parse", no_parse)
+                got = read(marked)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+    def test_each_reader_reads_its_file_once(self, tmp_path, rng, monkeypatch):
+        """On a one-digit matrix, a general matrix, an edge list, a covariates
+        file and a support, the public reader opens its file once and never
+        calls ``np.fromfile``."""
+        adj = (rng.random((5, 5)) < 0.5).astype(int)
+        np.fill_diagonal(adj, 0)
+        netio.write_network_matrix(Network(adj), tmp_path / "net.csv")
+        (tmp_path / "general.csv").write_bytes((tmp_path / "net.csv").read_bytes().replace(b"\n", b"\r\n"))
+        write_network_edges(Network(adj), tmp_path / "edges.csv")
+        netio.write_covariates(PairCovariates(rng.integers(0, 3, (5, 5))), tmp_path / "cov.csv")
+        netio.write_support(scalar_support(-0.5, 0.5), tmp_path / "support.csv")
+        opened, real_open = [], io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).parent == tmp_path:
+                opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        def no_fromfile(*args, **kwargs):
+            raise AssertionError("np.fromfile called")
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(np, "fromfile", no_fromfile)
+        for name, read in [
+            ("net.csv", netio.read_network),
+            ("general.csv", netio.read_network),
+            ("edges.csv", netio.read_network),
+            ("cov.csv", netio.read_covariates),
+            ("support.csv", netio.read_support),
+        ]:
+            opened.clear()
+            read(tmp_path / name)
+            assert opened == [name], (name, opened)
+
+    def test_head_row_error_named_at_its_line(self, tmp_path):
+        """An edge list's count or header row, or a support's header row, after
+        blank lines is checked where it stands, and an error in it (or a
+        missing header or first point) is named at its own line."""
+        path = tmp_path / "data.csv"
+        for read, text, line, message in [
+            (netio.read_network, "\n\nn=abc\ni,j\n0,1\n", 3, "cannot parse agent count"),
+            (netio.read_network, "\nn=1\ni,j\n", 2, "agent count 1 is below 2"),
+            (netio.read_network, "n=3\n\n\na,b\n0,1\n", 4, "expected header row 'i,j'"),
+            (netio.read_network, "n=3\n\n", 2, "expected header row 'i,j'"),
+            (netio.read_support, "\n\nx1,x3\n-0.5,0\n", 3, "expected header row 'x1,x2'"),
+            (netio.read_support, "\nx1,x2\n-0.5\n0.5\n", 2, "header names 2 columns, points have 1"),
+            (netio.read_support, "\n\nx1\n\n", 4, "support must be a non-empty"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(FileFormatError, match=message) as excinfo:
+                read(path)
+            assert excinfo.value.line == line, text
 
     def test_malformed_row_names_line(self, tmp_path):
         """Each bad row, placed after a blank line, is named by its own line."""
@@ -315,14 +390,14 @@ class TestNetIO:
         read, content, byte_path = _READ_PATH_CASES[case]
         path = tmp_path / "matrix.csv"
         path.write_bytes(content)
-        assert (netio._read_digits(path) is not None) == byte_path
+        assert (netio._read_digits(content) is not None) == byte_path
         readers = [
-            lambda p: netio._read_square(p)[0].astype(np.int64),
-            lambda p: np.asarray(netio._read_square(p)[1]),
+            lambda p: netio._read_square(p, content)[0].astype(np.int64),
+            lambda p: np.asarray(netio._read_square(p, content)[1]),
             read,
         ]
         fast = [_outcome(r, path) for r in readers]
-        monkeypatch.setattr(netio, "_read_digits", lambda path: None)
+        monkeypatch.setattr(netio, "_read_digits", lambda raw: None)
         assert fast == [_outcome(r, path) for r in readers]
 
     @pytest.mark.parametrize("n", [2, 40])
@@ -410,6 +485,17 @@ class TestNetIO:
         assert read().dtype == np.uint8 and np.array_equal(read(), assignment)
         path.write_text("0, 256\n1, 0\n")
         assert netio.read_covariates(path).assignment.dtype == np.uint16
+
+    def test_network_read_drops_the_file_bytes(self, tmp_path, rng):
+        """A one-digit network file's 2 n^2 bytes are not held beside the
+        digits and the network's int8 copy: at n = 300 the read holds at most
+        4.5 n^2 bytes."""
+        n = 300
+        adj = (rng.random((n, n)) < 0.4).astype(int)
+        np.fill_diagonal(adj, 0)
+        path = tmp_path / "net.csv"
+        netio.write_network_matrix(Network(adj), path)
+        assert peak_bytes(lambda: netio.read_network(path)) <= 4.5 * n * n
 
     def test_support_roundtrip(self, tmp_path):
         support = scalar_support(-0.5, 0.5)
@@ -869,11 +955,16 @@ _CONFIG_ERRORS = {
 # a data file's replacement text, and the line and message its error names
 _DATA_ERRORS = {
     "matrix not square": ("observed_network.csv", "0,1,0\n1,0,1\n", 1, "expected 2 columns, got 3"),
-    "support without header": ("support.csv", "-0.5\n0.5\n", 1, "expected header row starting with x1"),
+    "support without header": ("support.csv", "-0.5\n0.5\n", 1, "expected header row 'x1'"),
+    "support header x1,y": ("support.csv", "x1,y\n-0.5,0\n0.5,1\n", 1, "expected header row 'x1,x2'"),
+    "support header x2,x1": ("support.csv", "x2,x1\n-0.5,0\n0.5,1\n", 1, "expected header row 'x1,x2'"),
     "support without points": ("support.csv", "x1\n", 2, "support must be a non-empty"),
     "support with nan": ("support.csv", "x1\n-0.5\nnan\n", 3, "support points must be finite"),
     "edge list count": ("observed_network.csv", "n=abc\ni,j\n0,1\n", 1, "cannot parse agent count"),
-    "edge list header": ("observed_network.csv", "n=40\na,b\n0,1\n", 2, "expected 'i,j' header"),
+    "edge list header": ("observed_network.csv", "n=40\na,b\n0,1\n", 2, "expected header row 'i,j'"),
+    "edge list header after a blank line": (
+        "observed_network.csv", "n=40\n\na,b\n0,1\n", 3, "expected header row 'i,j'"
+    ),
     "edge list fields": ("observed_network.csv", "n=40\ni,j\n0,1,2\n", 3, "expected two fields 'i,j'"),
 }
 
