@@ -8,7 +8,7 @@ which gives the product form p_ki * p_kj for the common in-neighbor
 expectation.  One step gives the index, Phi(index) with a zero diagonal and the
 sup-norm residual; the solver, ``best_response`` and ``equilibrium_residual``
 all take it.  The solver returns an :class:`Equilibrium`, whose accepting step's
-index :func:`draw_network` draws latent networks from.
+Phi(index) :func:`draw_network` draws latent networks from.
 """
 
 from dataclasses import dataclass
@@ -50,9 +50,9 @@ class BeliefMatrix:
 
 @dataclass(frozen=True)
 class Equilibrium(BeliefMatrix):
-    """Beliefs with the utility index and sup-norm residual of the solver step that accepted them."""
+    """Beliefs with the best response Phi(index) and sup-norm residual of the solver step that accepted them."""
 
-    index: np.ndarray  # (n, n)
+    link_probs: np.ndarray  # (n, n) in [0, 1], zero diagonal
     residual: float
 
 
@@ -119,11 +119,12 @@ def _step(p: np.ndarray, xhom: np.ndarray, ext: np.ndarray):
     return index, q, float(max(d.max(), -d.min()) + 0.0)
 
 
-def draw_network(index: np.ndarray, seed) -> Network:
-    """Links where index + an independent standard normal shock >= 0; deterministic given ``seed``."""
-    adj = (index + np.random.default_rng(seed).standard_normal(index.shape) >= 0).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    return Network(adj)
+def draw_network(link_probs: np.ndarray, seed) -> Network:
+    """Links where a pair's float64 uniform on [0, 1) falls below its link
+    probability: at Phi(index), the law of index + a standard normal shock >= 0
+    (inverse-cdf sampling).  Deterministic given ``seed``; a zero diagonal draws no self-link."""
+    u = np.random.default_rng(seed).random(link_probs.shape)
+    return Network((u < link_probs).view(np.int8))
 
 
 def best_response(
@@ -149,7 +150,8 @@ def solve_equilibrium(
     Starts at p0 = Phi(x'hom) and iterates p <- (1 - damping) p + damping BR(p)
     until the sup-norm residual ||BR(p) - p|| falls below ``config.tol``; only
     the returned point is validated.  The result also carries the accepting
-    step's index, which :func:`draw_network` draws from, and its residual.
+    step's best response q = Phi(index) with a zero diagonal, which
+    :func:`draw_network` draws from, and its residual.
     Raises :class:`NonConvergence` when ``max_iter`` is exhausted; callers may
     retry with smaller damping.  The point is this package's deterministic selection.
     """
@@ -160,7 +162,7 @@ def solve_equilibrium(
     for _ in range(config.max_iter):
         index, q, residual = _step(p, xhom, ext)
         if residual <= config.tol:
-            return Equilibrium(p, index, residual)
+            return Equilibrium(p, q, residual)
         # p and q have zero diagonals, and at damping 1 the blend equals q exactly
         p = q if config.damping == 1.0 else (1.0 - config.damping) * p + config.damping * q
         del index, q  # the next step's index is not allocated beside this one
@@ -186,5 +188,5 @@ def simulate_true_network(
     homophily,
     seed,
 ) -> Network:
-    """One latent network drawn from the index of the beliefs by :func:`draw_network`."""
-    return draw_network(_index(beliefs.probs, *_arrays(covariates, support, externality, homophily)), seed)
+    """One latent network drawn by :func:`draw_network` from the best response to the beliefs."""
+    return draw_network(_step(beliefs.probs, *_arrays(covariates, support, externality, homophily))[1], seed)

@@ -2,8 +2,9 @@
 
 Randomness follows one documented scheme built on numpy's SeedSequence /
 PCG64.  Replication r uses ``SeedSequence((master_seed, 1, r))`` spawned into
-three child streams: 0 draws a fresh covariate design, 1 the link shocks, 2
-the misclassification flips.  A shared design (``x_file``, or x_mode = fixed
+three child streams: 0 draws a fresh covariate design, 1 the latent network
+(one uniform per ordered pair against the solver's link probabilities), 2 the
+misclassification flips.  A shared design (``x_file``, or x_mode = fixed
 drawn from ``SeedSequence((master_seed, 0))``) is solved once per run.
 ``simulate`` writes replication 0 of the recipe each coverage replication
 tests.  No state leaks across replications, so a run's report is the same for
@@ -76,10 +77,10 @@ class RunReport:
 
 
 def _solved(config: ExperimentConfig, covariates: PairCovariates) -> tuple:
-    """The design with its equilibrium's utility index and fixed-point residual at the truth."""
+    """The design with its equilibrium's link probabilities and fixed-point residual at the truth."""
     th = config.theta
     eq = solve_equilibrium(covariates, config.support, th.externality, th.homophily, config.solver)
-    return covariates, eq.index, eq.residual
+    return covariates, eq.link_probs, eq.residual
 
 
 def _shared_design(config: ExperimentConfig) -> tuple | None:
@@ -100,13 +101,13 @@ def _shared_design(config: ExperimentConfig) -> tuple | None:
 def _draw_dataset(config: ExperimentConfig, seed: np.random.SeedSequence, design):
     """One replication's data from its seed's three children: the shared
     design, or a fresh one drawn from child 0 and solved; the latent network
-    from child 1; its misclassified record from child 2."""
-    fresh, shocks, flips = seed.spawn(3)
+    from child 1's uniforms; its misclassified record from child 2."""
+    fresh, links, flips = seed.spawn(3)
     if design is None:
         covariates = draw_pair_covariates(config.n, config.support_probs, np.random.default_rng(fresh))
         design = _solved(config, covariates)
-    covariates, index, residual = design
-    true_net = draw_network(index, shocks)
+    covariates, link_probs, residual = design
+    true_net = draw_network(link_probs, links)
     observed = apply_misclassification(true_net, config.theta.fp_rate, config.theta.fn_rate, seed=flips)
     return covariates, residual, true_net, observed
 
@@ -206,11 +207,11 @@ def run_mc_coverage(config: ExperimentConfig) -> RunReport:
     misclassifies it, and tests the truth; the report aggregates the coverage
     rate and the Kolmogorov-Smirnov distance of the statistic sample to the
     chi-square reference.  A shared design is solved once, and each replication
-    draws from its index.  Failed replications are recorded, and the run
-    aborts only when their share exceeds ``failure_tolerance``.  A pool of
-    ``config.threads`` threads maps one task over the replication indices; an
-    error that is not a ``MisnetError``, or an interrupt, cancels the ones not
-    yet started.
+    draws from its link probabilities.  Failed replications are recorded, and
+    the run aborts only when their share exceeds ``failure_tolerance``.  A pool
+    of ``config.threads`` threads maps one task over the replication indices;
+    an error that is not a ``MisnetError``, or an interrupt, cancels the ones
+    not yet started.
     """
     dof = config.support.n_points
     critical = chi2_quantile(dof, 1.0 - config.alpha)

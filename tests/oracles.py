@@ -9,7 +9,9 @@ x'hom the solver's per-point one must equal, a solver loop written through the p
 response, against which the package's plain-array loop is checked, the
 belief statistics as an (n, n, 3) stack, whose weighted sum the solver's index
 must equal, and the extended statistics the forward-map checks need (both
-checked against :func:`brute_extended_stats`), the flip law's forward map at
+checked against :func:`brute_extended_stats`), the latent draw written pair
+by pair, one uniform per ordered pair, against which the package's vectorized
+draw is checked bit for bit, the flip law's forward map at
 network size n with its inverse, against which the package's population
 correction is checked, and a writer for edge-list network files, which only
 the reader's tests need.  The per-agent table is also kept here in its
@@ -482,6 +484,25 @@ def reference_solve(
         p = (1.0 - config.damping) * p + config.damping * q
         np.fill_diagonal(p, 0.0)
     raise NonConvergence(residual, config.max_iter)
+
+
+# ---------------------------------------------------------------------------
+# the latent network by inverse-cdf sampling, pair by pair
+
+
+def reference_draw(link_probs, seed) -> Network:
+    """One uniform per ordered pair, taken from the seed's generator one at a
+    time in row-major order; the pair links when its uniform falls below its
+    link probability, so with probability Phi(index), as index + a standard
+    normal shock >= 0 does.  ``draw_network`` must draw the same network bit
+    for bit."""
+    n = len(link_probs)
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        for j in range(n):
+            adj[i, j] = 1 if rng.random() < link_probs[i][j] else 0
+    return Network(adj)
 
 
 # ---------------------------------------------------------------------------

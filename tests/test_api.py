@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import misnet
@@ -36,6 +37,20 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, misnet, misnet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_readme_library_sketch_runs():
+    """README's "Library sketch" block runs as written, so a renamed public
+    name or field cannot leave the example stale, and its last line forms the
+    corrected indices that ``evaluator.indices`` returns, as the text under it says."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    _, sep, section = readme.partition("\n## Library sketch\n")
+    assert sep, "README has no 'Library sketch' section"
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md (Library sketch)", "exec"), namespace)
+    assert namespace["latent"].n == namespace["observed"].n == 100
+    assert np.array_equal(namespace["index"], namespace["evaluator"].indices(namespace["grid"].points))
 
 
 def _comma_text(node) -> bool:

@@ -1,5 +1,7 @@
 """Belief statistics, the best-response map, the solver, and simulation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,9 @@ from oracles import (
     extended_stats_from_beliefs,
     network_stats,
     pair_covariates,
+    reference_draw,
     reference_solve,
+    utility_index,
 )
 
 
@@ -217,12 +221,12 @@ class TestLoopMatchesReference:
         assert eq.residual == equilibrium_residual(eq, cov, support, ext, hom)
         assert eq.residual <= cfg.tol
         xhom, ext_arr = pair_covariates(cov, support) @ np.asarray(hom, float), np.asarray(ext, float)
-        assert np.array_equal(eq.index, _index(eq.probs, xhom, ext_arr))
         q = _step(eq.probs, xhom, ext_arr)[1]
+        assert np.array_equal(eq.link_probs, q) and np.all(np.diagonal(eq.link_probs) == 0)
         assert np.array_equal(best_response(eq, cov, support, ext, hom).probs, q)
         for seed in (0, 1):
             public = simulate_true_network(eq, cov, support, ext, hom, seed=seed)
-            assert np.array_equal(draw_network(eq.index, seed).adj, public.adj)
+            assert np.array_equal(draw_network(eq.link_probs, seed).adj, public.adj)
 
     def test_same_nonconvergence(self, rng):
         # the oscillating map of TestSolver.test_nonconvergence_raised_for_oscillating_map
@@ -240,9 +244,10 @@ class TestLoopMatchesReference:
 
 
 class TestPerPointHomophily:
-    """The solver forms x'hom once per support point; its point, index and
-    residual equal, bit for bit, those of the same iteration run on the
-    per-pair x'hom of the oracle and the estimator's x'hom at zero externality,
+    """The solver forms x'hom once per support point; its point, link
+    probabilities Phi(index) and residual, and its accepting step's index,
+    equal, bit for bit, those of the same iteration run on the per-pair x'hom
+    of the oracle and the estimator's x'hom at zero externality,
     and a cell index with no support point is refused with one ValueError by
     every solver entry and by ``Dataset``."""
 
@@ -270,8 +275,10 @@ class TestPerPointHomophily:
             eq = solve_equilibrium(cov, support, ext, hom)
             xhom = pair_covariates(cov, support) @ hom
             probs, index, residual = self._per_pair_solve(xhom, ext, SolverConfig())
+            link_probs = norm_cdf(index)
+            np.fill_diagonal(link_probs, 0.0)
             assert np.array_equal(eq.probs, probs)
-            assert np.array_equal(eq.index, index)
+            assert np.array_equal(eq.link_probs, link_probs)
             assert eq.residual == residual
 
     @pytest.mark.parametrize("n", [2, 5, 40])
@@ -293,8 +300,12 @@ class TestPerPointHomophily:
             cov = PairCovariates(rng.integers(0, J, size=(n, n)))
             for row, u in zip(rows, indices):
                 eq = solve_equilibrium(cov, support, row[:3], row[3:-2])
-                assert np.array_equal(u[cov.assignment], eq.index), (row, u)
-                assert np.array_equal(eq.index, pair_covariates(cov, support) @ row[3:-2]), row
+                index = _step(eq.probs, *equilibrium._arrays(cov, support, row[:3], row[3:-2]))[0]
+                assert np.array_equal(u[cov.assignment], index), (row, u)
+                assert np.array_equal(index, pair_covariates(cov, support) @ row[3:-2]), row
+                link_probs = norm_cdf(u[cov.assignment])
+                np.fill_diagonal(link_probs, 0.0)
+                assert np.array_equal(eq.link_probs, link_probs), row
 
     @pytest.mark.parametrize("label", [2, 3])
     @pytest.mark.parametrize(
@@ -438,9 +449,44 @@ class TestSimulation:
         assert np.max(np.abs(q.probs - beliefs.probs)) <= cfg.tol
 
 
+class TestLatentDraw:
+    """The latent network is one uniform per ordered pair against the solver's
+    link probabilities: the draw equals the pair-by-pair oracle bit for bit,
+    and each pair's link share over many seeds matches Phi of its utility index,
+    written off the model's utility, with no self-link ever drawn."""
+
+    @pytest.mark.parametrize("n", [2, 5, 200])
+    def test_draw_equals_the_pairwise_oracle(self, rng, n):
+        support = scalar_support(-0.5, 0.5)
+        theta = default_theta()
+        eq = solve_equilibrium(random_assignment(rng, n, 2), support, theta.externality, theta.homophily)
+        seeds = [0, 1, 2**32 - 1, *np.random.SeedSequence((3, 1, 0)).spawn(3)]
+        for seed in seeds:
+            assert np.array_equal(draw_network(eq.link_probs, seed).adj, reference_draw(eq.link_probs, seed).adj)
+
+    def test_link_shares_match_phi_of_the_index(self, rng):
+        n, reps = 5, 2000
+        support = scalar_support(-1.0, 1.0)
+        cov = random_assignment(rng, n, 2)
+        ext, hom = [0.5, -0.5, 0.25], [1.5]
+        eq = solve_equilibrium(cov, support, ext, hom)
+        stats, x = brute_network_stats(eq.probs), pair_covariates(cov, support)
+        off = ~np.eye(n, dtype=bool)
+        phi = np.zeros((n, n))
+        for i, j in zip(*np.nonzero(off)):
+            phi[i, j] = 0.5 * math.erfc(-utility_index(stats[i, j], x[i, j], ext, hom) / math.sqrt(2.0))
+        assert 0.05 < phi[off].min() and phi[off].max() < 0.99  # a spread of link probabilities
+        total = np.zeros((n, n), dtype=np.int64)
+        for seed in range(reps):
+            total += draw_network(eq.link_probs, seed).adj
+        assert np.all(np.diagonal(total) == 0)
+        share = total / reps
+        assert np.all(np.abs(share - phi)[off] <= 4.5 * np.sqrt(phi * (1 - phi) / reps)[off])
+
+
 class TestSolveThenDraw:
     """Small designs with bounded random parameters: the solver either returns a
-    valid point whose index draws a valid network, or raises NonConvergence."""
+    valid point whose link probabilities draw a valid network, or raises NonConvergence."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -465,9 +511,10 @@ class TestSolveThenDraw:
         assert eq.residual <= cfg.tol
         assert eq.residual == equilibrium_residual(eq, cov, support, ext, [hom])
         xhom, ext_arr = pair_covariates(cov, support) @ np.asarray([hom], float), np.asarray(ext, float)
-        assert np.array_equal(eq.index, _index(eq.probs, xhom, ext_arr))
+        assert np.array_equal(eq.link_probs, _step(eq.probs, xhom, ext_arr)[1])
+        assert np.all(np.diagonal(eq.link_probs) == 0)
         seed = data.draw(st.integers(0, 2**32 - 1))
-        net = draw_network(eq.index, seed)
+        net = draw_network(eq.link_probs, seed)
         assert set(np.unique(net.adj)) <= {0, 1} and np.all(np.diagonal(net.adj) == 0)
         public = simulate_true_network(eq, cov, support, ext, [hom], seed=seed)
         assert np.array_equal(public.adj, net.adj)

@@ -629,15 +629,15 @@ class TestRunSimulate:
 
     @pytest.mark.parametrize("x_mode", ["fixed", "fresh"])
     def test_true_network_is_the_public_draw(self, tmp_path, x_mode):
-        # the solver's index drawn with the shock stream equals the public path
+        # the solver's link probabilities drawn with child 1's uniforms equal the public path
         cfg = parse_config_text(BASE_CONFIG.replace("x_mode = fixed", f"x_mode = {x_mode}"))
         paths = run_simulate(cfg, tmp_path)
         covariates = netio.read_covariates(paths["covariates"], cfg.support.n_points)
         th = cfg.theta
         args = (covariates, cfg.support, th.externality, th.homophily)
         beliefs = solve_equilibrium(*args, cfg.solver)
-        shocks = replication_seed(cfg.seed, 0).spawn(3)[1]
-        expected = simulate_true_network(beliefs, *args, seed=shocks)
+        links = replication_seed(cfg.seed, 0).spawn(3)[1]
+        expected = simulate_true_network(beliefs, *args, seed=links)
         assert np.array_equal(netio.read_network(paths["true_network"]).adj, expected.adj)
 
     def test_loadable_as_dataset(self, tmp_path):
@@ -667,21 +667,21 @@ class TestMcCoverage:
     GOLDEN = {
         "fixed": (
             [
-                14.863084470455746,
-                2.149104497604525,
-                1.6023005396822643,
-                1.5528760067147518,
-                0.52534268654305405,
+                0.3350858311649723,
+                3.227555595626366,
+                0.07255122425600956,
+                4.118114197209114,
+                0.04332318295933696,
             ],
             [3.746325472064882e-11] * 5,  # one design, solved once
         ),
         "fresh": (
             [
-                5.5504636679878265,
-                0.319229990731985,
-                0.5595215361374484,
-                0.1429574655886358,
-                1.3929351622095012,
+                2.0152328626244156,
+                7.300036844264793,
+                0.05076435805679922,
+                4.849438490177837,
+                0.6987112056063569,
             ],
             [
                 9.064393680091598e-11,
