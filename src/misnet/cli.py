@@ -74,14 +74,15 @@ def _cmd_mc_coverage(config, args) -> None:
 
 
 def _cmd_sp_set(config, args) -> None:
-    results = semiparametric.identified_set(_load(config, args), config.grid)
+    points, names = config.grid.points, config.grid.coordinate_names()
+    member, violations = semiparametric.membership_columns(_load(config, args), points)
     out = Path(args.out)
     table = out / "sp_grid.csv"
-    semiparametric.write_membership_csv(results, config.grid.coordinate_names(), table)
-    n_member = sum(1 for _, res in results if res.member)
-    summary = {"n_grid": len(results), "n_member": n_member}
+    semiparametric.write_membership_table(table, names, points, member, violations)
+    n_member = int(member.sum())
+    summary = {"n_grid": len(points), "n_member": n_member}
     netio.write_summary(out / "summary.json", summary)
-    print(f"{n_member} of {len(results)} grid points are members; wrote {table}")
+    print(f"{n_member} of {len(points)} grid points are members; wrote {table}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

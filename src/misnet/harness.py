@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .equilibrium import draw_network, solve_equilibrium
 from .estimation import Dataset, MomentEvaluator
 from .exceptions import ConfigError, FileFormatError, MisnetError, TooManyFailures
-from .inference import chi2_quantile, confidence_set, projection_intervals, write_grid_csv
+from .inference import REASON_DEGENERATE, chi2_quantile, coordinate_intervals, grid_verdicts, write_grid_table
 from .misclassification import apply_misclassification
 from .model import PairCovariates
 from . import netio
@@ -155,21 +155,26 @@ def load_dataset(data_dir) -> Dataset:
 
 
 def run_ci(data: Dataset, grid, alpha: float, out_dir) -> dict:
-    """Invert the test over the grid for a loaded dataset and write results."""
-    cs = confidence_set(data, grid, alpha)
+    """Invert the test over the grid for a loaded dataset and write results,
+    from the grid's points array: one batched statistic, then columns."""
+    dof = data.n_cells
+    critical = chi2_quantile(dof, 1.0 - alpha)
+    points, names = grid.points, grid.coordinate_names()
+    stats = MomentEvaluator(data).statistics(points)
+    accepted, reasons = grid_verdicts(stats, critical)
     out = Path(out_dir)
     grid_path = out / "ci_grid.csv"
-    write_grid_csv(cs, grid_path)
+    write_grid_table(grid_path, names, points, stats, accepted, reasons)
+    intervals = coordinate_intervals(points[accepted], names)
     summary = {
-        "alpha": cs.alpha,
-        "dof": cs.dof,
-        "critical_value": cs.critical_value,
-        "n_grid": len(cs.records),
-        "n_accepted": len(cs.accepted),
-        "n_degenerate": cs.n_degenerate,
+        "alpha": alpha,
+        "dof": dof,
+        "critical_value": critical,
+        "n_grid": len(points),
+        "n_accepted": int(accepted.sum()),
+        "n_degenerate": reasons.count(REASON_DEGENERATE),
     }
     projection_path = out / "projection.csv"
-    intervals = projection_intervals(cs) if cs.accepted else {}
     netio.write_table(
         projection_path, ["coordinate", "lower", "upper"],
         ([name, lo, hi] for name, (lo, hi) in intervals.items()),

@@ -13,6 +13,15 @@ Points where the variance estimate is degenerate are kept in the output with
 an explicit reason instead of being silently dropped: treating them as
 accepted would invalidate coverage, treating them as rejected would
 over-reject.
+
+``ci`` takes the array path, with no Python object per point:
+:func:`grid_verdicts` turns the statistics of ``points`` into accepted flags
+and reasons, :func:`write_grid_table` writes ``ci_grid.csv`` column by column,
+and :func:`coordinate_intervals` takes the projection from the accepted rows.
+The record form (:func:`confidence_set`, one ``GridRecord`` and one ``Theta``
+per point; :func:`projection_intervals` and :func:`write_grid_csv`) adapts
+the same three functions.  The benchmark in ``perfbench/`` still replays it
+point by point, so it stays until that replay reads arrays.
 """
 
 from dataclasses import dataclass
@@ -31,7 +40,10 @@ __all__ = [
     "GridRecord",
     "ConfidenceSet",
     "confidence_set",
+    "grid_verdicts",
+    "coordinate_intervals",
     "projection_intervals",
+    "write_grid_table",
     "write_grid_csv",
     "theta_coordinates",
     "REASON_ABOVE_CRITICAL",
@@ -128,8 +140,20 @@ class ConfidenceSet:
         return sum(1 for r in self.records if r.reason == REASON_DEGENERATE)
 
 
+def grid_verdicts(stats: np.ndarray, critical: float) -> tuple:
+    """The accepted flag (P,) and reason (a list of P str) of each statistic.
+
+    A point is accepted when its statistic is at or below ``critical``, and its
+    reason is then empty; a NaN statistic (degenerate variance) is rejected
+    with ``REASON_DEGENERATE``, any other with ``REASON_ABOVE_CRITICAL``.
+    """
+    accepted = stats <= critical  # False where the statistic is NaN
+    reasons = np.where(np.isnan(stats), REASON_DEGENERATE, REASON_ABOVE_CRITICAL)
+    return accepted, np.where(accepted, "", reasons).tolist()
+
+
 def confidence_set(data: Dataset, grid: ThetaGrid, alpha: float = 0.05) -> ConfidenceSet:
-    """Invert the test over the grid at level ``alpha``.
+    """Invert the test over the grid at level ``alpha``, one record per point.
 
     A point is accepted when its statistic is at or below the chi-square
     quantile with one degree of freedom per cell.  Degenerate-variance points
@@ -140,11 +164,17 @@ def confidence_set(data: Dataset, grid: ThetaGrid, alpha: float = 0.05) -> Confi
     dof = data.n_cells
     critical = chi2_quantile(dof, 1.0 - alpha)
     stats = MomentEvaluator(data).statistics(grid.points)
-    accepted = stats <= critical  # False where the statistic is NaN
-    reasons = np.where(np.isnan(stats), REASON_DEGENERATE, REASON_ABOVE_CRITICAL)
-    reasons = np.where(accepted, "", reasons).tolist()
+    accepted, reasons = grid_verdicts(stats, critical)
     records = list(map(GridRecord, grid, stats.tolist(), accepted.tolist(), reasons))
     return ConfidenceSet(records, alpha, critical, dof, grid.coordinate_names())
+
+
+def coordinate_intervals(points: np.ndarray, names: list) -> dict:
+    """Coordinatewise [min, max] of the rows of ``points`` (P, 5 + d), keyed by
+    ``names``; empty for no rows."""
+    if not len(points):
+        return {}
+    return {name: (float(points[:, k].min()), float(points[:, k].max())) for k, name in enumerate(names)}
 
 
 def projection_intervals(cs: ConfidenceSet) -> dict:
@@ -154,17 +184,19 @@ def projection_intervals(cs: ConfidenceSet) -> dict:
     accepted = [theta_coordinates(theta) for theta, _ in cs.accepted]
     if not accepted:
         raise EmptySet(f"no parameter point accepted at level {cs.alpha}")
-    coords = np.array(accepted)
-    return {
-        name: (float(coords[:, k].min()), float(coords[:, k].max()))
-        for k, name in enumerate(cs.coordinate_names)
-    }
+    return coordinate_intervals(np.array(accepted), cs.coordinate_names)
+
+
+def write_grid_table(path, names: list, points: np.ndarray, stats, accepted, reasons) -> None:
+    """``ci_grid.csv``: the coordinates of each row of ``points`` under ``names``,
+    then its statistic, accepted flag and reason, written column by column."""
+    header = [*names, "statistic", "accepted", "reason"]
+    netio.write_columns(path, header, [*points.T, stats, accepted, reasons])
 
 
 def write_grid_csv(cs: ConfidenceSet, path) -> None:
-    """Per-point statistics as CSV: coordinates, statistic, accepted, reason."""
+    """:func:`write_grid_table` for a record-form ``ConfidenceSet``."""
     records = cs.records
-    coords = np.array([theta_coordinates(r.theta) for r in records]).T
+    points = np.array([theta_coordinates(r.theta) for r in records])
     stats, accepted = np.array([r.statistic for r in records]), np.array([r.accepted for r in records])
-    header = [*cs.coordinate_names, "statistic", "accepted", "reason"]
-    netio.write_columns(path, header, [*coords, stats, accepted, [r.reason for r in records]])
+    write_grid_table(path, cs.coordinate_names, points, stats, accepted, [r.reason for r in records])

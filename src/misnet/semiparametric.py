@@ -11,6 +11,15 @@ means are violations.
 
 This is a population-logic checker: sample cell means are plugged in without
 sampling uncertainty.
+
+``sp-set`` takes the array path: :func:`membership_columns` goes from a grid's
+points array to the member flags and violation text, and
+:func:`write_membership_table` writes them to ``sp_grid.csv``, with no Python
+object per point.  The record form (:func:`identified_set`, one ``Theta`` and
+one ``MembershipResult`` per point; :func:`membership`, :func:`cell_summary`
+and :func:`write_membership_csv`) adapts the same verdict pass and writer.
+The benchmark in ``perfbench/`` still replays it point by point, so it stays
+until that replay reads arrays.
 """
 
 from dataclasses import dataclass
@@ -28,6 +37,8 @@ __all__ = [
     "MembershipResult",
     "membership",
     "identified_set",
+    "membership_columns",
+    "write_membership_table",
     "write_membership_csv",
 ]
 
@@ -50,6 +61,10 @@ class CellSummary:
         object.__setattr__(self, "indices", indices)
 
 
+def _cell_means(evaluator: MomentEvaluator) -> np.ndarray:
+    return evaluator.cells.link_sums / evaluator.cells.counts
+
+
 def cell_summary(data: Dataset, theta: Theta, cells: CellEstimates | None = None) -> CellSummary:
     """Sample cell link means plus the corrected index under ``theta``.
 
@@ -58,8 +73,7 @@ def cell_summary(data: Dataset, theta: Theta, cells: CellEstimates | None = None
     order n; only the index depends on ``theta``.
     """
     evaluator = MomentEvaluator(data, cells)
-    means = evaluator.cells.link_sums / evaluator.cells.counts
-    return CellSummary(means, evaluator.indices([theta_coordinates(theta)])[0])
+    return CellSummary(_cell_means(evaluator), evaluator.indices([theta_coordinates(theta)])[0])
 
 
 @dataclass(frozen=True)
@@ -77,49 +91,73 @@ class MembershipResult:
     violations: list
 
 
-def _verdicts(means: np.ndarray, indices: np.ndarray, rates: np.ndarray) -> list:
-    """One ``MembershipResult`` per row of rates (fp, fn) (P, 2) and corrected
-    index (P, J), against the cell means (J,).  ``Violation`` text is made only
-    for the failed entries of the bound mask (P, J, 2) and the rank mask
-    (P, J, J), in row-major order: cell by cell, fp before fn, then the rank
-    pairs (a, b) where cell a has the larger mean but not the larger index."""
+def _violations(means: np.ndarray, indices: np.ndarray, rates: np.ndarray) -> list:
+    """The failed conditions of each row of rates (fp, fn) (P, 2) and corrected
+    index (P, J), against the cell means (J,), as (condition, cells, detail)
+    triples; a member's list is empty.  Text is made only for the failed
+    entries of the bound mask (P, J, 2) and the rank mask (P, J, J), in
+    row-major order: cell by cell, fp before fn, then the rank pairs (a, b)
+    where cell a has the larger mean but not the larger index."""
     over = np.stack([rates[:, :1] > means, rates[:, 1:] > 1.0 - means], axis=-1)
     unranked = (means[:, None] > means) & ~(indices[:, :, None] > indices[:, None, :])
     r, m, u = rates.tolist(), means.tolist(), indices.tolist()
     found = [[] for _ in r]
     for p, j, fn in np.argwhere(over).tolist():
         found[p].append(
-            Violation("fn_bound", (j,), f"fn_rate {r[p][1]:g} > 1 - mean {1 - m[j]:g}") if fn
-            else Violation("fp_bound", (j,), f"fp_rate {r[p][0]:g} > mean {m[j]:g}")
+            ("fn_bound", (j,), f"fn_rate {r[p][1]:g} > 1 - mean {1 - m[j]:g}") if fn
+            else ("fp_bound", (j,), f"fp_rate {r[p][0]:g} > mean {m[j]:g}")
         )
     for p, a, b in np.argwhere(unranked).tolist():
-        found[p].append(Violation(
+        found[p].append((
             "rank", (a, b),
             f"mean[{a}] {m[a]:g} > mean[{b}] {m[b]:g} but index[{a}] {u[p][a]:g} <= index[{b}] {u[p][b]:g}",
         ))
-    return [MembershipResult(member=not violations, violations=violations) for violations in found]
+    return found
+
+
+def _grid_violations(data: Dataset, points: np.ndarray) -> list:
+    """:func:`_violations` of every row of ``points``, from one batched index."""
+    evaluator = MomentEvaluator(data)
+    return _violations(_cell_means(evaluator), evaluator.indices(points), points[:, -2:])
+
+
+def _result(found: list) -> MembershipResult:
+    return MembershipResult(member=not found, violations=[Violation(*v) for v in found])
+
+
+def _text(found) -> str:
+    """The ``violations`` field of one row: its failed conditions, ``; ``-joined."""
+    return "; ".join(f"{condition}{cells}: {detail}" for condition, cells, detail in found)
+
+
+def membership_columns(data: Dataset, points: np.ndarray) -> tuple:
+    """The member flag (P,) and the violation text (a list of P str) of each
+    row of ``points`` (P, 5 + d)."""
+    found = _grid_violations(data, points)
+    return np.array([not f for f in found]), list(map(_text, found))
 
 
 def membership(summary: CellSummary, theta: Theta) -> MembershipResult:
     """Check the two bound conditions and the monotone-index rank condition:
     the one-row case of :func:`identified_set`'s verdict pass."""
     rates = np.array([[theta.fp_rate, theta.fn_rate]])
-    return _verdicts(summary.means, summary.indices[None], rates)[0]
+    return _result(_violations(summary.means, summary.indices[None], rates)[0])
 
 
 def identified_set(data: Dataset, grid: ThetaGrid) -> list:
     """Membership verdicts over the grid from one batched index: [(theta, MembershipResult)]."""
-    evaluator = MomentEvaluator(data)
-    means = evaluator.cells.link_sums / evaluator.cells.counts
-    verdicts = _verdicts(means, evaluator.indices(grid.points), grid.points[:, -2:])
-    return list(zip(grid, verdicts))
+    return list(zip(grid, map(_result, _grid_violations(data, grid.points))))
+
+
+def write_membership_table(path, names: list, points: np.ndarray, member, violations) -> None:
+    """``sp_grid.csv``: the coordinates of each row of ``points`` under
+    ``names``, then its member flag and violation text, column by column."""
+    netio.write_columns(path, [*names, "member", "violations"], [*points.T, member, violations])
 
 
 def write_membership_csv(results: list, names: list, path) -> None:
-    """Verdicts and violation diagnostics as CSV."""
-    coords = np.array([theta_coordinates(theta) for theta, _ in results]).T
+    """:func:`write_membership_table` for record-form verdicts."""
+    points = np.array([theta_coordinates(theta) for theta, _ in results])
     member = np.array([res.member for _, res in results])
-    details = [
-        "; ".join(f"{v.condition}{v.cells}: {v.detail}" for v in res.violations) for _, res in results
-    ]
-    netio.write_columns(path, [*names, "member", "violations"], [*coords, member, details])
+    text = [_text((v.condition, v.cells, v.detail) for v in res.violations) for _, res in results]
+    write_membership_table(path, names, points, member, text)

@@ -17,13 +17,15 @@ correction is checked, and a writer for edge-list network files, which only
 the reader's tests need.  The per-agent table is also kept here in its
 float64 form, one n^3 product per cell with every cell masked, so that the
 package's float32 table, which takes the last cell from the agent totals, can
-be checked against it bit for bit.  The grid writers and the membership check
-are kept here in their row-wise form, one formatted row and one Python loop
-per grid point, against which the column writers and the batched verdict
-pass are checked byte for byte.
+be checked against it bit for bit.  The grid commands' outputs and the
+membership check are kept here in their row-wise form, one ``Theta``, one
+statistic, one Python loop and one formatted row per grid point, against
+which the array path from the grid's points to its columns is checked byte
+for byte.
 """
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +34,8 @@ import numpy as np
 
 from misnet.equilibrium import BeliefMatrix, SolverConfig, best_response
 from misnet.estimation import CellEstimates, Dataset, MomentEvaluator
-from misnet.exceptions import EmptyCell, NonConvergence
+from misnet.exceptions import DegenerateVariance, EmptyCell, NonConvergence
+from misnet.inference import REASON_ABOVE_CRITICAL, REASON_DEGENERATE, chi2_quantile
 from misnet.model import CovariateSupport, Network, PairCovariates, Theta, theta_coordinates
 from misnet.normal import norm_cdf, norm_pdf
 from misnet.semiparametric import CellSummary, MembershipResult, Violation
@@ -616,17 +619,50 @@ def reference_write_table(path, header, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows([header, *([field(v) for v in row] for row in rows)])
 
 
-def reference_write_grid_csv(cs, path) -> None:
-    """``ci_grid.csv`` as one formatted row per grid record."""
-    header = [*cs.coordinate_names, "statistic", "accepted", "reason"]
-    rows = ([*theta_coordinates(r.theta), r.statistic, r.accepted, r.reason] for r in cs.records)
-    reference_write_table(path, header, rows)
+def _reference_summary(path, payload: dict) -> None:
+    """A command's ``summary.json``, indented; every value here is finite."""
+    Path(path).write_text(json.dumps(payload, indent=2))
 
 
-def reference_write_membership_csv(results: list, names: list, path) -> None:
-    """``sp_grid.csv`` as one formatted row per verdict."""
+def reference_ci(data: Dataset, grid, alpha: float, out) -> None:
+    """``ci``'s three files from one ``Theta`` and one
+    ``MomentEvaluator.statistic`` per grid point, written row by row; the
+    critical value is the package's chi-square quantile."""
+    evaluator = MomentEvaluator(data)
+    critical = chi2_quantile(data.n_cells, 1.0 - alpha)
+    names = grid.coordinate_names()
+    rows, accepted, degenerate = [], [], 0
+    for theta in grid:
+        coords = theta_coordinates(theta)
+        try:
+            stat = evaluator.statistic(theta)
+        except DegenerateVariance:
+            rows.append([*coords, math.nan, False, REASON_DEGENERATE])
+            degenerate += 1
+            continue
+        rows.append([*coords, stat, stat <= critical, "" if stat <= critical else REASON_ABOVE_CRITICAL])
+        if stat <= critical:
+            accepted.append(coords)
+    out = Path(out)
+    reference_write_table(out / "ci_grid.csv", [*names, "statistic", "accepted", "reason"], rows)
+    intervals = {}
+    if accepted:
+        coords = np.array(accepted)
+        intervals = {name: [float(coords[:, k].min()), float(coords[:, k].max())] for k, name in enumerate(names)}
+    reference_write_table(
+        out / "projection.csv", ["coordinate", "lower", "upper"], ([k, *v] for k, v in intervals.items())
+    )
+    summary = {"alpha": alpha, "dof": data.n_cells, "critical_value": critical, "n_grid": len(rows),
+               "n_accepted": len(accepted), "n_degenerate": degenerate, "projection": intervals}
+    _reference_summary(out / "summary.json", summary)
+
+
+def reference_sp_set(data: Dataset, grid, out) -> None:
+    """``sp-set``'s two files from :func:`reference_identified_set`, written row by row."""
     rows = []
-    for theta, res in results:
+    for theta, res in reference_identified_set(data, grid):
         detail = "; ".join(f"{v.condition}{v.cells}: {v.detail}" for v in res.violations)
         rows.append([*theta_coordinates(theta), res.member, detail])
-    reference_write_table(path, [*names, "member", "violations"], rows)
+    out = Path(out)
+    reference_write_table(out / "sp_grid.csv", [*grid.coordinate_names(), "member", "violations"], rows)
+    _reference_summary(out / "summary.json", {"n_grid": len(rows), "n_member": sum(row[-2] for row in rows)})
