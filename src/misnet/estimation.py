@@ -117,7 +117,8 @@ def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
     """Per agent k and cell j: k's links over its pairs (k, i) in the cell, then
     k's four statistic influences, shape (n, J, 5).  The first influence is k's
     links G_ki over the cell's pairs (i, k), scaled by n over the cell count: it
-    reads the label of the reverse pair (i, k), hence the transposed mask.  The
+    reads the label of the reverse pair (i, k), so it is k's diagonal
+    entry of ``g @ cell``, the product the fourth column also takes.  The
     other three are cell averages of k's terms in the inner sums.  Each row
     depends only on that agent's links.
 
@@ -146,11 +147,13 @@ def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
         for start in range(0, n, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             g, out = adj[rows].astype(np.float32), raw[rows, j]
+            g_cell = g @ cell
             out[:, 0] = np.einsum("ij,ij->i", g, cell[rows])  # G_ki over pairs (k, i)
-            out[:, 1] = np.einsum("ij,ji->i", g, cell[:, rows])  # G_ki over pairs (i, k)
+            out[:, 1] = np.diagonal(g_cell, offset=start)  # G_ki over pairs (i, k)
             out[:, 2] = np.einsum("ij,j->i", g, col_count, dtype=np.float64)
-            out[:, 3] = np.einsum("ij,ij->i", g @ cell, g, dtype=np.float64)
+            out[:, 3] = np.einsum("ij,ij->i", g_cell, g, dtype=np.float64)
             out[:, 4] = np.einsum("ij,j->i", g, pair_count, dtype=np.float64)
+            del g_cell  # the next block's product is not allocated beside this one
         del cell  # the next cell's mask is not allocated beside this one
     totals = np.outer(degree, [1, 1, n - 1, 0, 2 * (n - 1)])
     totals[:, 3] = degree * (degree - 1)

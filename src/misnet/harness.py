@@ -49,8 +49,18 @@ def replication_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 
 
 def draw_pair_covariates(n: int, probs: np.ndarray, rng: np.random.Generator) -> PairCovariates:
-    """i.i.d. cell assignment over the support; diagonal drawn but unused."""
-    return PairCovariates(rng.choice(probs.size, size=(n, n), p=probs))
+    """i.i.d. cell assignment over the support; diagonal drawn but unused.
+
+    Each label counts the thresholds of the normalized cdf at or below one
+    uniform, in the labels' one-byte dtype: the stream use and the labels of
+    ``rng.choice(probs.size, size=(n, n), p=probs)``, without its int64 array."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    u = rng.random((n, n))
+    labels = np.zeros((n, n), dtype=np.min_scalar_type(probs.size - 1))
+    for threshold in cdf[:-1]:  # no uniform reaches the last, 1.0
+        labels += u >= threshold
+    return PairCovariates(labels)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ CSV files; the CSV writer makes the directory it writes into.
 
 import codecs
 import csv
+import io
 import json
 import math
 import warnings
@@ -56,11 +57,14 @@ def _field(value):
 
 
 def _write_rows(path, rows) -> None:
-    """The one CSV writer: one line per row of formatted fields, into a
-    directory it makes when it is missing."""
+    """The one CSV writer: one line per row of formatted fields, formatted in
+    memory and written with one call, into a directory it makes when it is
+    missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        fh.write(text.getvalue())
 
 
 def _column(values) -> list:

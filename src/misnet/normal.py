@@ -13,9 +13,10 @@ from scipy.special import ndtr
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def norm_cdf(x):
-    """Standard normal cdf, elementwise on arrays."""
-    return ndtr(x)
+def norm_cdf(x, out=None):
+    """Standard normal cdf, elementwise on arrays; into ``out`` when given
+    (``x`` itself for an in-place update)."""
+    return ndtr(x, out=out)
 
 
 def norm_pdf(x):

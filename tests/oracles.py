@@ -473,8 +473,10 @@ def reference_solve(
     config: SolverConfig = SolverConfig(),
 ) -> BeliefMatrix:
     """Damped fixed-point iteration that calls ``best_response`` and builds a
-    validated ``BeliefMatrix`` at every step; the package's solver must
-    return the same point bit for bit."""
+    validated ``BeliefMatrix`` at every step: the package's solver must
+    return the same point bit for bit where the contraction certificate
+    L >= 1, and within (r + r') / (1 - L) of it, for the two residuals r and
+    r', where L < 1."""
     p = norm_cdf(pair_covariates(covariates, support) @ np.asarray(homophily, float))
     np.fill_diagonal(p, 0.0)
     residual = np.inf

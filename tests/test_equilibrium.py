@@ -22,6 +22,7 @@ from misnet.equilibrium import (
     _index,
     _step,
     best_response,
+    contraction_bound,
     draw_network,
     equilibrium_residual,
     simulate_true_network,
@@ -195,11 +196,22 @@ class TestSolver:
             solve_equilibrium(cov, self.support, [-50.0, 0.0, 0.0], [0.0], cfg)
 
 
+def certified_distance(eq, other, *args) -> float:
+    """The bound on the sup-norm distance between two points with residuals at
+    most r and r' under :func:`contraction_bound` L < 1: both lie within
+    r / (1 - L) and r' / (1 - L) of the unique equilibrium.  ``args`` are the
+    design and weights; the slack covers rounding in the two residuals."""
+    L = contraction_bound(args[2])
+    assert L < 1
+    return (eq.residual + equilibrium_residual(other, *args)) / (1.0 - L) + 1e-15
+
+
 class TestLoopMatchesReference:
-    """The plain-array loop returns the same point as the loop that calls the
-    public best response and validates a BeliefMatrix at every step, with the
-    index and residual of the step that accepted it; links drawn from that
-    index are the public simulation's."""
+    """The solver returns the point of the loop that calls the public best
+    response and validates a BeliefMatrix at every step, to within the
+    contraction certificate (the benchmark theta has L = .499), with the link
+    probabilities and residual of the step that accepted it; links drawn from
+    those probabilities are the public simulation's."""
 
     SUPPORTS = {
         "scalar": (scalar_support(-0.5, 0.5), [0.8]),
@@ -217,7 +229,8 @@ class TestLoopMatchesReference:
         eq = solve_equilibrium(cov, support, ext, hom, cfg)
         expected = reference_solve(cov, support, ext, hom, cfg)
         assert isinstance(eq, BeliefMatrix)
-        assert np.array_equal(eq.probs, expected.probs)
+        distance = np.abs(eq.probs - expected.probs).max()
+        assert distance <= certified_distance(eq, expected, cov, support, ext, hom)
         assert eq.residual == equilibrium_residual(eq, cov, support, ext, hom)
         assert eq.residual <= cfg.tol
         xhom, ext_arr = pair_covariates(cov, support) @ np.asarray(hom, float), np.asarray(ext, float)
@@ -243,11 +256,130 @@ class TestLoopMatchesReference:
         assert lean.value.iterations == reference.value.iterations == cfg.max_iter
 
 
+def certified_theta(rng, d):
+    """Externality weights with a random certificate L in (.05, .95), and d homophily weights."""
+    ext = rng.uniform(-1.0, 1.0, 3)
+    ext *= rng.uniform(0.05, 0.95) / contraction_bound(ext)
+    return ext, rng.standard_normal(d)
+
+
+def count_steps(monkeypatch) -> dict:
+    """The solver's steps from here on, counted by the dtype they run in."""
+    counts = {}
+
+    def counted(p, *args):
+        counts[p.dtype.name] = counts.get(p.dtype.name, 0) + 1
+        return _step(p, *args)
+
+    monkeypatch.setattr(equilibrium, "_step", counted)
+    return counts
+
+
+class TestContractionBound:
+    """L = phi(0) (|w_recip| + |w_indeg| + 2 |w_common|) bounds the sup-norm
+    of the belief map's Jacobian on beliefs in [0, 1]."""
+
+    def test_benchmark_theta(self):
+        assert contraction_bound(default_theta().externality) == pytest.approx(0.4987, abs=1e-4)
+        assert math.isnan(contraction_bound([np.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_bounds_the_finite_difference_jacobian(self, rng, n):
+        off = ~np.eye(n, dtype=bool)
+        h = 1e-6
+        for _ in range(20):
+            ext = rng.uniform(-3.0, 3.0, 3)
+            p = np.where(off, rng.uniform(0.05, 0.95, (n, n)), 0.0)
+            xhom = rng.standard_normal((n, n)) * rng.uniform(0.0, 1.0)
+            columns = []
+            for k, l in zip(*np.nonzero(off)):
+                step = np.zeros((n, n))
+                step[k, l] = h
+                columns.append((_step(p + step, xhom, ext)[1] - _step(p - step, xhom, ext)[1])[off] / (2 * h))
+            norm = np.abs(np.stack(columns, axis=1)).sum(axis=1).max()
+            assert norm <= contraction_bound(ext) * (1 + 1e-6), ext
+
+    def test_reached_by_reciprocity_alone_at_a_zero_index(self):
+        """At ext = (w, 0, 0), zero beliefs and zero x'hom every index is 0,
+        and each entry of the map moves with one belief at slope phi(0) |w|."""
+        n, ext, h = 4, np.array([-1.7, 0.0, 0.0]), 1e-7
+        off = ~np.eye(n, dtype=bool)
+        step = np.where(off, h, 0.0)
+        slope = (_step(step, np.zeros((n, n)), ext)[1] - _step(-step, np.zeros((n, n)), ext)[1])[off] / (2 * h)
+        assert np.abs(slope).max() == pytest.approx(contraction_bound(ext), rel=1e-6)
+
+
+class TestAcceleratedSolve:
+    """Where L < 1 the solver's point lies within the certificate of the plain
+    oracle's, and its link probabilities and residual are those of the public
+    step at that point; where L >= 1, or L or x'hom is NaN, the plain damped
+    iteration runs, bit for bit the oracle's, with no float32 step."""
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 200])
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_within_the_certificate_of_the_plain_oracle(self, rng, d, J, damping, n):
+        support = CovariateSupport(np.unique(rng.standard_normal((J, d)), axis=0))
+        ext, hom = certified_theta(rng, d)
+        cov = PairCovariates(rng.integers(0, J, size=(n, n)))
+        cfg = SolverConfig(damping=damping)
+        eq = solve_equilibrium(cov, support, ext, hom, cfg)
+        expected = reference_solve(cov, support, ext, hom, cfg)
+        assert 0 <= eq.residual <= cfg.tol
+        assert np.abs(eq.probs - expected.probs).max() <= certified_distance(eq, expected, cov, support, ext, hom)
+        assert eq.residual == equilibrium_residual(eq, cov, support, ext, hom)
+        assert np.array_equal(eq.link_probs, best_response(eq, cov, support, ext, hom).probs)
+
+    @pytest.mark.parametrize(
+        "ext, damping",
+        [([-4.0, 0.0, 0.0], 0.5), ([-2.0, 0.5, -0.5], 0.5), ([2.0, 0.5, 0.3], 1.0), ([0.0, 3.0, 0.0], 1.0)],
+    )
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_plain_iteration_where_the_certificate_fails(self, monkeypatch, rng, ext, damping, n):
+        assert contraction_bound(ext) >= 1
+        support = scalar_support(-0.5, 0.5)
+        cov = random_assignment(rng, n, 2)
+        cfg = SolverConfig(damping=damping)
+        counts = count_steps(monkeypatch)
+        eq = solve_equilibrium(cov, support, ext, [0.8], cfg)
+        assert set(counts) == {"float64"}
+        expected = reference_solve(cov, support, ext, [0.8], cfg)
+        assert np.array_equal(eq.probs, expected.probs)
+        assert eq.residual == equilibrium_residual(expected, cov, support, ext, [0.8])
+        assert np.array_equal(eq.link_probs, best_response(expected, cov, support, ext, [0.8]).probs)
+
+    @pytest.mark.parametrize("ext, hom", [([np.nan, 0.0, 0.0], [0.8]), ([0.5, 0.25, 0.25], [np.nan])])
+    def test_nan_weight_runs_the_plain_loop(self, monkeypatch, rng, ext, hom):
+        counts = count_steps(monkeypatch)
+        cov, support = random_assignment(rng, 6, 2), scalar_support(-0.5, 0.5)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_equilibrium(cov, support, ext, hom, SolverConfig(max_iter=4))
+        assert counts == {"float64": 4} and math.isnan(excinfo.value.residual)
+
+    def test_few_float64_steps_at_the_benchmark_theta(self, monkeypatch, rng):
+        """22 plain float64 steps before acceleration; float32 steps first, then at most 10."""
+        theta = default_theta()
+        cov = random_assignment(rng, 200, 2)
+        counts = count_steps(monkeypatch)
+        eq = solve_equilibrium(cov, scalar_support(-0.5, 0.5), theta.externality, theta.homophily)
+        assert eq.residual <= SolverConfig().tol
+        assert counts["float32"] >= 1 and counts["float64"] <= 10, counts
+
+    def test_max_iter_bounds_each_phase(self, monkeypatch, rng):
+        theta = default_theta()
+        cov, support = random_assignment(rng, 30, 2), scalar_support(-0.5, 0.5)
+        counts = count_steps(monkeypatch)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_equilibrium(cov, support, theta.externality, theta.homophily, SolverConfig(max_iter=3))
+        assert counts == {"float32": 3, "float64": 3} and excinfo.value.iterations == 3
+
+
 class TestPerPointHomophily:
-    """The solver forms x'hom once per support point; its point, link
-    probabilities Phi(index) and residual, and its accepting step's index,
-    equal, bit for bit, those of the same iteration run on the per-pair x'hom
-    of the oracle and the estimator's x'hom at zero externality,
+    """The solver forms x'hom once per support point; its accepting step's
+    link probabilities Phi(index), residual and index equal, bit for bit,
+    those of the step run at its point on the per-pair x'hom of the oracle,
+    and on the estimator's x'hom at zero externality,
     and a cell index with no support point is refused with one ValueError by
     every solver entry and by ``Dataset``."""
 
@@ -266,6 +398,9 @@ class TestPerPointHomophily:
     @pytest.mark.parametrize("J", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_solve_equals_the_per_pair_solve(self, rng, d, J, n):
+        """The step at the solver's point, run on the per-pair x'hom, gives its
+        link probabilities and residual bit for bit; the plain iteration on the
+        per-pair x'hom reaches the same point to within the certificate."""
         ext = default_theta().externality
         for _ in range(5):  # a last-bit difference shows on some draws only
             points = rng.standard_normal((J, d)) * 10.0 ** rng.uniform(-2, 0, size=(J, d))
@@ -274,12 +409,13 @@ class TestPerPointHomophily:
             cov = PairCovariates(rng.integers(0, J, size=(n, n)))
             eq = solve_equilibrium(cov, support, ext, hom)
             xhom = pair_covariates(cov, support) @ hom
-            probs, index, residual = self._per_pair_solve(xhom, ext, SolverConfig())
-            link_probs = norm_cdf(index)
-            np.fill_diagonal(link_probs, 0.0)
-            assert np.array_equal(eq.probs, probs)
+            index, link_probs, residual = _step(eq.probs, xhom, ext)
             assert np.array_equal(eq.link_probs, link_probs)
+            assert np.array_equal(link_probs, np.where(np.eye(n, dtype=bool), 0.0, norm_cdf(index)))
             assert eq.residual == residual
+            probs, _, plain_residual = self._per_pair_solve(xhom, ext, SolverConfig())
+            bound = (residual + plain_residual) / (1.0 - contraction_bound(ext)) + 1e-15
+            assert np.abs(eq.probs - probs).max() <= bound
 
     @pytest.mark.parametrize("n", [2, 5, 40])
     @pytest.mark.parametrize("J", [1, 2, 3, 4])

@@ -184,6 +184,14 @@ class TestAgentTableBitExact:
             np.fill_diagonal(adj, 0)
             assert_bit_identical(labelled_dataset(adj, rng.integers(0, n_cells, (n, n)), n_cells))
 
+    @pytest.mark.parametrize("n_cells", [2, 3])
+    def test_across_row_blocks(self, rng, n_cells):
+        """Three blocks of ``ROW_BLOCK`` rows, the last a short one: the
+        reverse-pair column read off each block's product, at its offset."""
+        n = 2 * estimation.ROW_BLOCK + 37
+        adj = random_network(rng, n, 0.2).adj
+        assert_bit_identical(labelled_dataset(adj, rng.integers(0, n_cells, (n, n)), n_cells))
+
     def test_circulant_design(self, rng):
         """The fixed two-cell design of the ``mc_fixed`` benchmark."""
         n = 200

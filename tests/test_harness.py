@@ -535,6 +535,44 @@ class TestNetIO:
             write(path)
             assert path.is_file(), k
 
+    def test_one_write_per_table(self, tmp_path, rng, monkeypatch):
+        """Every CSV writer formats its table in memory and hands it to the
+        file in one ``write`` call (the bytes are pinned by the writers' other tests)."""
+        writes, real_open = [], io.open
+
+        class CountingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                writes.append(len(text))
+                return self.fh.write(text)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return CountingFile(fh) if "w" in mode and Path(file).parent == tmp_path else fh
+
+        rows = [[k, rng.random(), f"a,{k}", bool(k % 2)] for k in range(500)]
+        adj = (rng.random((30, 30)) < 0.4).astype(np.int8)
+        np.fill_diagonal(adj, 0)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        for write in [
+            lambda path: netio.write_table(path, ["i", "x", "s", "b"], rows),
+            lambda path: netio.write_columns(path, ["i", "x"], [np.arange(500), rng.random(500)]),
+            lambda path: netio.write_network_matrix(Network(adj), path),
+            lambda path: netio.write_covariates(PairCovariates(rng.integers(0, 3, (30, 30))), path),
+            lambda path: netio.write_support(CovariateSupport(np.array([[-0.5, 0.0], [0.5, 1.0]])), path),
+        ]:
+            writes.clear()
+            write(tmp_path / "table.csv")
+            assert writes == [(tmp_path / "table.csv").stat().st_size]
+
     def test_support_header_width_matches_points(self, tmp_path):
         path = tmp_path / "support.csv"
         for text in ["x1,x2\n-0.5\n0.5\n", "x1\n-0.5,0\n0.5,1\n"]:
@@ -586,6 +624,39 @@ class TestSeedScheme:
     def test_fixed_design_differs_from_replications(self):
         fixed = tuple(fixed_design_seed(9).generate_state(4))
         assert fixed != tuple(replication_seed(9, 0).generate_state(4))
+
+
+class TestDesignDraw:
+    """The design labels count the cdf thresholds at or below one uniform per
+    pair: ``rng.choice``'s labels and stream use, in one-byte labels."""
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[1.0], [0.5, 0.5], [0.2, 0.8], [0.3, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], [0.5, 0.0, 0.5], [0.0, 1.0]],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_equals_rng_choice(self, probs, n):
+        probs = np.array(probs)
+        for seed in range(50):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            labels = harness.draw_pair_covariates(n, probs, rng).assignment
+            expected = reference.choice(probs.size, size=(n, n), p=probs)
+            assert labels.dtype == np.uint8 and np.array_equal(labels, expected), seed
+            assert rng.random() == reference.random(), seed  # the same position in the stream
+        assert not np.any(labels == np.flatnonzero(probs == 0)[:, None, None])
+
+    def test_a_uniform_on_a_threshold_takes_the_next_cell(self):
+        """``rng.choice`` finds each uniform in the cdf with ``searchsorted(side="right")``."""
+        probs = np.array([0.25, 0.0, 0.5, 0.25])
+        cdf = np.cumsum(probs) / probs.sum()
+        u = np.array([[0.0, 0.25], [0.75, 0.5]])
+
+        class Uniforms:
+            def random(self, shape):
+                return u.reshape(shape)
+
+        labels = harness.draw_pair_covariates(2, probs, Uniforms()).assignment
+        assert labels.tolist() == cdf.searchsorted(u, side="right").tolist() == [[0, 2], [3, 2]]
 
 
 class TestRunSimulate:
@@ -663,7 +734,7 @@ class TestMcCoverage:
         assert r1.coverage == r2.coverage and r1.ks_distance == r2.ks_distance
 
     # statistics and equilibrium residuals of the configuration below, per
-    # x_mode, pinned to 17 significant digits
+    # x_mode, pinned to 17 significant digits; every residual is within tol
     GOLDEN = {
         "fixed": (
             [
@@ -673,7 +744,7 @@ class TestMcCoverage:
                 4.118114197209114,
                 0.04332318295933696,
             ],
-            [3.746325472064882e-11] * 5,  # one design, solved once
+            [6.679035102763464e-11] * 5,  # one design, solved once
         ),
         "fresh": (
             [
@@ -684,11 +755,11 @@ class TestMcCoverage:
                 0.6987112056063569,
             ],
             [
-                9.064393680091598e-11,
-                9.644451903767504e-11,
-                3.7944092312613975e-11,
-                3.55425688880473e-11,
-                3.505795653779842e-11,
+                5.3320348136765006e-11,
+                4.9881987429500896e-11,
+                6.844746991419015e-11,
+                5.1806559042688605e-11,
+                7.526745893216003e-11,
             ],
         ),
     }
@@ -703,11 +774,13 @@ class TestMcCoverage:
                 .replace("replications = 4", "replications = 5")
                 .replace("x_mode = fixed", f"x_mode = {x_mode}")
             )
-            report = run_mc_coverage(parse_config_text(text))
+            config = parse_config_text(text)
+            report = run_mc_coverage(config)
             assert report.n_failed == 0
             assert list(report_statistics(report)) == pytest.approx(statistics, rel=1e-12, abs=0)
             residual = [r.residual for r in report.records]
             assert residual == pytest.approx(residuals, rel=1e-12, abs=0)
+            assert max(residual) <= config.solver.tol
 
     def test_ks_distance_bit_equal_to_kstest(self):
         """The KS distance is ``kstest``'s against the chi-square cdf bit for bit,
