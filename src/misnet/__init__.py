@@ -23,7 +23,6 @@ from .exceptions import (
     ConfigError,
     DegenerateVariance,
     EmptyCell,
-    EmptySet,
     FileFormatError,
     InvalidRates,
     MisnetError,
@@ -31,11 +30,9 @@ from .exceptions import (
     TooManyFailures,
 )
 from .inference import (
-    ConfidenceSet,
     ThetaGrid,
     chi2_quantile,
     confidence_set,
-    projection_intervals,
 )
 from .misclassification import apply_misclassification, population_correction
 from .model import (
@@ -51,13 +48,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BeliefMatrix",
     "CellEstimates",
-    "ConfidenceSet",
     "ConfigError",
     "CovariateSupport",
     "Dataset",
     "DegenerateVariance",
     "EmptyCell",
-    "EmptySet",
     "FileFormatError",
     "InvalidRates",
     "MisnetError",
@@ -76,6 +71,5 @@ __all__ = [
     "draw_network",
     "identified_set",
     "population_correction",
-    "projection_intervals",
     "solve_equilibrium",
 ]

@@ -75,7 +75,7 @@ def _cmd_mc_coverage(config, args) -> None:
 
 def _cmd_sp_set(config, args) -> None:
     points, names = config.grid.points, config.grid.coordinate_names()
-    member, violations = semiparametric.membership_columns(_load(config, args), points)
+    member, violations = semiparametric.identified_set(_load(config, args), config.grid)
     out = Path(args.out)
     table = out / "sp_grid.csv"
     semiparametric.write_membership_table(table, names, points, member, violations)

@@ -246,7 +246,9 @@ def solve_equilibrium(
     :func:`draw_network` draws from, and its residual: both equal what
     :func:`simulate_true_network` and :func:`equilibrium_residual` compute
     from the point, bit for bit.  Raises :class:`NonConvergence` when the
-    float64 phase exhausts ``max_iter``; callers may retry with smaller damping.
+    float64 phase exhausts ``max_iter``: retry with a larger one.  A smaller
+    damping may help only where L >= 1; below it the map contracts at any
+    damping, and a smaller one only slows it.
     """
     xhom, ext = _arrays(covariates, support, externality, homophily)
     per_point = support.homophily_index(homophily)

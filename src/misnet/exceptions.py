@@ -10,14 +10,15 @@ class InvalidRates(MisnetError):
 
 
 class NonConvergence(MisnetError):
-    """Damped fixed-point iteration did not reach the residual tolerance."""
+    """Fixed-point iteration did not reach the residual tolerance within ``max_iter`` steps."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
             f"equilibrium iteration stopped after {iterations} iterations "
-            f"with residual {residual:.3e}; retry with smaller damping"
+            f"with residual {residual:.3e}; retry with a larger max_iter, "
+            "or, where contraction_bound >= 1, with smaller damping"
         )
 
 
@@ -31,10 +32,6 @@ class EmptyCell(MisnetError):
 
 class DegenerateVariance(MisnetError):
     """Variance matrix is (numerically) singular; the test statistic is undefined."""
-
-
-class EmptySet(MisnetError):
-    """No parameter point was accepted; projections are undefined."""
 
 
 class ConfigError(MisnetError):

@@ -23,10 +23,10 @@ from .config import ExperimentConfig
 from .equilibrium import draw_network, solve_equilibrium
 from .estimation import Dataset, MomentEvaluator
 from .exceptions import ConfigError, FileFormatError, MisnetError, TooManyFailures
-from .inference import REASON_DEGENERATE, chi2_quantile, coordinate_intervals, grid_verdicts, write_grid_table
+from .inference import REASON_DEGENERATE, chi2_quantile, coordinate_intervals, write_grid_table
 from .misclassification import apply_misclassification
 from .model import PairCovariates
-from . import netio
+from . import inference, netio
 
 __all__ = [
     "draw_pair_covariates",
@@ -165,20 +165,17 @@ def load_dataset(data_dir) -> Dataset:
 
 
 def run_ci(data: Dataset, grid, alpha: float, out_dir) -> dict:
-    """Invert the test over the grid for a loaded dataset and write results,
-    from the grid's points array: one batched statistic, then columns."""
-    dof = data.n_cells
-    critical = chi2_quantile(dof, 1.0 - alpha)
+    """Invert the test over the grid for a loaded dataset with
+    :func:`inference.confidence_set` and write its rows column by column."""
+    critical, stats, accepted, reasons = inference.confidence_set(data, grid, alpha)
     points, names = grid.points, grid.coordinate_names()
-    stats = MomentEvaluator(data).statistics(points)
-    accepted, reasons = grid_verdicts(stats, critical)
     out = Path(out_dir)
     grid_path = out / "ci_grid.csv"
     write_grid_table(grid_path, names, points, stats, accepted, reasons)
     intervals = coordinate_intervals(points[accepted], names)
     summary = {
         "alpha": alpha,
-        "dof": dof,
+        "dof": data.n_cells,
         "critical_value": critical,
         "n_grid": len(points),
         "n_accepted": int(accepted.sum()),

@@ -14,14 +14,15 @@ an explicit reason instead of being silently dropped: treating them as
 accepted would invalidate coverage, treating them as rejected would
 over-reject.
 
-``ci`` takes the array path, with no Python object per point:
-:func:`grid_verdicts` turns the statistics of ``points`` into accepted flags
-and reasons, :func:`write_grid_table` writes ``ci_grid.csv`` column by column,
-and :func:`coordinate_intervals` takes the projection from the accepted rows.
-The record form (:func:`confidence_set`, one ``GridRecord`` and one ``Theta``
-per point; :func:`projection_intervals` and :func:`write_grid_csv`) adapts
-the same three functions.  The benchmark in ``perfbench/`` still replays it
-point by point, so it stays until that replay reads arrays.
+:func:`confidence_set` is the one inversion pass, from ``points`` to the
+critical value and each row's statistic, accepted flag and reason, with no
+Python object per point; ``ci`` writes them with :func:`write_grid_table` and
+projects the accepted rows with :func:`coordinate_intervals`.
+
+Only the benchmark's point-by-point replay in ``perfbench/`` keeps the record
+form: ``GridRecord``, ``ConfidenceSet`` (``accepted``, ``n_degenerate``) and
+:func:`write_grid_csv` (``tracing.py:32-39``, ``worker.py:247-249``), and
+``ThetaGrid.__iter__`` (``worker.py:114``, ``tracing.py:237`` and ``:262``).
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from scipy.special import gammaincinv
 
 from . import netio
 from .estimation import Dataset, MomentEvaluator
-from .exceptions import EmptySet
 from .model import Theta, theta_coordinates
 
 __all__ = [
@@ -40,9 +40,7 @@ __all__ = [
     "GridRecord",
     "ConfidenceSet",
     "confidence_set",
-    "grid_verdicts",
     "coordinate_intervals",
-    "projection_intervals",
     "write_grid_table",
     "write_grid_csv",
     "theta_coordinates",
@@ -140,51 +138,32 @@ class ConfidenceSet:
         return sum(1 for r in self.records if r.reason == REASON_DEGENERATE)
 
 
-def grid_verdicts(stats: np.ndarray, critical: float) -> tuple:
-    """The accepted flag (P,) and reason (a list of P str) of each statistic.
+def confidence_set(data: Dataset, grid: ThetaGrid, alpha: float = 0.05) -> tuple:
+    """Invert the test over ``grid.points`` (P, 5 + d) at level ``alpha``: the
+    critical value, then the statistic (P,), accepted flag (P,) and reason (a
+    list of P str) of each row, from one batched statistic.
 
-    A point is accepted when its statistic is at or below ``critical``, and its
-    reason is then empty; a NaN statistic (degenerate variance) is rejected
-    with ``REASON_DEGENERATE``, any other with ``REASON_ABOVE_CRITICAL``.
-    """
-    accepted = stats <= critical  # False where the statistic is NaN
-    reasons = np.where(np.isnan(stats), REASON_DEGENERATE, REASON_ABOVE_CRITICAL)
-    return accepted, np.where(accepted, "", reasons).tolist()
-
-
-def confidence_set(data: Dataset, grid: ThetaGrid, alpha: float = 0.05) -> ConfidenceSet:
-    """Invert the test over the grid at level ``alpha``, one record per point.
-
-    A point is accepted when its statistic is at or below the chi-square
-    quantile with one degree of freedom per cell.  Degenerate-variance points
-    are recorded with reason ``degenerate_variance``.
+    The critical value is the chi-square quantile with one degree of freedom
+    per cell.  A point is accepted when its statistic is at or below it, and
+    its reason is then empty; a NaN statistic (degenerate variance) is
+    rejected with ``REASON_DEGENERATE``, any other with ``REASON_ABOVE_CRITICAL``.
     """
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    dof = data.n_cells
-    critical = chi2_quantile(dof, 1.0 - alpha)
+    critical = chi2_quantile(data.n_cells, 1.0 - alpha)
     stats = MomentEvaluator(data).statistics(grid.points)
-    accepted, reasons = grid_verdicts(stats, critical)
-    records = list(map(GridRecord, grid, stats.tolist(), accepted.tolist(), reasons))
-    return ConfidenceSet(records, alpha, critical, dof, grid.coordinate_names())
+    accepted = stats <= critical  # False where the statistic is NaN
+    reasons = np.where(np.isnan(stats), REASON_DEGENERATE, REASON_ABOVE_CRITICAL)
+    return critical, stats, accepted, np.where(accepted, "", reasons).tolist()
 
 
 def coordinate_intervals(points: np.ndarray, names: list) -> dict:
     """Coordinatewise [min, max] of the rows of ``points`` (P, 5 + d), keyed by
-    ``names``; empty for no rows."""
+    ``names``; empty for no rows.  Of the accepted rows, an inner approximation
+    of the set's projection, each end up to one grid step inside the true end."""
     if not len(points):
         return {}
     return {name: (float(points[:, k].min()), float(points[:, k].max())) for k, name in enumerate(names)}
-
-
-def projection_intervals(cs: ConfidenceSet) -> dict:
-    """Coordinatewise [min, max] of the accepted grid points: an inner approximation
-    of the set's projection, each end up to one grid step inside the true end, and
-    a set thinner than the grid can accept no point (``EmptySet``)."""
-    accepted = [theta_coordinates(theta) for theta, _ in cs.accepted]
-    if not accepted:
-        raise EmptySet(f"no parameter point accepted at level {cs.alpha}")
-    return coordinate_intervals(np.array(accepted), cs.coordinate_names)
 
 
 def write_grid_table(path, names: list, points: np.ndarray, stats, accepted, reasons) -> None:

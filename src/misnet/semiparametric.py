@@ -12,14 +12,15 @@ means are violations.
 This is a population-logic checker: sample cell means are plugged in without
 sampling uncertainty.
 
-``sp-set`` takes the array path: :func:`membership_columns` goes from a grid's
-points array to the member flags and violation text, and
-:func:`write_membership_table` writes them to ``sp_grid.csv``, with no Python
-object per point.  The record form (:func:`identified_set`, one ``Theta`` and
-one ``MembershipResult`` per point; :func:`membership`, :func:`cell_summary`
-and :func:`write_membership_csv`) adapts the same verdict pass and writer.
-The benchmark in ``perfbench/`` still replays it point by point, so it stays
-until that replay reads arrays.
+:func:`identified_set` is the one verdict pass over a grid, from its points
+array to each row's member flag and violation text, with no Python object per
+point; ``sp-set`` writes them with :func:`write_membership_table`.
+
+Only the benchmark in ``perfbench/``, which replays and spot-checks ``sp-set``
+point by point, keeps the record form: :func:`cell_summary` and
+``CellSummary``, :func:`membership` (the one-row verdict pass) with
+``MembershipResult`` and ``Violation``, and :func:`write_membership_csv`
+(``tracing.py:41`` and ``:264``, ``worker.py:33`` and ``:140``).
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ __all__ = [
     "MembershipResult",
     "membership",
     "identified_set",
-    "membership_columns",
     "write_membership_table",
     "write_membership_csv",
 ]
@@ -115,38 +115,26 @@ def _violations(means: np.ndarray, indices: np.ndarray, rates: np.ndarray) -> li
     return found
 
 
-def _grid_violations(data: Dataset, points: np.ndarray) -> list:
-    """:func:`_violations` of every row of ``points``, from one batched index."""
-    evaluator = MomentEvaluator(data)
-    return _violations(_cell_means(evaluator), evaluator.indices(points), points[:, -2:])
-
-
-def _result(found: list) -> MembershipResult:
-    return MembershipResult(member=not found, violations=[Violation(*v) for v in found])
-
-
 def _text(found) -> str:
     """The ``violations`` field of one row: its failed conditions, ``; ``-joined."""
     return "; ".join(f"{condition}{cells}: {detail}" for condition, cells, detail in found)
-
-
-def membership_columns(data: Dataset, points: np.ndarray) -> tuple:
-    """The member flag (P,) and the violation text (a list of P str) of each
-    row of ``points`` (P, 5 + d)."""
-    found = _grid_violations(data, points)
-    return np.array([not f for f in found]), list(map(_text, found))
 
 
 def membership(summary: CellSummary, theta: Theta) -> MembershipResult:
     """Check the two bound conditions and the monotone-index rank condition:
     the one-row case of :func:`identified_set`'s verdict pass."""
     rates = np.array([[theta.fp_rate, theta.fn_rate]])
-    return _result(_violations(summary.means, summary.indices[None], rates)[0])
+    found = _violations(summary.means, summary.indices[None], rates)[0]
+    return MembershipResult(member=not found, violations=[Violation(*v) for v in found])
 
 
-def identified_set(data: Dataset, grid: ThetaGrid) -> list:
-    """Membership verdicts over the grid from one batched index: [(theta, MembershipResult)]."""
-    return list(zip(grid, map(_result, _grid_violations(data, grid.points))))
+def identified_set(data: Dataset, grid: ThetaGrid) -> tuple:
+    """The member flag (P,) and the violation text (a list of P str) of each
+    row of ``grid.points`` (P, 5 + d), from one batched index."""
+    points = grid.points
+    evaluator = MomentEvaluator(data)
+    found = _violations(_cell_means(evaluator), evaluator.indices(points), points[:, -2:])
+    return np.array([not f for f in found]), list(map(_text, found))
 
 
 def write_membership_table(path, names: list, points: np.ndarray, member, violations) -> None:

@@ -29,6 +29,7 @@ from misnet.equilibrium import SolverConfig, equilibrium_residual, simulate_true
 from misnet.semiparametric import CellSummary, membership
 from misnet.estimation import moment, moment_variance, stat_influence_all
 from misnet.harness import run_mc_coverage
+from misnet.model import theta_coordinates
 from misnet.netio import write_covariates
 from misnet.normal import norm_cdf
 
@@ -357,8 +358,10 @@ def test_criterion_6_coverage(null_run):
         [0.0, config.theta.fp_rate, 0.15],
         [config.theta.fn_rate],
     ))
-    cs = confidence_set(data, grid, alpha=config.alpha)
-    in_set = any(theta == config.theta for theta, _ in cs.accepted)
+    _, _, accepted, _ = confidence_set(data, grid, alpha=config.alpha)
+    truth = (grid.points == theta_coordinates(config.theta)).all(axis=1)
+    assert truth.sum() == 1
+    in_set = bool(accepted[truth].any())
     assert in_set == report.records[0].accepted
 
 

@@ -190,7 +190,7 @@ def test_no_private_names_across_modules():
 _BENCHMARK_ONLY = {
     "best_response", "equilibrium_residual", "simulate_true_network", "moment",
     "moment_variance", "stat_influence_all", "cell_summary", "membership",
-    "write_grid_csv", "write_membership_csv",
+    "write_grid_csv", "write_membership_csv", "GridRecord", "ConfidenceSet",
 }
 
 

@@ -195,6 +195,19 @@ class TestSolver:
         with pytest.raises(NonConvergence):
             solve_equilibrium(cov, self.support, [-50.0, 0.0, 0.0], [0.0], cfg)
 
+    def test_nonconvergence_hint_names_max_iter_first(self, rng):
+        """Where contraction_bound L < 1 the map contracts at any damping and
+        only ``max_iter`` binds, so the message names it first and offers
+        damping only for L >= 1."""
+        cov = random_assignment(rng, 8, 2)
+        theta = default_theta()
+        assert contraction_bound(theta.externality) < 1
+        with pytest.raises(NonConvergence) as info:
+            solve_equilibrium(cov, self.support, theta.externality, theta.homophily, SolverConfig(max_iter=1))
+        message = str(info.value)
+        assert "retry with smaller damping" not in message
+        assert message.index("max_iter") < message.index("contraction_bound >= 1") < message.index("damping")
+
 
 def certified_distance(eq, other, *args) -> float:
     """The bound on the sup-norm distance between two points with residuals at

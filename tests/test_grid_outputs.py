@@ -12,11 +12,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from misnet import CovariateSupport, Dataset, Network, PairCovariates, Theta, harness, netio
+from misnet import (
+    CovariateSupport, Dataset, Network, PairCovariates, Theta, cell_estimates, harness, inference, netio,
+    semiparametric,
+)
 from misnet.cli import main
 from misnet.config import parse_config
 from misnet.inference import GridRecord, confidence_set
-from misnet.semiparametric import MembershipResult, Violation, identified_set
+from misnet.semiparametric import MembershipResult, Violation, cell_summary, membership
 
 from conftest import random_assignment, random_network, scalar_support, tournament_dataset
 from oracles import reference_ci, reference_sp_set, reference_write_table
@@ -121,6 +124,29 @@ def test_signed_zeros_keep_their_sign(tmp_path, rng):
         assert lines[4].startswith("0,")
 
 
+def test_commands_call_the_public_entry_points(tmp_path, monkeypatch, rng):
+    """``ci`` makes one call of ``inference.confidence_set`` and ``sp-set`` one
+    of ``semiparametric.identified_set``, each looked up on its module, where
+    an entry timer that patches the module attribute sees it."""
+    data = Dataset(random_network(rng, 14), random_assignment(rng, 14, 2), scalar_support(-0.5, 0.5))
+    cfg, data_dir = _inputs(tmp_path, data, "grid_recip = 0.3, 0.7\ngrid_fp = 0, 0.1\n", alpha=0.05)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(inference, "confidence_set"), (semiparametric, "identified_set")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for command, name in [("ci", "confidence_set"), ("sp-set", "identified_set")]:
+        calls.clear()
+        argv = [command, "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / command)]
+        assert main(argv) == 0
+        assert calls == {name: 1}, command
+
+
 PER_POINT = {"Theta": (Theta, "__post_init__"), "GridRecord": (GridRecord, "__init__"),
              "MembershipResult": (MembershipResult, "__init__"), "Violation": (Violation, "__init__")}
 
@@ -146,8 +172,9 @@ def test_no_object_per_grid_point(tmp_path, monkeypatch, rng, n_cells):
     """Over 1,088 grid points with all six axes varying, ``ci`` and ``sp-set``
     build no ``Theta`` beyond the ones parsing the config builds, and no
     ``GridRecord``, ``MembershipResult`` or ``Violation``, and they write the
-    oracle's bytes.  The record-form functions, run on the same grid, make
-    at least one of each per point, so the counters see construction."""
+    oracle's bytes.  The benchmark's record form, built on the same grid (a
+    ``GridRecord`` and ``membership(cell_summary(...))`` per point), makes at
+    least one of each per point, so the counters see construction."""
     data = Dataset(random_network(rng, 16, 0.55), random_assignment(rng, 16, n_cells), _support(n_cells, 1))
     grid = (
         "grid_recip = 0.3, 0.5, 0.7, 0.9\ngrid_indeg = 0.1, 0.25\ngrid_common = 0, 0.25\n"
@@ -168,8 +195,11 @@ def test_no_object_per_grid_point(tmp_path, monkeypatch, rng, n_cells):
     assert 0 < summary["ci"]["n_accepted"] < points and 0 < summary["sp-set"]["n_member"] < points
     counts.clear()
     loaded = harness.load_dataset(data_dir)
-    confidence_set(loaded, config.grid, config.alpha)
-    identified_set(loaded, config.grid)
+    cells = cell_estimates(loaded)
+    _, stats, accepted, reasons = confidence_set(loaded, config.grid, config.alpha)
+    for theta, *verdict in zip(config.grid, stats.tolist(), accepted.tolist(), reasons):
+        GridRecord(theta, *verdict)
+        membership(cell_summary(loaded, theta, cells), theta)
     assert min(counts.values()) >= points and counts.keys() == PER_POINT.keys()
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from misnet import (
     Dataset,
-    EmptySet,
     MomentEvaluator,
     Network,
     PairCovariates,
@@ -17,10 +16,9 @@ from misnet import (
     cell_estimates,
     chi2_quantile,
     confidence_set,
-    projection_intervals,
 )
 from misnet.estimation import quadratic_form
-from misnet.inference import REASON_DEGENERATE, theta_coordinates, write_grid_csv
+from misnet.inference import REASON_DEGENERATE, coordinate_intervals, theta_coordinates, write_grid_table
 
 from conftest import default_theta, random_dataset, scalar_support, singleton_grid
 from oracles import brute_moment, brute_variance, chi2_cdf, chi2_quantile_bisect
@@ -134,17 +132,16 @@ class TestConfidenceSet:
         data = random_dataset(rng, n=20, n_cells=2)
         theta = default_theta()
         grid = small_grid(theta, np.linspace(0, 0.3, 4), np.linspace(0, 0.3, 4))
-        cs = confidence_set(data, grid, alpha=0.05)
+        critical_value, stats, accepted, reasons = confidence_set(data, grid, alpha=0.05)
         critical = chi2_quantile(2, 0.95)
-        assert cs.critical_value == pytest.approx(critical)
+        assert critical_value == pytest.approx(critical)
         evaluator = MomentEvaluator(data)
-        for rec in cs.records:
-            if rec.reason == REASON_DEGENERATE:
-                assert math.isnan(rec.statistic) and not rec.accepted
+        for theta, stat, ok, reason in zip(grid, stats, accepted, reasons):
+            if reason == REASON_DEGENERATE:
+                assert math.isnan(stat) and not ok
             else:
-                stat = evaluator.statistic(rec.theta)
-                assert stat == pytest.approx(rec.statistic, abs=1e-12)
-                assert rec.accepted == (rec.statistic <= critical)
+                assert evaluator.statistic(theta) == pytest.approx(stat, abs=1e-12)
+                assert ok == (stat <= critical)
 
     def test_statistics_match_brute_force(self, rng):
         """Every grid statistic is the quadratic form of the loop-built moment
@@ -152,48 +149,44 @@ class TestConfidenceSet:
         data = random_dataset(rng, n=12, n_cells=2)
         theta = default_theta()
         grid = small_grid(theta, np.linspace(0, 0.3, 4), np.linspace(0, 0.2, 3))
-        cs = confidence_set(data, grid, alpha=0.05)
+        critical, stats, accepted, reasons = confidence_set(data, grid, alpha=0.05)
         cells = cell_estimates(data)
         args = (data.network.adj, data.covariates.assignment, data.support.points)
-        assert cs.n_degenerate == 0
-        for rec in cs.records:
-            m = brute_moment(*args, rec.theta, cells.stats, 2)
-            S = brute_variance(*args, rec.theta, cells.stats, 2)
+        assert REASON_DEGENERATE not in reasons
+        for theta, stat, ok in zip(grid, stats, accepted):
+            m = brute_moment(*args, theta, cells.stats, 2)
+            S = brute_variance(*args, theta, cells.stats, 2)
             want = quadratic_form(m, S, data.n)
-            assert rec.statistic == pytest.approx(want, rel=1e-12, abs=0)
-            assert rec.accepted == (want <= cs.critical_value)
-        assert 0 < len(cs.accepted) < len(cs.records)
+            assert stat == pytest.approx(want, rel=1e-12, abs=0)
+            assert ok == (want <= critical)
+        assert 0 < accepted.sum() < len(accepted)
 
     def test_alpha_monotonicity(self, rng):
         data = random_dataset(rng, n=18, n_cells=2)
         theta = default_theta()
         grid = small_grid(theta, np.linspace(0, 0.4, 5), np.linspace(0, 0.4, 5))
-        loose = confidence_set(data, grid, alpha=0.05)
-        tight = confidence_set(data, grid, alpha=0.5)
-        accepted_tight = {id_ for id_, _ in enumerate(tight.records) if tight.records[id_].accepted}
-        accepted_loose = {id_ for id_, _ in enumerate(loose.records) if loose.records[id_].accepted}
-        assert accepted_tight <= accepted_loose
+        _, _, loose, _ = confidence_set(data, grid, alpha=0.05)
+        _, _, tight, _ = confidence_set(data, grid, alpha=0.5)
+        assert not (tight & ~loose).any()
 
     def test_extreme_alpha_shrinks_set(self, rng):
         data = random_dataset(rng, n=16, n_cells=2)
         theta = default_theta()
         grid = small_grid(theta, np.linspace(0, 0.3, 4), [0.1])
-        near_one = confidence_set(data, grid, alpha=1 - 1e-12)
+        critical, stats, accepted, _ = confidence_set(data, grid, alpha=1 - 1e-12)
         # critical value collapses toward zero, only near-zero statistics stay
-        assert near_one.critical_value < 1e-5
-        for rec in near_one.records:
-            if rec.accepted:
-                assert rec.statistic <= near_one.critical_value
+        assert critical < 1e-5
+        assert (stats[accepted] <= critical).all()
 
     def test_grid_refinement_preserves_accepted_points(self, rng):
         data = random_dataset(rng, n=20, n_cells=2)
         theta = default_theta()
         coarse = small_grid(theta, np.linspace(0.0, 0.3, 3), [0.1])
         fine = small_grid(theta, np.linspace(0.0, 0.3, 5), [0.1])  # superset axis
-        cs_coarse = confidence_set(data, coarse, alpha=0.05)
-        cs_fine = confidence_set(data, fine, alpha=0.05)
-        accepted_coarse = {round(t.fp_rate, 12) for t, _ in cs_coarse.accepted}
-        accepted_fine = {round(t.fp_rate, 12) for t, _ in cs_fine.accepted}
+        _, _, in_coarse, _ = confidence_set(data, coarse, alpha=0.05)
+        _, _, in_fine, _ = confidence_set(data, fine, alpha=0.05)
+        accepted_coarse = {round(fp, 12) for fp in coarse.points[in_coarse, -2].tolist()}
+        accepted_fine = {round(fp, 12) for fp in fine.points[in_fine, -2].tolist()}
         assert accepted_coarse <= accepted_fine
 
     def test_degenerate_points_recorded_not_dropped(self):
@@ -207,10 +200,9 @@ class TestConfidenceSet:
         )
         theta = Theta(externality=[0, 0, 0], homophily=[0.0], fp_rate=0.0, fn_rate=0.0)
         grid = singleton_grid(theta)
-        cs = confidence_set(data, grid, alpha=0.05)
-        assert len(cs.records) == 1
-        assert cs.records[0].reason == REASON_DEGENERATE
-        assert cs.n_degenerate == 1
+        _, stats, accepted, reasons = confidence_set(data, grid, alpha=0.05)
+        assert reasons == [REASON_DEGENERATE]
+        assert len(stats) == 1 and math.isnan(stats[0]) and not accepted[0]
 
     def test_huge_signal_point_accepted(self, rng):
         """Single-point grid at the data-generating parameter on a large
@@ -229,8 +221,8 @@ class TestConfidenceSet:
         )
         observed = apply_misclassification(true_net, theta.fp_rate, theta.fn_rate, seed=6)
         data = Dataset(network=observed, covariates=cov, support=support)
-        cs = confidence_set(data, singleton_grid(theta), alpha=0.05)
-        assert cs.records[0].accepted
+        _, _, accepted, _ = confidence_set(data, singleton_grid(theta), alpha=0.05)
+        assert accepted[0]
 
 
 class TestProjection:
@@ -249,29 +241,29 @@ class TestProjection:
         )
         observed = apply_misclassification(true_net, theta.fp_rate, theta.fn_rate, seed=22)
         data = Dataset(network=observed, covariates=cov, support=support)
-        cs = confidence_set(data, singleton_grid(theta), alpha=0.05)
-        assert cs.accepted, "truth rejected on simulated data"
-        intervals = projection_intervals(cs)
+        grid = singleton_grid(theta)
+        _, _, accepted, _ = confidence_set(data, grid, alpha=0.05)
+        assert accepted.any(), "truth rejected on simulated data"
+        intervals = coordinate_intervals(grid.points[accepted], grid.coordinate_names())
         assert intervals["fp_rate"] == (theta.fp_rate, theta.fp_rate)
         assert intervals["w_recip"] == (theta.externality[0],) * 2
 
-    def test_empty_set_raises(self, rng):
+    def test_empty_set_has_empty_projection(self, rng):
         data = random_dataset(rng, n=16, n_cells=2)
         theta = default_theta()
         grid = small_grid(theta, [0.4], [0.4])  # far from truth
-        cs = confidence_set(data, grid, alpha=1 - 1e-9)
-        if cs.accepted:
+        _, _, accepted, _ = confidence_set(data, grid, alpha=1 - 1e-9)
+        if accepted.any():
             pytest.skip("unexpected acceptance")
-        with pytest.raises(EmptySet):
-            projection_intervals(cs)
+        assert coordinate_intervals(grid.points[accepted], grid.coordinate_names()) == {}
 
     def test_symmetric_set_symmetric_interval(self, rng):
         data = random_dataset(rng, n=25, n_cells=2)
         theta = default_theta()
         grid = small_grid(theta, np.array([0.02, 0.05, 0.08]), [theta.fn_rate])
-        cs = confidence_set(data, grid, alpha=0.05)
-        if len(cs.accepted) == 3:
-            intervals = projection_intervals(cs)
+        _, _, accepted, _ = confidence_set(data, grid, alpha=0.05)
+        if accepted.all():
+            intervals = coordinate_intervals(grid.points[accepted], grid.coordinate_names())
             assert intervals["fp_rate"] == (0.02, 0.08)
 
 
@@ -279,15 +271,15 @@ def test_grid_csv_roundtrip(tmp_path, rng):
     data = random_dataset(rng, n=15, n_cells=2)
     theta = default_theta()
     grid = small_grid(theta, np.linspace(0, 0.2, 3), [0.1])
-    cs = confidence_set(data, grid, alpha=0.05)
+    _, stats, accepted, reasons = confidence_set(data, grid, alpha=0.05)
     path = tmp_path / "grid.csv"
-    write_grid_csv(cs, path)
+    write_grid_table(path, grid.coordinate_names(), grid.points, stats, accepted, reasons)
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header == [
         "w_recip", "w_indeg", "w_common", "w_x1", "fp_rate", "fn_rate",
         "statistic", "accepted", "reason",
     ]
-    assert len(lines) == 1 + len(cs.records)
+    assert len(lines) == 1 + len(grid)
     first = lines[1].split(",")
-    assert float(first[6]) == pytest.approx(cs.records[0].statistic, abs=1e-12)
+    assert float(first[6]) == pytest.approx(stats[0], abs=1e-12)
