@@ -118,7 +118,7 @@ def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
     k's four statistic influences, shape (n, J, 5).  The first influence is k's
     links G_ki over the cell's pairs (i, k), scaled by n over the cell count: it
     reads the label of the reverse pair (i, k), so it is k's diagonal
-    entry of ``g @ cell``, the product the fourth column also takes.  The
+    entry of ``g @ cell``, the product the last two columns also take.  The
     other three are cell averages of k's terms in the inner sums.  Each row
     depends only on that agent's links.
 
@@ -143,7 +143,6 @@ def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
         cell = np.equal(data.covariates.assignment, j, out=np.empty((n, n), dtype=np.float32))
         np.fill_diagonal(cell, 0.0)
         col_count = cell.sum(axis=0)  # pairs per second index
-        pair_count = cell.sum(axis=1, dtype=np.float64) + col_count  # ... plus per first index
         for start in range(0, n, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             g, out = adj[rows].astype(np.float32), raw[rows, j]
@@ -152,7 +151,8 @@ def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
             out[:, 1] = np.diagonal(g_cell, offset=start)  # G_ki over pairs (i, k)
             out[:, 2] = np.einsum("ij,j->i", g, col_count, dtype=np.float64)
             out[:, 3] = np.einsum("ij,ij->i", g_cell, g, dtype=np.float64)
-            out[:, 4] = np.einsum("ij,j->i", g, pair_count, dtype=np.float64)
+            # G_ki times i's pairs per first index is k's row sum of g @ cell
+            out[:, 4] = g_cell.sum(axis=1, dtype=np.float64) + out[:, 2]
             del g_cell  # the next block's product is not allocated beside this one
         del cell  # the next cell's mask is not allocated beside this one
     totals = np.outer(degree, [1, 1, n - 1, 0, 2 * (n - 1)])

@@ -11,7 +11,7 @@ tests.  No state leaks across replications, so a run's report is the same for
 any number of worker ``threads``.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -221,16 +221,23 @@ def run_mc_coverage(config: ExperimentConfig) -> RunReport:
     chi-square reference.  A shared design is solved once, and each replication
     draws from its link probabilities.  Failed replications are recorded, and
     the run aborts only when their share exceeds ``failure_tolerance``.  A pool
-    of ``config.threads`` threads maps one task over the replication indices;
-    an error that is not a ``MisnetError``, or an interrupt, cancels the ones
-    not yet started.
+    of ``config.threads`` threads runs one task per replication index, and the
+    caller waits once for all of them: an error that is not a ``MisnetError``,
+    or an interrupt, cancels the ones not yet started.  The records are read
+    in index order, so the first error in that order is re-raised.
     """
     dof = config.support.n_points
     critical = chi2_quantile(dof, 1.0 - config.alpha)
 
     task = partial(_replicate, config, critical, _shared_design(config))
     with ThreadPoolExecutor(config.threads) as pool:
-        records = list(pool.map(task, range(config.replications)))
+        futures = [pool.submit(task, index) for index in range(config.replications)]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            for future in futures:  # a no-op on those started
+                future.cancel()
+    records = [future.result() for future in futures]
 
     failed = [r for r in records if r.error]
     if len(failed) > config.failure_tolerance * config.replications:

@@ -49,11 +49,19 @@ def population_correction(fp_rate, fn_rate) -> tuple[np.ndarray, np.ndarray]:
 def apply_misclassification(
     true_network: Network, fp_rate: float, fn_rate: float, seed
 ) -> Network:
-    """Flip each off-diagonal entry independently; deterministic given seed."""
+    """Flip each off-diagonal entry independently; deterministic given seed.
+
+    One uniform u per entry: a latent link is recorded when u >= fn_rate, an
+    absent one when u < fp_rate.  The record is built as booleans in the
+    network's int8 memory, from the latent adjacency's bool view."""
     validate_rates(fp_rate, fn_rate)
-    g = true_network.adj
-    rng = np.random.default_rng(seed)
-    u = rng.random(g.shape)
-    observed = np.where(g == 1, u >= fn_rate, u < fp_rate).astype(np.int8)
-    np.fill_diagonal(observed, 0)
+    g = true_network.adj.view(bool)
+    u = np.random.default_rng(seed).random(g.shape)
+    observed = np.empty(g.shape, dtype=np.int8)
+    recorded = np.greater_equal(u, fn_rate, out=observed.view(bool))
+    recorded &= g
+    false_links = u < fp_rate
+    false_links &= ~g
+    recorded |= false_links
+    np.fill_diagonal(recorded, False)
     return Network(observed)

@@ -9,15 +9,18 @@ agents.
 
 The dialect: fields are separated by commas and lines end in ``\\n``.
 Writers put floats as ``.17g`` (so they read back exactly) and booleans as
-0/1, and quote a field that contains a comma, a quote or a line break.
+0/1, and write each field as ``csv.writer`` does with ``\\n`` line ends: a
+field that contains a comma, a quote or a ``\\n`` is quoted, with its quotes
+doubled, a ``\\r`` alone is not, and a row of one empty field is ``""``.
 Readers read each file once, as UTF-8 with or without a leading byte-order
 mark, and accept ``\\r\\n`` line ends, blank lines anywhere and spaces around
 fields, header rows included; a header row must name exactly ``i,j`` or
-``x1..xd``.  A matrix file in the writers' own layout for one-digit values (n
-lines of n comma-separated digits, each ending in ``\\n``), with a byte-order
-mark or without, is read as bytes; every other file goes through the general
-parser, and both feed the same checks.  Every parse, decoding or domain error
-raises ``FileFormatError`` naming the line.
+``x1..xd``.  A matrix of one-digit values is written as bytes in the writers'
+own layout (n lines of n comma-separated digits, each ending in ``\\n``), and
+a file in that layout, with a byte-order mark or without, is read as bytes;
+every other file goes through the general parser, and both feed the same
+checks.  Every parse, decoding or domain error raises ``FileFormatError``
+naming the line.
 Each command's ``summary.json`` is written by :func:`write_summary`, after its
 CSV files; the CSV writer makes the directory it writes into.
 """
@@ -56,31 +59,55 @@ def _field(value):
     return value
 
 
-def _write_rows(path, rows) -> None:
-    """The one CSV writer: one line per row of formatted fields, formatted in
-    memory and written with one call, into a directory it makes when it is
-    missing."""
+def _write_text(path, text: str) -> None:
+    """The one file write: the whole text in one call, into a directory it
+    makes when it is missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows(rows)
-        fh.write(text.getvalue())
+        fh.write(text)
+
+
+class _Line:
+    """A file whose ``write`` returns its text, so that ``csv.writer`` on it
+    returns each row's line from ``writerow``."""
+
+    @staticmethod
+    def write(line):
+        return line
 
 
 def _column(values) -> list:
-    """The fields of one column; a bool or float array has :func:`_field` called
-    once per distinct value, told apart by bits so -0.0 is not 0.0."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "bf"):
-        return [_field(v) for v in values]
-    keys, where = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    return np.array([_field(v) for v in keys.view(values.dtype)], dtype=object)[where].tolist()
+    """The text of one column's fields, each as ``csv.writer`` writes it.
+
+    A bool or float array has :func:`_field` called once per distinct value,
+    told apart by bits so -0.0 is not 0.0; those fields need no quoting.  Any
+    other column has :func:`_field` called per value, and each distinct
+    result, told apart by type and value (``10**17`` is not ``1e17``), goes
+    through ``csv.writer`` once, as the first of two fields.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "bf":
+        keys, where = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+        return np.array([str(_field(v)) for v in keys.view(values.dtype)], dtype=object)[where].tolist()
+    row = csv.writer(_Line(), lineterminator="\n").writerow
+    keys = [(type(field), field) for field in map(_field, values)]
+    # each line without the empty field's ",\n"
+    text = {key: row([key[1], ""])[:-2] for key in dict.fromkeys(keys)}
+    return [text[key] for key in keys]
+
+
+def _line(fields) -> str:
+    """One row's line; like ``csv.writer``, a row of one empty field is ``""``."""
+    if len(fields) == 1 and fields[0] == "":
+        return '""\n'
+    return ",".join(fields) + "\n"
 
 
 def write_columns(path, header, columns) -> None:
     """Write a header row and then one line per row of equal-length
     ``columns``, in the dialect above; columns of different lengths raise
     ``ValueError``."""
-    _write_rows(path, [header, *zip(*map(_column, columns), strict=True)])
+    rows = [_column(header), *zip(*map(_column, columns), strict=True)]
+    _write_text(path, "".join(map(_line, rows)))
 
 
 def write_table(path, header, rows) -> None:
@@ -166,7 +193,7 @@ def _header(path, number, row, names) -> None:
 
 
 def _read_digits(raw):
-    """The matrix of a file in the layout ``_write_rows`` gives one-digit
+    """The matrix of a file in the layout ``_write_matrix`` gives one-digit
     values, as uint8 digits, or None for any other file.
 
     That layout is n >= 2 lines, each of n bytes ``0``-``9`` joined by ``,``
@@ -198,8 +225,24 @@ def _read_square(path, raw):
     return table, numbers
 
 
+def _write_matrix(table, path) -> None:
+    """A matrix of integers, n lines of n comma-separated values; with every
+    value one digit, laid out as the bytes :func:`_read_digits` reads."""
+    if not (table.size and table.min() >= 0 and table.max() <= 9):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(row.tolist() for row in table)
+        _write_text(path, text.getvalue())
+        return
+    lines = np.empty((table.shape[0], 2 * table.shape[1]), dtype=np.uint8)
+    lines[:, 0::2] = table
+    lines[:, 0::2] += ord("0")
+    lines[:, 1::2] = ord(",")
+    lines[:, -1] = ord("\n")
+    _write_text(path, lines.tobytes().decode("ascii"))
+
+
 def write_network_matrix(network: Network, path) -> None:
-    _write_rows(path, (row.tolist() for row in network.adj))
+    _write_matrix(network.adj, path)
 
 
 def read_network(path) -> Network:
@@ -234,7 +277,7 @@ def _read_edge_list(path, raw) -> Network:
 
 
 def write_covariates(covariates: PairCovariates, path) -> None:
-    _write_rows(path, (row.tolist() for row in covariates.assignment))
+    _write_matrix(covariates.assignment, path)
 
 
 def read_covariates(path, n_cells: int | None = None) -> PairCovariates:

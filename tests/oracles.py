@@ -11,9 +11,10 @@ belief statistics as an (n, n, 3) stack, whose weighted sum the solver's index
 must equal, and the extended statistics the forward-map checks need (both
 checked against :func:`brute_extended_stats`), the latent draw written pair
 by pair, one uniform per ordered pair, against which the package's vectorized
-draw is checked bit for bit, the flip law's forward map at
-network size n with its inverse, against which the package's population
-correction is checked, and a writer for edge-list network files, which only
+draw is checked bit for bit, the flips in their ``np.where`` form, against
+which the package's boolean record is checked bit for bit, the flip law's
+forward map at network size n with its inverse, against which the package's
+population correction is checked, and a writer for edge-list network files, which only
 the reader's tests need.  The per-agent table is also kept here in its
 float64 form, one n^3 product per cell with every cell masked, so that the
 package's float32 table, which takes the last cell from the agent totals, can
@@ -508,6 +509,21 @@ def reference_draw(link_probs, seed) -> Network:
         for j in range(n):
             adj[i, j] = 1 if rng.random() < link_probs[i][j] else 0
     return Network(adj)
+
+
+# ---------------------------------------------------------------------------
+# the misclassified record in its select form
+
+
+def reference_flip(adj, fp_rate: float, fn_rate: float, seed) -> np.ndarray:
+    """One uniform u per entry from the seed's generator; ``np.where`` picks
+    u >= fn_rate on a latent link and u < fp_rate elsewhere, cast to int8 with
+    the diagonal zeroed.  ``apply_misclassification`` must record the same
+    entries bit for bit."""
+    u = np.random.default_rng(seed).random(adj.shape)
+    observed = np.where(adj == 1, u >= fn_rate, u < fp_rate).astype(np.int8)
+    np.fill_diagonal(observed, 0)
+    return observed
 
 
 # ---------------------------------------------------------------------------

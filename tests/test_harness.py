@@ -4,6 +4,7 @@ import builtins
 import codecs
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -503,14 +504,16 @@ class TestNetIO:
         netio.write_support(support, path)
         assert np.allclose(netio.read_support(path).points, support.points)
 
+    @pytest.mark.parametrize("n_cells", [3, 12])
     @pytest.mark.parametrize("n", [2, 40])
-    def test_matrix_writers_match_savetxt(self, tmp_path, rng, n):
+    def test_matrix_writers_match_savetxt(self, tmp_path, rng, n, n_cells):
         """An int8 network and a uint8 design with a non-zero diagonal are
-        written as ``np.savetxt(path, a, fmt="%d", delimiter=",")`` writes them."""
+        written as ``np.savetxt(path, a, fmt="%d", delimiter=",")`` writes them,
+        with one-digit labels and with labels of 10 or more."""
         adj = (rng.random((n, n)) < 0.4).astype(np.int8)
         np.fill_diagonal(adj, 0)
-        assignment = rng.integers(0, 3, (n, n))
-        np.fill_diagonal(assignment, 2)
+        assignment = rng.integers(0, n_cells, (n, n))
+        np.fill_diagonal(assignment, n_cells - 1)
         network, covariates = Network(adj), PairCovariates(assignment)
         assert network.adj.dtype == np.int8 and covariates.assignment.dtype == np.uint8
         for write, value, array in [
@@ -521,6 +524,18 @@ class TestNetIO:
             write(value, got)
             np.savetxt(expected, array, fmt="%d", delimiter=",")
             assert got.read_bytes() == expected.read_bytes(), write.__name__
+
+    def test_quoting_rule(self, tmp_path):
+        """A field is quoted when it holds a comma, a quote or a ``\\n``, with
+        its quotes doubled; a ``\\r`` alone is written as it is; a row of one
+        empty field, or of one ``None``, is ``""``, and an empty field beside
+        others is empty."""
+        path = tmp_path / "table.csv"
+        column = ["a,b", 'say "x"', "two\nlines", "a\rb", "a\r\nb", "", None, " x "]
+        netio.write_columns(path, ["a"], [column])
+        assert path.read_bytes() == b'a\n"a,b"\n"say ""x"""\n"two\nlines"\na\rb\n"a\r\nb"\n""\n""\n x \n'
+        netio.write_columns(path, ["a", "b"], [[""], ["a\rb"]])
+        assert path.read_bytes() == b"a,b\n,a\rb\n"
 
     def test_csv_writers_make_missing_directories(self, tmp_path):
         """Every CSV writer makes the directory it writes into, parents included."""
@@ -692,6 +707,22 @@ class TestRunSimulate:
         add_rate = (true_net[off][~ones] != observed[off][~ones]).mean()
         assert abs(drop_rate - 0.10) <= 4 * np.sqrt(0.1 * 0.9 / n1)
         assert abs(add_rate - 0.05) <= 4 * np.sqrt(0.05 * 0.95 / n0)
+
+    # SHA-256 of the three matrix files simulate writes at n = 30, seed 1
+    MATRIX_DIGESTS = {
+        "covariates": "614be29181762060dd428acd836d7442bdc360ab28cc505cb7cf4d824d5b7c7d",
+        "true_network": "58eb5ec53b20414efd198cfdf770b4c9114f9b07fbac897857d90f8f2432d6d0",
+        "observed_network": "3bf4ef2d763a2e608acbfc51649cb52c3d0cfe5d8726115ec3493e46a2331afa",
+    }
+
+    def test_matrix_files_are_pinned(self, tmp_path):
+        """The design, latent network and record that ``simulate`` writes are
+        the same bytes on every version, so drift in the draws, the flips or
+        the matrix writer fails loudly."""
+        text = BASE_CONFIG.replace("n = 40", "n = 30").replace("seed = 1234", "seed = 1")
+        paths = run_simulate(parse_config_text(text), tmp_path)
+        digests = {key: hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest() for key in self.MATRIX_DIGESTS}
+        assert digests == self.MATRIX_DIGESTS
 
     def test_summary_records_residual(self, tmp_path):
         paths = run_simulate(self._config(), tmp_path)

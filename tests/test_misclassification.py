@@ -13,7 +13,7 @@ from misnet import (
 )
 
 from conftest import default_theta, random_assignment, random_network, scalar_support
-from oracles import extended_stats_from_beliefs, flip_law_maps
+from oracles import extended_stats_from_beliefs, flip_law_maps, reference_flip
 
 
 class TestApplyMisclassification:
@@ -21,6 +21,19 @@ class TestApplyMisclassification:
         net = random_network(rng, 12)
         out = apply_misclassification(net, 0.0, 0.0, seed=5)
         assert np.array_equal(out.adj, net.adj)
+
+    @pytest.mark.parametrize("fp, fn", [(0.0, 0.0), (0.05, 0.1), (0.55, 0.449)])
+    @pytest.mark.parametrize("n", [2, 5, 200])
+    def test_matches_the_where_form(self, n, fp, fn):
+        """The record is the oracle's ``np.where`` form bit for bit: same
+        entries, int8, zero diagonal."""
+        for seed in range(20):
+            latent = random_network(np.random.default_rng(1000 + seed), n)
+            got = apply_misclassification(latent, fp, fn, seed=seed).adj
+            expected = reference_flip(latent.adj, fp, fn, seed)
+            assert got.dtype == expected.dtype == np.int8
+            assert got.tobytes() == expected.tobytes(), seed
+            assert not np.diagonal(got).any()
 
     def test_invalid_rates_rejected(self, rng):
         net = random_network(rng, 4)
