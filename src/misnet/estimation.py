@@ -21,10 +21,12 @@ layout; a single point is the one-row case.  :func:`_corrected_index` applies
 the population correction of every row's rates in one array pass, which
 :meth:`MomentEvaluator.indices` exposes, and :meth:`MomentEvaluator.statistics`
 is the one code that forms m, S and the statistic, judging every S from one
-batched ``eigvalsh``.  A row's result does not depend on the other rows.
+batched ``eigvalsh``.  A row's result does not depend on the other rows.  The
+cell estimates of several datasets, stacked along a leading axis by
+:meth:`MomentEvaluator.stacked`, take the same path with one row per dataset.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
 MIN_VARIANCE_EIGENVALUE = 1e-10
 MAX_CONDITION_NUMBER = 1e12
 ROW_BLOCK = 256  # agents per block of the per-agent table
+FLOAT32_EXACT = 2**24  # float32 holds every integer up to this one
 
 
 @dataclass(frozen=True)
@@ -129,34 +132,42 @@ def _agent_table(data: Dataset, counts: np.ndarray) -> np.ndarray:
     d_k, d_k, (n - 1) d_k, d_k (d_k - 1) and 2 (n - 1) d_k.  The columns are
     computed over blocks of ``ROW_BLOCK`` agents, each block's int8 links
     converted to float32 in turn, so neither a float32 copy of the adjacency
-    nor the whole ``g @ cell`` is held.  ``g @ cell`` runs in float32 on 0/1
-    arrays: its entries are at most n < 2^24, so it is exact; so are the other
-    sums bounded by n.  The sums that reach n^2 accumulate in float64.  All
-    are exact integers, so the table is the same in any summation order and
-    blocking.
+    nor the whole ``g @ cell`` is held.  The sums run in float32 on 0/1
+    arrays and are exact: each partial sum is a non-negative integer no larger
+    than the whole, and float32 holds every integer up to ``FLOAT32_EXACT`` =
+    2^24.  ``g @ cell`` and the first two columns are at most n; the last
+    three weight G_ki by at most n - 1 and reach n(n - 1), below 2^24 for
+    n <= 4096.  These are summed over chunks of 2^24 // n columns of g, one
+    chunk at n <= 4096, and the chunks added in float64.  All are exact
+    integers, so the table is the same in any summation order, blocking and
+    chunking.
     """
     n, adj = data.n, data.network.adj
-    degree = adj.sum(axis=1, dtype=np.float64)
+    degree = adj.sum(axis=1, dtype=np.int32)
+    width = max(1, FLOAT32_EXACT // n)  # columns per exact float32 sum
     raw = np.empty((n, data.n_cells, 5))
     for j in range(data.n_cells - 1):
         # written from the labels with no boolean mask beside it
         cell = np.equal(data.covariates.assignment, j, out=np.empty((n, n), dtype=np.float32))
         np.fill_diagonal(cell, 0.0)
-        col_count = cell.sum(axis=0)  # pairs per second index
+        pairs = np.stack([cell.sum(axis=0), cell.sum(axis=1)], axis=1)  # per second, first index
         for start in range(0, n, ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             g, out = adj[rows].astype(np.float32), raw[rows, j]
             g_cell = g @ cell
             out[:, 0] = np.einsum("ij,ij->i", g, cell[rows])  # G_ki over pairs (k, i)
             out[:, 1] = np.diagonal(g_cell, offset=start)  # G_ki over pairs (i, k)
-            out[:, 2] = np.einsum("ij,j->i", g, col_count, dtype=np.float64)
-            out[:, 3] = np.einsum("ij,ij->i", g_cell, g, dtype=np.float64)
-            # G_ki times i's pairs per first index is k's row sum of g @ cell
-            out[:, 4] = g_cell.sum(axis=1, dtype=np.float64) + out[:, 2]
+            out[:, 2:] = 0.0
+            for first in range(0, n, width):
+                chunk = slice(first, first + width)
+                weighted = g[:, chunk] @ pairs[chunk]  # G_ki times i's pairs per second, first index
+                out[:, 2] += weighted[:, 0]
+                out[:, 3] += np.einsum("ij,ij->i", g_cell[:, chunk], g[:, chunk])
+                out[:, 4] += weighted.sum(axis=1, dtype=np.float64)
             del g_cell  # the next block's product is not allocated beside this one
         del cell  # the next cell's mask is not allocated beside this one
-    totals = np.outer(degree, [1, 1, n - 1, 0, 2 * (n - 1)])
-    totals[:, 3] = degree * (degree - 1)
+    totals = np.outer(degree, [1.0, 1.0, n - 1, 0.0, 2 * (n - 1)])
+    totals[:, 3] = degree * (degree - 1.0)
     raw[:, -1] = totals - raw[:, :-1].sum(axis=1)
     raw[:, :, 1] *= n
     raw[:, :, 1:] /= counts[:, None]
@@ -225,6 +236,16 @@ def quadratic_form(m: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(n * (m[..., None, :] @ x)[..., 0, 0], 0.0)
 
 
+def _degenerate_variance(S: np.ndarray, eigs: np.ndarray) -> DegenerateVariance:
+    """The error of one degenerate S with its eigenvalues, saying which test failed."""
+    low, floor = eigs[0], MIN_VARIANCE_EIGENVALUE
+    return DegenerateVariance(
+        "variance is not finite" if not np.isfinite(S).all()
+        else f"smallest variance eigenvalue {low:.3e} below {floor:.1e}" if low < floor
+        else f"variance condition number {eigs[-1] / low:.3e} too large"
+    )
+
+
 class MomentEvaluator:
     """The moment, its variance and the statistic of one dataset, over rows of theta.
 
@@ -241,22 +262,36 @@ class MomentEvaluator:
         self.n, self.support = data.n, data.support
         self.cells = cell_estimates(data) if cells is None else cells
 
+    @classmethod
+    def stacked(cls, cells: list, support: CovariateSupport, n: int) -> "MomentEvaluator":
+        """The evaluator of several datasets of ``n`` agents on ``support``, one per
+        row of theta: row p is evaluated on ``cells[p]``, and its results are
+        those of dataset p's own evaluator bit for bit.  The cell estimates are
+        stacked along a leading axis."""
+        evaluator = cls.__new__(cls)
+        evaluator.n, evaluator.support = n, support
+        stack = (np.stack([getattr(c, field.name) for c in cells]) for field in fields(CellEstimates))
+        evaluator.cells = CellEstimates(*stack)
+        return evaluator
+
     def _evaluate(self, points):
         """m (P, J), S (P, J, J), S's eigenvalues (P, J) and the statistic (P,).
 
         m_j averages G_ij - r0 - (1 - r0 - r1) * Phi(corrected index) over cell
         j's pairs, scaled by the cell share.  S = c' C c: agent k's influence on
         m_j is its link share minus lam * w_j * slope' (its statistic
-        influences), both in cell j, so c_j = (1, -lam * w_j * slope)."""
+        influences), both in cell j, so c_j = (1, -lam * w_j * slope).  The cell
+        estimates are one dataset's, or carry a leading axis aligned with the
+        rows (:meth:`stacked`)."""
         points = np.asarray(points, dtype=float)
         cells = self.cells
         u, lam, slope = _corrected_index(cells, self.support, points)
         fitted = points[:, -2, None] + lam[:, None] * norm_cdf(u)
-        m = (cells.link_sums - cells.counts * fitted) / cells.counts.sum()
+        m = (cells.link_sums - cells.counts * fitted) / cells.counts.sum(axis=-1, keepdims=True)
         weights = norm_pdf(u) * cells.counts / (self.n * self.n)  # (P, J)
         influence = -lam[:, None, None] * (weights[..., None] * slope[:, None])  # (P, J, 4)
         coef = np.concatenate([np.ones_like(weights)[..., None], influence], axis=-1)
-        S = np.einsum("pja,jakb,pkb->pjk", coef, cells.cov, coef)
+        S = np.einsum("...ja,...jakb,...kb->...jk", coef, cells.cov, coef)
         S = 0.5 * (S + S.swapaxes(1, 2))
         eye = np.eye(S.shape[-1])
         finite = np.isfinite(S).all(axis=(1, 2))  # eigvalsh of a NaN input may read as zeros
@@ -274,17 +309,19 @@ class MomentEvaluator:
         """Statistic per row of theta, (P,); NaN where S is degenerate and the chi-square fails."""
         return self._evaluate(points)[3]
 
+    def checked_statistics(self, points) -> tuple:
+        """Statistic per row of theta, (P,), NaN where S is degenerate, and per
+        row None or the ``DegenerateVariance`` that :meth:`evaluate` raises there."""
+        _, S, eigs, stats = self._evaluate(points)
+        errors = [_degenerate_variance(S[p], eigs[p]) if np.isnan(stat) else None for p, stat in enumerate(stats)]
+        return stats, errors
+
     def evaluate(self, theta: Theta):
         """m, S and the statistic at ``theta``; raises DegenerateVariance with the reason."""
         m, S, eigs, stat = (a[0] for a in self._evaluate([theta_coordinates(theta)]))
-        if not np.isnan(stat):
-            return m, S, float(stat)
-        low, floor = eigs[0], MIN_VARIANCE_EIGENVALUE
-        raise DegenerateVariance(
-            "variance is not finite" if not np.isfinite(S).all()
-            else f"smallest variance eigenvalue {low:.3e} below {floor:.1e}" if low < floor
-            else f"variance condition number {eigs[-1] / low:.3e} too large"
-        )
+        if np.isnan(stat):
+            raise _degenerate_variance(S, eigs)
+        return m, S, float(stat)
 
     def statistic(self, theta: Theta) -> float:
         """Quadratic-form statistic at ``theta``; raises when S is degenerate."""

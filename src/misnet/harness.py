@@ -1,8 +1,9 @@
 """Monte Carlo driver: simulation runs, test inversion runs, coverage studies.
 
 Randomness follows one documented scheme built on numpy's SeedSequence /
-PCG64.  Replication r uses ``SeedSequence((master_seed, 1, r))`` spawned into
-three child streams: 0 draws a fresh covariate design, 1 the latent network
+PCG64.  Replication r uses the three children that
+``SeedSequence((master_seed, 1, r)).spawn(3)`` gives, each built on its own
+when it is needed: 0 draws a fresh covariate design, 1 the latent network
 (one uniform per ordered pair against the solver's link probabilities), 2 the
 misclassification flips.  A shared design (``x_file``, or x_mode = fixed
 drawn from ``SeedSequence((master_seed, 0))``) is solved once per run.
@@ -21,11 +22,11 @@ from scipy.special import chdtr
 
 from .config import ExperimentConfig
 from .equilibrium import draw_network, solve_equilibrium
-from .estimation import Dataset, MomentEvaluator
+from .estimation import Dataset, MomentEvaluator, cell_estimates
 from .exceptions import ConfigError, FileFormatError, MisnetError, TooManyFailures
 from .inference import REASON_DEGENERATE, chi2_quantile, coordinate_intervals, write_grid_table
 from .misclassification import apply_misclassification
-from .model import PairCovariates
+from .model import PairCovariates, theta_coordinates
 from . import inference, netio
 
 __all__ = [
@@ -108,17 +109,22 @@ def _shared_design(config: ExperimentConfig) -> tuple | None:
     return _solved(config, covariates)
 
 
+def _child(seed: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """Child ``index`` of ``seed.spawn(3)``, built without the other two."""
+    return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, index), pool_size=seed.pool_size)
+
+
 def _draw_dataset(config: ExperimentConfig, seed: np.random.SeedSequence, design):
     """One replication's data from its seed's three children: the shared
     design, or a fresh one drawn from child 0 and solved; the latent network
     from child 1's uniforms; its misclassified record from child 2."""
-    fresh, links, flips = seed.spawn(3)
     if design is None:
-        covariates = draw_pair_covariates(config.n, config.support_probs, np.random.default_rng(fresh))
-        design = _solved(config, covariates)
+        rng = np.random.default_rng(_child(seed, 0))
+        design = _solved(config, draw_pair_covariates(config.n, config.support_probs, rng))
     covariates, link_probs, residual = design
-    true_net = draw_network(link_probs, links)
-    observed = apply_misclassification(true_net, config.theta.fp_rate, config.theta.fn_rate, seed=flips)
+    true_net = draw_network(link_probs, _child(seed, 1))
+    th = config.theta
+    observed = apply_misclassification(true_net, th.fp_rate, th.fn_rate, seed=_child(seed, 2))
     return covariates, residual, true_net, observed
 
 
@@ -191,18 +197,44 @@ def run_ci(data: Dataset, grid, alpha: float, out_dir) -> dict:
     return {"grid": str(grid_path), "projection": str(projection_path), "summary": str(out / "summary.json")}
 
 
-def _replicate(config: ExperimentConfig, critical: float, design, index: int) -> ReplicationRecord:
-    """One coverage replication; pure given its derived seed."""
-    seed = replication_seed(config.seed, index)
-    label = f"({';'.join(map(str, seed.entropy))})"
+def _seed_label(config: ExperimentConfig, index: int) -> str:
+    """The entropy tuple of the replication's SeedSequence, as the record writes it."""
+    return f"({config.seed};1;{index})"
+
+
+def _failed(config: ExperimentConfig, index: int, exc: MisnetError) -> ReplicationRecord:
+    nan, error = float("nan"), f"{type(exc).__name__}: {exc}"
+    return ReplicationRecord(index, _seed_label(config, index), nan, nan, False, error=error)
+
+
+def _replicate(config: ExperimentConfig, design, index: int):
+    """One coverage replication up to its statistic, pure given its derived
+    seed: the equilibrium residual and the record's cell estimates, or the
+    failed replication's record."""
     try:
-        covariates, residual, _, observed = _draw_dataset(config, seed, design)
+        covariates, residual, _, observed = _draw_dataset(config, replication_seed(config.seed, index), design)
         data = Dataset(network=observed, covariates=covariates, support=config.support)
-        stat = MomentEvaluator(data).statistic(config.theta)
-        return ReplicationRecord(index, label, residual, stat, accepted=stat <= critical)
+        return residual, cell_estimates(data)
     except MisnetError as exc:
-        nan = float("nan")
-        return ReplicationRecord(index, label, nan, nan, False, error=f"{type(exc).__name__}: {exc}")
+        return _failed(config, index, exc)
+
+
+def _records(config: ExperimentConfig, critical: float, results: list) -> list:
+    """The replications' records in index order, with the statistics at the
+    truth of all that reached their cell estimates from one batched
+    evaluation; a degenerate S gives the record of the error that
+    ``MomentEvaluator.evaluate`` raises on that replication alone."""
+    records = list(results)
+    done = [i for i, result in enumerate(results) if not isinstance(result, ReplicationRecord)]
+    if not done:
+        return records
+    evaluator = MomentEvaluator.stacked([results[i][1] for i in done], config.support, config.n)
+    stats, errors = evaluator.checked_statistics(np.tile(theta_coordinates(config.theta), (len(done), 1)))
+    for i, stat, error in zip(done, stats.tolist(), errors):
+        records[i] = _failed(config, i, error) if error else ReplicationRecord(
+            i, _seed_label(config, i), results[i][0], stat, accepted=stat <= critical
+        )
+    return records
 
 
 def _ks_distance(stats: np.ndarray, dof: int) -> float:
@@ -221,15 +253,18 @@ def run_mc_coverage(config: ExperimentConfig) -> RunReport:
     chi-square reference.  A shared design is solved once, and each replication
     draws from its link probabilities.  Failed replications are recorded, and
     the run aborts only when their share exceeds ``failure_tolerance``.  A pool
-    of ``config.threads`` threads runs one task per replication index, and the
-    caller waits once for all of them: an error that is not a ``MisnetError``,
-    or an interrupt, cancels the ones not yet started.  The records are read
-    in index order, so the first error in that order is re-raised.
+    of ``config.threads`` threads runs one task per replication index, up to
+    its cell estimates, and the caller waits once for all of them: an error
+    that is not a ``MisnetError``, or an interrupt, cancels the ones not yet
+    started.  The results are read in index order, so the first error in that
+    order is re-raised.  The statistics at the truth then come from one
+    batched evaluation over the replications' cell estimates, bit for bit
+    those of testing each replication on its own.
     """
     dof = config.support.n_points
     critical = chi2_quantile(dof, 1.0 - config.alpha)
 
-    task = partial(_replicate, config, critical, _shared_design(config))
+    task = partial(_replicate, config, _shared_design(config))
     with ThreadPoolExecutor(config.threads) as pool:
         futures = [pool.submit(task, index) for index in range(config.replications)]
         try:
@@ -237,7 +272,7 @@ def run_mc_coverage(config: ExperimentConfig) -> RunReport:
         finally:
             for future in futures:  # a no-op on those started
                 future.cancel()
-    records = [future.result() for future in futures]
+    records = _records(config, critical, [future.result() for future in futures])
 
     failed = [r for r in records if r.error]
     if len(failed) > config.failure_tolerance * config.replications:

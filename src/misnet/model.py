@@ -175,7 +175,11 @@ class Network:
         arr = np.asarray(self.adj)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("adjacency must be a square (n, n) array")
-        if not ((arr == 0) | (arr == 1)).all():
+        if arr.dtype.kind in "biu" and arr.dtype.itemsize == 1:  # one pass; int8 -1 reads as 255
+            binary = arr.view(np.uint8).max(initial=0) <= 1
+        else:
+            binary = ((arr == 0) | (arr == 1)).all()
+        if not binary:
             raise ValueError("adjacency entries must be 0 or 1")
         if np.any(np.diagonal(arr) != 0):
             raise ValueError("diagonal must be zero")

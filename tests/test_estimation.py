@@ -35,6 +35,7 @@ from misnet.estimation import (
     quadratic_form,
     stat_influence_all,
 )
+from misnet.model import theta_coordinates
 from misnet.normal import norm_cdf
 
 from conftest import (
@@ -198,6 +199,23 @@ class TestAgentTableBitExact:
         for density in (0.02, 0.1, 0.5):
             adj = random_network(rng, n, density).adj
             assert_bit_identical(labelled_dataset(adj, circulant_covariates(n).assignment, 2))
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 22, 23])
+    def test_chunked_float32_sums(self, rng, monkeypatch, width):
+        """With ``FLOAT32_EXACT`` patched small, the last three columns are
+        summed over chunks of ``width`` columns of g, the last one short
+        unless ``width`` divides n, and the table still equals the float64
+        reference bit for bit: the path taken above n = 4096."""
+        n = 23
+        monkeypatch.setattr(estimation, "FLOAT32_EXACT", width * n + n - 1)
+        for n_cells in (1, 2, 3):
+            for density in (0.3, 1.0):
+                adj = random_network(rng, n, density).adj
+                assert_bit_identical(labelled_dataset(adj, rng.integers(0, n_cells, (n, n)), n_cells))
+        n = estimation.ROW_BLOCK + 37  # chunks within each of two row blocks
+        monkeypatch.setattr(estimation, "FLOAT32_EXACT", 3 * width * n)
+        adj = random_network(rng, n, 0.4).adj
+        assert_bit_identical(labelled_dataset(adj, rng.integers(0, 2, (n, n)), 2))
 
     @pytest.mark.parametrize("n_cells", [1, 2, 3])
     def test_empty_and_complete_networks(self, n_cells):
@@ -697,6 +715,50 @@ class TestStatistics:
             # a row's value does not depend on the rows around it
             order = rng.permutation(len(grid))
             assert np.array_equal(ev.statistics(grid.points[order]), stats[order], equal_nan=True)
+
+    @pytest.mark.parametrize("design", ["fixed", "fresh"])
+    @pytest.mark.parametrize("n_cells", [1, 2, 3, 12])
+    def test_stacked_rows_equal_each_datasets_own_calls(self, rng, n_cells, design):
+        """Row p of a stacked evaluator is dataset p's one-row evaluation bit for
+        bit: m, S, its eigenvalues and the statistic, at the truth and at grid
+        rows.  Where dataset p's S is degenerate (a zeroed, a NaN or, at J >= 2,
+        a partly zeroed C) the row is NaN and carries the error ``evaluate``
+        raises, with its text.  A fixed design shares one cell assignment; a
+        fresh one draws one per dataset."""
+        n, support = 30, scalar_support(*np.linspace(-0.5, 0.5, n_cells))
+        shared = random_assignment(rng, n, n_cells)
+        datasets = []
+        for density in np.linspace(0.1, 0.9, 12):
+            covariates = shared if design == "fixed" else random_assignment(rng, n, n_cells)
+            datasets.append(Dataset(random_network(rng, n, density), covariates, support))
+        cells = [cell_estimates(data) for data in datasets]
+        cells[2] = dataclasses.replace(cells[2], cov=np.zeros_like(cells[2].cov))
+        cells[5] = dataclasses.replace(cells[5], cov=np.full_like(cells[5].cov, np.nan))
+        if n_cells > 1:
+            cov = cells[7].cov.copy()
+            cov[1, 0], cov[:, :, 1, 0] = 0.0, 0.0
+            cells[7] = dataclasses.replace(cells[7], cov=cov)
+        grid = list(mixed_rate_grid())
+        at_grid_rows = [grid[i] for i in rng.choice(len(grid), len(datasets))]
+        for thetas in ([default_theta()] * len(datasets), at_grid_rows):
+            stacked = MomentEvaluator.stacked(cells, support, n)
+            points = [theta_coordinates(theta) for theta in thetas]
+            stats, errors = stacked.checked_statistics(points)
+            rows = stacked._evaluate(points)
+            degenerate = 0
+            for p, (data, own, theta) in enumerate(zip(datasets, cells, thetas)):
+                one = MomentEvaluator(data, own)
+                for batched, alone in zip(rows, one._evaluate([points[p]])):
+                    assert np.array_equal(batched[p], alone[0], equal_nan=True)
+                try:
+                    want = one.statistic(theta)
+                except DegenerateVariance as err:
+                    degenerate += 1
+                    assert np.isnan(stats[p]) and type(errors[p]) is DegenerateVariance
+                    assert str(errors[p]) == str(err)
+                else:
+                    assert stats[p] == want and errors[p] is None
+            assert degenerate >= 2
 
     def test_rows_match_brute_force(self, rng):
         """The batch's moment and variance rows against the loop oracles, and

@@ -19,7 +19,9 @@ import pytest
 from misnet import (
     ConfigError,
     CovariateSupport,
+    Dataset,
     FileFormatError,
+    MisnetError,
     MomentEvaluator,
     Network,
     PairCovariates,
@@ -29,7 +31,7 @@ from misnet import harness
 from misnet.cli import main
 from misnet.config import parse_config, parse_config_text
 from misnet.equilibrium import simulate_true_network
-from misnet.inference import theta_coordinates
+from misnet.inference import chi2_quantile, theta_coordinates
 from misnet.harness import (
     fixed_design_seed,
     load_dataset,
@@ -975,6 +977,86 @@ x_mode = fresh
         failed = [r for r in report.records if r.error]
         assert all("EmptyCell" in r.error or "Degenerate" in r.error for r in failed)
         assert len(report.records) == 20
+
+
+class TestBatchedStatistic:
+    """The pool's tasks stop at each replication's cell estimates; after the one
+    wait, the statistics at the truth come from one batched evaluation, and the
+    records are those of testing each replication on its own."""
+
+    RUNS = {
+        "fixed": BASE_CONFIG.replace("replications = 4", "replications = 7"),
+        "fresh": BASE_CONFIG.replace("replications = 4", "replications = 7")
+        .replace("x_mode = fixed", "x_mode = fresh"),
+        # EmptyCell and DegenerateVariance records between successful ones
+        "fragile": TestMcCoverage.FRAGILE + "failure_tolerance = 0.95\n",
+        "all failed": TestMcCoverage.FRAGILE.replace("n = 6", "n = 3").replace("0.97, 0.03", "0.9999, 0.0001")
+        + "failure_tolerance = 1\n",
+    }
+
+    @staticmethod
+    def _one_at_a_time(config) -> list:
+        """Each replication's record from its own data and one-row statistic."""
+        design = harness._shared_design(config)
+        critical = chi2_quantile(config.support.n_points, 1 - config.alpha)
+        records = []
+        for index in range(config.replications):
+            seed = replication_seed(config.seed, index)
+            label = f"({';'.join(map(str, seed.entropy))})"
+            try:
+                covariates, residual, _, observed = harness._draw_dataset(config, seed, design)
+                data = Dataset(network=observed, covariates=covariates, support=config.support)
+                stat = MomentEvaluator(data).statistic(config.theta)
+                records.append(ReplicationRecord(index, label, residual, stat, stat <= critical))
+            except MisnetError as exc:
+                nan = float("nan")
+                records.append(ReplicationRecord(index, label, nan, nan, False, f"{type(exc).__name__}: {exc}"))
+        return records
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_records_equal_one_replication_at_a_time(self, run, threads):
+        """Every field, error text included, equals the one-row path's, with
+        NaN read as equal."""
+        config = dataclasses.replace(parse_config_text(self.RUNS[run]), threads=threads)
+        got = [repr(dataclasses.astuple(r)) for r in run_mc_coverage(config).records]
+        want = [repr(dataclasses.astuple(r)) for r in self._one_at_a_time(config)]
+        assert got == want
+        if run == "fragile":
+            errors = " ".join(want)
+            assert "DegenerateVariance: " in errors and "EmptyCell: " in errors
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_one_batched_evaluation_per_run(self, monkeypatch, run, threads):
+        """One evaluation of the statistic per run, over one row per replication
+        that reached its cell estimates, and none when no replication did."""
+        rows = []
+        evaluate = MomentEvaluator._evaluate
+
+        def counted(evaluator, points):
+            rows.append(len(points))
+            return evaluate(evaluator, points)
+
+        monkeypatch.setattr(MomentEvaluator, "_evaluate", counted)
+        config = dataclasses.replace(parse_config_text(self.RUNS[run]), threads=threads)
+        report = run_mc_coverage(config)
+        estimated = [r for r in report.records if not r.error.startswith("EmptyCell")]
+        assert rows == ([len(estimated)] if estimated else [])
+
+    def test_children_built_directly_equal_spawned_ones(self):
+        """Child i built from the parent's entropy and spawn key is
+        ``spawn(3)[i]``, the child the benchmark's replay spawns: the same
+        state and the same draws."""
+        parents = [replication_seed(1234, 0), replication_seed(3, 99), np.random.SeedSequence(7, spawn_key=(2,))]
+        for parent in parents:
+            spawned = parent.spawn(3)
+            for index in range(3):
+                child = harness._child(parent, index)
+                assert child.spawn_key == spawned[index].spawn_key
+                assert np.array_equal(child.generate_state(8), spawned[index].generate_state(8))
+                draws = [np.random.default_rng(s).random(50) for s in (child, spawned[index])]
+                assert np.array_equal(*draws)
 
 
 class TestReplicationRecipe:

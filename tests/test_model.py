@@ -114,6 +114,26 @@ class TestTypes:
         accepted = Network(np.array([[False, True], [True, False]]))
         assert accepted.adj.dtype == np.int8 and accepted.adj.tolist() == [[0, 1], [1, 0]]
 
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint8, np.int16, np.int64, np.float32, float])
+    def test_network_entry_check_per_dtype(self, dtype):
+        """One-byte matrices are checked in one pass over their bytes, the rest
+        elementwise: both accept exactly 0 and 1, with one message, whatever
+        the dtype, and an int64 256 (a zero low byte) is rejected too."""
+        for entry in [-1, 2, 0.5, 255, 256, -256, np.nan]:
+            adj = np.zeros((3, 3), dtype=dtype)
+            try:
+                adj[0, 2] = entry
+            except (OverflowError, ValueError):
+                continue  # not representable in this dtype
+            if adj[0, 2] in (0, 1):
+                continue  # wrapped or truncated to a valid entry by the cast
+            with pytest.raises(ValueError, match="^adjacency entries must be 0 or 1$"):
+                Network(adj)
+        for layout in (lambda a: a, lambda a: a.T, lambda a: a[::-1, ::-1]):
+            adj = layout(np.array([[0, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=dtype))
+            assert Network(adj).adj.tolist() == adj.astype(int).tolist()
+        assert Network(np.zeros((0, 0), dtype=dtype)).n == 0
+
     def test_theta_rejects_invalid_rates(self):
         with pytest.raises(InvalidRates):
             Theta(externality=[0, 0, 0], homophily=[0], fp_rate=0.6, fn_rate=0.4)
